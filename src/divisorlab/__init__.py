@@ -13,7 +13,6 @@ from .divisor import (
     delta_at,
     delta_of,
     hyperbola_D,
-    stream_delta,
 )
 from .moments import MomentResult, WindowSpec, abs_moment, moment, moment_profile, window_moment
 from .relations import (
@@ -78,7 +77,6 @@ __all__ = [
     "partial_C7",
     "residual_at",
     "residual_mean_square",
-    "stream_delta",
     "truncated_sum",
     "window_moment",
     "zeta_em",

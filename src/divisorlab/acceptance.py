@@ -104,10 +104,10 @@ class AcceptanceContext:
 def criterion_1(ctx: AcceptanceContext) -> CriterionResult:
     """Sieve prefix sums equal the hyperbola formula for every x up to 1e6."""
     limit = 10 ** 5 if ctx.quick else 10 ** 6
-    t0 = time.time()
+    t0 = time.perf_counter()
     prefix = np.cumsum(build_divisor_table(1, limit).values.astype(np.int64))
     direct = hyperbola_D_many(np.arange(1, limit + 1, dtype=np.int64))
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     equal = bool(np.array_equal(prefix, direct))
     ok = equal and elapsed < 60.0
     return CriterionResult(1, "exact D(x) agreement", ok,
@@ -385,10 +385,10 @@ def run_acceptance(
     ctx = AcceptanceContext(quick=quick, threads=threads)
     results = []
     for crit in _CRITERIA:
-        t0 = time.time()
+        t0 = time.perf_counter()
         res = crit(ctx)
         results.append(res)
-        print(res.line() + f"  [{time.time() - t0:.1f}s]", flush=True)
+        print(res.line() + f"  [{time.perf_counter() - t0:.1f}s]", flush=True)
     ok = all(r.passed for r in results)
     print(f"acceptance: {sum(r.passed for r in results)}/{len(results)} criteria passed")
     if out_dir is not None:

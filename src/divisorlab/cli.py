@@ -1,12 +1,15 @@
 """Command-line front end: parameter parsing, CSV/JSON output, run manifests.
 
-Exit codes: 0 success, 2 bad arguments, 3 enumeration/budget limit exceeded.
+Exit codes: 0 success, 2 bad arguments (including integers beyond
+MAX_SIEVE_ARGUMENT), 3 enumeration/budget limit exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -18,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .divisor import build_divisor_table, delta_at
+from .divisor import RangeOverflowError, build_divisor_table, delta_at, hyperbola_D
 from .expsum import eval_S, moment8_S
 from .moments import WindowSpec, moment, window_moment
 from .relations import (
@@ -46,10 +49,13 @@ def _fmt(v) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """Write a CSV with minimal quoting: a field is quoted only when it holds
+    a comma, a quote or a line break, so numeric files are plain."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
+    _atomic_write(path, buf.getvalue())
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -207,20 +213,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sieve(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     table = build_divisor_table(args.lo, args.hi)
-    D = 0
-    rows = []
-    from .divisor import hyperbola_D
-
-    base = hyperbola_D(args.lo - 1) if args.lo > 1 else 0
-    cum = base
-    for i, d in enumerate(table.values):
-        cum += int(d)
-        rows.append([args.lo + i, int(d), cum])
+    D = np.cumsum(table.values, dtype=np.int64)
+    D += hyperbola_D(args.lo - 1) if args.lo > 1 else 0
+    rows = list(zip(range(args.lo, args.hi + 1), table.values.tolist(), D.tolist()))
     out = args.out / "sieve.csv"
     write_csv(out, ["n", "d", "D"], rows)
-    write_manifest(args.out / "sieve.manifest.json", vars_config(args), [out], time.time() - t0)
+    write_manifest(args.out / "sieve.manifest.json", vars_config(args), [out],
+                   time.perf_counter() - t0)
     print(f"wrote {out} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -235,29 +236,31 @@ def vars_config(args) -> dict:
 
 
 def _cmd_delta(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     s = delta_at(args.x)
     print(f"x={_fmt(s.x)} D={s.D} Delta={_fmt(s.delta)}")
     out = args.out / "delta.csv"
     write_csv(out, ["x", "D", "delta"], [[s.x, s.D, s.delta]])
-    write_manifest(args.out / "delta.manifest.json", vars_config(args), [out], time.time() - t0)
+    write_manifest(args.out / "delta.manifest.json", vars_config(args), [out],
+                   time.perf_counter() - t0)
     return EXIT_OK
 
 
 def _cmd_voronoi(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     ts = truncated_sum(args.x, args.Y)
     res = residual_at(args.x, args.Y)
     print(f"x={_fmt(args.x)} Y={args.Y} sum={_fmt(ts.value)} residual={_fmt(res.value)}")
     out = args.out / "voronoi.csv"
     write_csv(out, ["x", "Y", "truncated_sum", "residual"],
               [[args.x, args.Y, ts.value, res.value]])
-    write_manifest(args.out / "voronoi.manifest.json", vars_config(args), [out], time.time() - t0)
+    write_manifest(args.out / "voronoi.manifest.json", vars_config(args), [out],
+                   time.perf_counter() - t0)
     return EXIT_OK
 
 
 def _cmd_count(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     sig = RelationSignature(args.plus, args.minus)
     query = RelationQuery(signature=sig, ranges=_parse_ranges(args.ranges), delta=args.delta)
     rc = near_solution_count(query)
@@ -272,25 +275,27 @@ def _cmd_count(args) -> int:
     row += [args.delta, rc.count, rc.min_nonzero_gap, const]
     out = args.out / "count.csv"
     write_csv(out, header, [row])
-    write_manifest(args.out / "count.manifest.json", vars_config(args), [out], time.time() - t0)
+    write_manifest(args.out / "count.manifest.json", vars_config(args), [out],
+                   time.perf_counter() - t0)
     print(f"count={rc.count} min_gap={_fmt(rc.min_nonzero_gap)}")
     return EXIT_OK
 
 
 def _cmd_mingap(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     sig = RelationSignature(args.plus, args.minus)
     gap, witness, const = min_gap(sig, args.Y)
     out = args.out / "mingap.csv"
     write_csv(out, ["plus", "minus", "Y", "gap", "empirical_constant", "witness"],
               [[args.plus, args.minus, args.Y, gap, const, " ".join(map(str, witness[0] + witness[1]))]])
-    write_manifest(args.out / "mingap.manifest.json", vars_config(args), [out], time.time() - t0)
+    write_manifest(args.out / "mingap.manifest.json", vars_config(args), [out],
+                   time.perf_counter() - t0)
     print(f"gap={_fmt(gap)} constant={_fmt(const)} witness={witness}")
     return EXIT_OK
 
 
 def _cmd_constants(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     results = []
     for name in args.names.split(","):
         name = name.strip()
@@ -307,7 +312,8 @@ def _cmd_constants(args) -> int:
         print(f"{name}: partial={_fmt(est.partial_sum)} extrapolated={_fmt(est.estimate)}")
     out = args.out / "constants.json"
     _atomic_write(out, json.dumps(results, indent=2) + "\n")
-    write_manifest(args.out / "constants.manifest.json", vars_config(args), [out], time.time() - t0)
+    write_manifest(args.out / "constants.manifest.json", vars_config(args), [out],
+                   time.perf_counter() - t0)
     return EXIT_OK
 
 
@@ -316,10 +322,10 @@ def _constants_at(Y: int) -> dict[str, float]:
 
 
 def _cmd_moment(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     constants = _constants_at(args.constants_Y)
     r = moment(args.k, args.X, constants=constants, threads=args.threads)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     out = args.out / "moment.csv"
     write_csv(out,
               ["exponent", "lo", "hi", "integral", "main_term", "relative_deviation",
@@ -332,11 +338,11 @@ def _cmd_moment(args) -> int:
 
 
 def _cmd_window(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     constants = _constants_at(args.constants_Y)
     spec = WindowSpec(X=args.X, H=args.H)
     r = window_moment(spec, args.k, constants=constants, threads=args.threads)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     out = args.out / "window.csv"
     write_csv(out,
               ["exponent", "lo", "hi", "integral", "main_term", "relative_deviation",
@@ -349,7 +355,7 @@ def _cmd_window(args) -> int:
 
 
 def _cmd_expsum(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     integral, ratio = moment8_S(args.U, args.N, args.rootk, args.samples)
     rows = []
     for x in np.linspace(args.U, 2 * args.U, min(args.samples, 256)):
@@ -360,7 +366,7 @@ def _cmd_expsum(args) -> int:
     write_csv(out_sum, ["U", "N", "rootk", "integral", "bound_ratio"],
               [[args.U, args.N, args.rootk, integral, ratio]])
     write_manifest(args.out / "expsum.manifest.json", vars_config(args),
-                   [out_grid, out_sum], time.time() - t0)
+                   [out_grid, out_sum], time.perf_counter() - t0)
     print(f"integral={_fmt(integral)} bound_ratio={_fmt(ratio)}")
     return EXIT_OK
 
@@ -395,6 +401,9 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except RangeOverflowError as exc:
+        print(f"out of range: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

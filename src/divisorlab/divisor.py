@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
 
 import numpy as np
 
@@ -26,6 +25,12 @@ DEFAULT_BLOCK = 1 << 22
 # Largest argument accepted anywhere; beyond this int64 intermediates in the
 # sieve could overflow and memory budgets are unrealistic anyway.
 MAX_SIEVE_ARGUMENT = 1 << 52
+
+# Vectorized passes over the divisors take at most _SCATTER_CHUNK divisors
+# (or hyperbola terms) and about max(_SCATTER_HITS, block length) sieve hits
+# at once, so their temporaries stay a few MB for short windows at any x.
+_SCATTER_CHUNK = 1 << 16
+_SCATTER_HITS = 1 << 18
 
 
 class RangeOverflowError(ValueError):
@@ -63,8 +68,13 @@ def build_divisor_table(lo: int, hi: int) -> DivisorTable:
     """Sieve exact d(n) for all n in [lo, hi], both endpoints inclusive.
 
     For every divisor d <= sqrt(hi), each multiple n = d*q with q >= d gets
-    +2 (the pair d, q) or +1 when q == d.  Cost is O((hi-lo) * log(sqrt(hi)))
-    plus O(sqrt(hi)) slice setups.
+    +2 (the pair d, q) or +1 when q == d.  Divisors up to
+    max(64, (hi-lo+1)/128), whose multiples are dense in the range, are added
+    as strided slices, one Python iteration each.  All larger d, up to
+    sqrt(hi), are scattered with one numpy bincount per chunk of divisors
+    (see _SCATTER_CHUNK).  Cost is O((hi-lo) * log(sqrt(hi))) element
+    operations plus O(sqrt(hi)) vectorized per-divisor steps; a 2**16 window
+    at 1e12 takes a few hundredths of a second.
     """
     if not 1 <= lo <= hi:
         raise ValueError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
@@ -73,7 +83,8 @@ def build_divisor_table(lo: int, hi: int) -> DivisorTable:
     n = hi - lo + 1
     values = np.zeros(n, dtype=np.int32)
     root = math.isqrt(hi)
-    for d in range(1, root + 1):
+    split = min(root, max(64, n // 128))
+    for d in range(1, split + 1):
         # first multiple of d in [max(lo, d*d), hi]
         start = max(lo, d * d)
         first = ((start + d - 1) // d) * d
@@ -83,7 +94,36 @@ def build_divisor_table(lo: int, hi: int) -> DivisorTable:
         sq = d * d
         if lo <= sq <= hi:
             values[sq - lo] -= 1
+    a = split + 1
+    while a <= root:
+        # each d >= a has at most n // a + 1 multiples in the range
+        width = max(1, max(n, _SCATTER_HITS) // (n // a + 1))
+        b = min(root + 1, a + min(_SCATTER_CHUNK, width))
+        _add_divisor_pairs(values, lo, np.arange(a, b, dtype=np.int64))
+        a = b
+    # squares d*d in [lo, hi] with d above the split were counted twice
+    squares = np.arange(max(split + 1, math.isqrt(lo - 1) + 1), root + 1, dtype=np.int64) ** 2
+    values[squares - lo] -= 1
     return DivisorTable(lo=lo, values=values)
+
+
+def _add_divisor_pairs(values: np.ndarray, lo: int, d: np.ndarray) -> None:
+    """Add 2 to values[n - lo] for every multiple n = d*q, q >= d, of each
+    divisor in the int64 array d that lies in [lo, lo + len(values)), as one
+    numpy scatter."""
+    n = len(values)
+    first = np.maximum(-(-lo // d), d) * d - lo  # offset of the first multiple
+    count = (n - 1 - first) // d + 1
+    hit = count > 0
+    d, first, count = d[hit], first[hit], count[hit]
+    # hit offsets as one cumulative sum: steps of d within each run, and a
+    # jump from the previous run's last offset to each run's first
+    step = np.repeat(d, count)
+    last = first + (count - 1) * d
+    step[np.cumsum(count) - count] = first - np.concatenate(([0], last[:-1]))
+    hits = np.bincount(np.cumsum(step, out=step), minlength=n)
+    hits *= 2
+    values += hits
 
 
 def d_trial_division(n: int) -> int:
@@ -102,14 +142,20 @@ def hyperbola_D(x: int) -> int:
 
         D(x) = 2 * sum_{n <= sqrt(x)} floor(x/n) - floor(sqrt(x))**2
 
-    in O(sqrt(x)) time with exact integer arithmetic.
+    in O(sqrt(x)) int64 numpy operations, summed in chunks of _SCATTER_CHUNK
+    terms into an exact Python int.  A chunk sum is at most the whole sum,
+    below x*(log(sqrt(x)) + 1) < 2**63 for every x <= MAX_SIEVE_ARGUMENT;
+    larger x are refused.
     """
     if x < 1:
         raise ValueError("x must be >= 1")
+    if x > MAX_SIEVE_ARGUMENT:
+        raise RangeOverflowError(f"x={x} exceeds supported range {MAX_SIEVE_ARGUMENT}")
     root = math.isqrt(x)
     total = 0
-    for n in range(1, root + 1):
-        total += x // n
+    for a in range(1, root + 1, _SCATTER_CHUNK):
+        n = np.arange(a, min(a + _SCATTER_CHUNK, root + 1), dtype=np.int64)
+        total += int((x // n).sum())
     return 2 * total - root * root
 
 
@@ -159,39 +205,9 @@ def delta_at(x: float) -> DeltaSample:
     return DeltaSample(x=float(x), D=D, delta=delta_of(float(x), D))
 
 
-def iter_prefix_blocks(
-    lo: int, hi: int, block: int = DEFAULT_BLOCK
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start, D_values) for consecutive blocks covering [lo, hi).
-
-    D_values[i] is the exact D(start + i) as int64.  Each block seeds its
-    prefix from hyperbola_D(start - 1), so blocks are independent and may be
-    computed concurrently; this generator yields them in ascending order.
-    """
-    if lo < 1:
-        raise ValueError("lo must be >= 1")
-    for start in range(lo, hi, block):
-        stop = min(start + block, hi)
-        yield start, prefix_block(start, stop)
-
-
 def prefix_block(start: int, stop: int) -> np.ndarray:
     """Exact D(m) for m in [start, stop) as an int64 array."""
     table = build_divisor_table(start, stop - 1)
     out = np.cumsum(table.values, dtype=np.int64)
     out += hyperbola_D(start - 1) if start > 1 else 0
     return out
-
-
-def stream_delta(
-    lo: int, hi: int, visitor: Callable[[int, int], None], block: int = DEFAULT_BLOCK
-) -> None:
-    """Visit each unit interval [m, m+1) for m in [lo, hi) with its exact D(m).
-
-    The visitor receives (m, D(m)).  Intervals arrive in ascending order.
-    """
-    if lo < 2:
-        raise ValueError("lo must be >= 2")
-    for start, dvals in iter_prefix_blocks(lo, hi, block):
-        for i, D in enumerate(dvals):
-            visitor(start + i, int(D))

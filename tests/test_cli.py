@@ -1,10 +1,11 @@
+import csv
 import json
 import math
 
 import pytest
 
 from divisorlab.cli import _fmt, build_parser, main
-from divisorlab.divisor import hyperbola_D
+from divisorlab.divisor import d_trial_division, hyperbola_D
 
 
 def test_fmt_17_significant_digits():
@@ -40,6 +41,12 @@ def test_sieve_subcommand(tmp_path):
     assert rows[0] == "n,d,D"
     last = rows[-1].split(",")
     assert last == ["20", "6", str(hyperbola_D(20))]
+    assert rows[1:] == [f"{n},{d_trial_division(n)},{hyperbola_D(n)}" for n in range(10, 21)]
+
+
+def test_out_of_range_exit_code(tmp_path, capsys):
+    assert main(["delta", "--x", "1e17", "--out", str(tmp_path)]) == 2
+    assert "out of range" in capsys.readouterr().err
 
 
 def test_count_subcommand(tmp_path):
@@ -133,3 +140,14 @@ def test_manifest_checksums_change_with_output(tmp_path):
     second = json.loads((tmp_path / "delta.manifest.json").read_text())
     assert first["output_checksums"]["delta.csv"] != second["output_checksums"]["delta.csv"]
     assert first["code_hash"] == second["code_hash"]
+
+
+def test_verify_quick_csv_rows_have_header_width(tmp_path):
+    # detail lines hold ", " and must be quoted, not spill into extra columns
+    main(["verify", "--quick", "--out", str(tmp_path)])
+    with open(tmp_path / "acceptance.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["criterion", "name", "passed", "detail"]
+    assert len(rows) == 14
+    assert all(len(row) == 4 for row in rows)
+    assert any(", " in row[3] for row in rows[1:])

@@ -1,10 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divisorlab.divisor import (
     DEFAULT_BLOCK,
+    MAX_SIEVE_ARGUMENT,
     RangeOverflowError,
     build_divisor_table,
     d_trial_division,
@@ -12,13 +16,42 @@ from divisorlab.divisor import (
     delta_of,
     hyperbola_D,
     hyperbola_D_many,
-    iter_prefix_blocks,
     prefix_block,
-    stream_delta,
 )
 
 # d(1..12) by hand
 D_SMALL = [1, 2, 2, 3, 2, 4, 2, 4, 3, 4, 2, 6]
+
+
+def sieve_oracle(lo: int, hi: int) -> np.ndarray:
+    """d(n) for n in [lo, hi] by one strided slice per divisor d <= sqrt(hi)."""
+    values = np.zeros(hi - lo + 1, dtype=np.int32)
+    for d in range(1, math.isqrt(hi) + 1):
+        first = -(-max(lo, d * d) // d) * d
+        if first > hi:
+            continue
+        values[first - lo :: d] += 2
+        if lo <= d * d <= hi:
+            values[d * d - lo] -= 1
+    return values
+
+
+def hyperbola_oracle(x: int) -> int:
+    """D(x) by the hyperbola identity, one Python step per n <= sqrt(x)."""
+    root = math.isqrt(x)
+    return 2 * sum(map(x.__floordiv__, range(1, root + 1))) - root * root
+
+
+@st.composite
+def windows(draw):
+    """[lo, hi] with lo up to 1e12 and width 0..5000; half of them are moved
+    so that they contain a perfect square."""
+    lo = draw(st.integers(1, 10 ** 12))
+    width = draw(st.integers(0, 5000))
+    if draw(st.booleans()):
+        s = math.isqrt(lo) + 1
+        lo = max(1, s * s - draw(st.integers(0, width)))
+    return lo, lo + width
 
 
 def test_divisor_table_small():
@@ -96,20 +129,72 @@ def test_prefix_block_seeding():
     assert np.array_equal(blk, direct[1000:3000])
 
 
-def test_iter_prefix_blocks_cover_range():
-    got = []
-    for start, vals in iter_prefix_blocks(2, 1002, block=100):
-        got.extend(int(v) for v in vals)
-    want = [hyperbola_D(m) for m in range(2, 1002)]
-    assert got == want
-
-
-def test_stream_delta_order_and_values():
-    seen = []
-    stream_delta(2, 300, lambda m, D: seen.append((m, D)), block=64)
-    assert [m for m, _ in seen] == list(range(2, 300))
-    assert all(D == hyperbola_D(m) for m, D in seen)
-
-
 def test_default_block_is_power_of_two():
     assert DEFAULT_BLOCK & (DEFAULT_BLOCK - 1) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(windows())
+def test_divisor_table_matches_slice_oracle(window):
+    lo, hi = window
+    got = build_divisor_table(lo, hi).values
+    assert got.dtype == np.int32
+    assert np.array_equal(got, sieve_oracle(lo, hi))
+
+
+@pytest.mark.parametrize("lo, width", [
+    (1, 1 << 16),            # every divisor below the slice/scatter split
+    (10 ** 8, 1 << 20),      # split n/128 = 8192 below sqrt(hi) = 10052
+    (10 ** 9 - 7, 1 << 16),  # split 512, scatter chunks with several hits per d
+])
+def test_divisor_table_matches_slice_oracle_wide(lo, width):
+    assert np.array_equal(build_divisor_table(lo, lo + width).values,
+                          sieve_oracle(lo, lo + width))
+
+
+def test_divisor_table_sums_to_hyperbola_at_max_argument():
+    lo = MAX_SIEVE_ARGUMENT - 5000
+    total = int(build_divisor_table(lo, MAX_SIEVE_ARGUMENT).values.sum())
+    assert total == hyperbola_D(MAX_SIEVE_ARGUMENT) - hyperbola_D(lo - 1)
+
+
+def test_divisor_table_trial_division_near_1e10():
+    lo = 10 ** 10 - 20
+    table = build_divisor_table(lo, lo + 40)
+    for n in range(lo, lo + 41):
+        assert table.d(n) == d_trial_division(n)
+
+
+def test_divisor_table_memory_is_bounded():
+    # a 2**16 window at 1e12 scatters 1e6 divisors in chunks; the
+    # temporaries must not grow with sqrt(hi) (about 3 MB here, 7.8 MB with
+    # chunks of 2**20 divisors)
+    tracemalloc.start()
+    try:
+        build_divisor_table(10 ** 12, 10 ** 12 + 65535)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 1 << 20), st.sampled_from([-1, 0, 1]))
+def test_hyperbola_matches_oracle_near_squares(s, offset):
+    x = max(1, s * s + offset)
+    assert hyperbola_D(x) == hyperbola_oracle(x)
+
+
+@pytest.mark.parametrize("k", [-1000, -1, 0, 1, 7, 1000])
+def test_hyperbola_matches_oracle_near_2_40(k):
+    x = (1 << 40) + k
+    assert hyperbola_D(x) == hyperbola_oracle(x)
+
+
+def test_hyperbola_matches_oracle_at_max_argument():
+    assert hyperbola_D(MAX_SIEVE_ARGUMENT) == hyperbola_oracle(MAX_SIEVE_ARGUMENT)
+
+
+def test_hyperbola_rejects_beyond_max_argument():
+    with pytest.raises(RangeOverflowError):
+        hyperbola_D(MAX_SIEVE_ARGUMENT + 1)
