@@ -1,7 +1,8 @@
 """Command-line front end: parameter parsing, CSV/JSON output, run manifests.
 
-Exit codes: 0 success, 2 bad arguments (including integers beyond
-MAX_SIEVE_ARGUMENT), 3 enumeration/budget limit exceeded.
+Exit codes: 0 success, 2 bad arguments (malformed or invalid values,
+including integers beyond MAX_SIEVE_ARGUMENT), 3 enumeration/budget limit
+exceeded.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .expsum import eval_S, moment8_S
 from .moments import WindowSpec, moment, window_moment
 from .relations import (
     BudgetExceededError,
+    NoNonzeroFormError,
     RelationQuery,
     RelationSignature,
     min_gap,
@@ -98,11 +100,14 @@ def write_manifest(path: Path, config: dict, outputs: list[Path], elapsed: float
 
 
 def _parse_ranges(text: str) -> tuple[tuple[int, int], ...]:
-    """'1:4,1:4,2:8' -> ((1,4),(1,4),(2,8))."""
+    """'1:4,1:4,2:8' -> ((1,4),(1,4),(2,8)); an argparse type."""
     out = []
     for part in text.split(","):
         lo, _, hi = part.partition(":")
-        out.append((int(lo), int(hi)))
+        try:
+            out.append((int(lo), int(hi)))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected lo:hi, got {part!r}") from None
     return tuple(out)
 
 
@@ -168,7 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="near-solution count of a square-root form")
     p.add_argument("--plus", type=int, required=True)
     p.add_argument("--minus", type=int, required=True)
-    p.add_argument("--ranges", type=str, required=True, help="lo:hi per variable, comma separated")
+    p.add_argument("--ranges", type=_parse_ranges, required=True,
+                   help="lo:hi per variable, comma separated")
     p.add_argument("--delta", type=float, required=True)
     common(p)
 
@@ -259,10 +265,18 @@ def _cmd_voronoi(args) -> int:
     return EXIT_OK
 
 
+def _usage_error(reason: ValueError | str) -> int:
+    print(f"bad arguments: {reason}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def _cmd_count(args) -> int:
     t0 = time.perf_counter()
-    sig = RelationSignature(args.plus, args.minus)
-    query = RelationQuery(signature=sig, ranges=_parse_ranges(args.ranges), delta=args.delta)
+    try:
+        sig = RelationSignature(args.plus, args.minus)
+        query = RelationQuery(signature=sig, ranges=args.ranges, delta=args.delta)
+    except ValueError as exc:
+        return _usage_error(exc)
     rc = near_solution_count(query)
     Y = max(hi for _, hi in query.ranges)
     const = rc.min_nonzero_gap * Y ** sig.gap_exponent
@@ -283,8 +297,16 @@ def _cmd_count(args) -> int:
 
 def _cmd_mingap(args) -> int:
     t0 = time.perf_counter()
-    sig = RelationSignature(args.plus, args.minus)
-    gap, witness, const = min_gap(sig, args.Y)
+    try:
+        sig = RelationSignature(args.plus, args.minus)
+    except ValueError as exc:
+        return _usage_error(exc)
+    if args.Y < 1:
+        return _usage_error(f"need Y >= 1, got {args.Y}")
+    try:
+        gap, witness, const = min_gap(sig, args.Y)
+    except NoNonzeroFormError as exc:
+        return _usage_error(exc)
     out = args.out / "mingap.csv"
     write_csv(out, ["plus", "minus", "Y", "gap", "empirical_constant", "witness"],
               [[args.plus, args.minus, args.Y, gap, const, " ".join(map(str, witness[0] + witness[1]))]])

@@ -5,17 +5,28 @@ Writing each value as n = a**2 * h with h squarefree gives sqrt(n) = a*sqrt(h),
 and since the sqrt(h) for distinct squarefree h are linearly independent over
 the rationals, a form vanishes exactly when the integer coefficient sums agree
 kernel by kernel.  That makes exact-zero testing decidable without any floating
-comparison; everything approximate (near-solution counts, minimal gaps) is done
-in floats with high-precision re-verification of near-zero candidates.
+comparison.
+
+Counts and gaps over a box come from one engine.  Each side of the form is
+enumerated once over the product of its ranges, giving every tuple the float64
+sum P (plus side) or M (minus side) of its square roots and the id of its
+kernel class; a plus and a minus tuple form an exact zero exactly when their
+classes agree.  A pair lies in the delta window when the float64 predicate
+
+    fl(M - delta) < P < fl(M + delta)
+
+holds, and the near-solution count is the number of pairs in the window minus
+the exact zeros in that same window, so it is never negative.  Minimal gaps
+are found in floats, skipping exact zeros by class, and candidates below
+NEAR_ZERO_RECHECK are re-verified in 50-digit arithmetic.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import mpmath
 import numpy as np
@@ -33,6 +44,10 @@ VERIFY_DPS = 50
 
 class BudgetExceededError(RuntimeError):
     """Enumeration would exceed the configured budget; names the limit hit."""
+
+
+class NoNonzeroFormError(ValueError):
+    """Every form over the box is an exact zero, so there is no minimal gap."""
 
 
 @dataclass(frozen=True)
@@ -79,8 +94,8 @@ class RelationQuery:
         for lo, hi in self.ranges:
             if not 1 <= lo <= hi:
                 raise ValueError(f"bad range ({lo}, {hi})")
-        if self.delta < 0:
-            raise ValueError("delta must be >= 0")
+        if not self.delta >= 0:
+            raise ValueError(f"delta must be >= 0 (inf allowed), got {self.delta}")
 
 
 @dataclass(frozen=True)
@@ -97,15 +112,18 @@ class RelationCount:
 DEFAULT_SPF_BOUND = 1 << 20
 
 
-@lru_cache(maxsize=4)
-def _spf_sieve(bound: int) -> np.ndarray:
-    """Smallest-prime-factor table for 0..bound."""
+def spf_table(bound: int) -> np.ndarray:
+    """Smallest-prime-factor table for 0..bound (built afresh on each call)."""
     spf = np.arange(bound + 1, dtype=np.int64)
     for p in range(2, math.isqrt(bound) + 1):
         if spf[p] == p:
             sl = spf[p * p :: p]
             np.minimum(sl, p, out=sl)
     return spf
+
+
+# kernel_decompose asks for the same bound on every call
+_spf_sieve = lru_cache(maxsize=4)(spf_table)
 
 
 def kernel_decompose(n: int, spf_bound: int = DEFAULT_SPF_BOUND) -> KernelForm:
@@ -175,197 +193,152 @@ def form_value_hp(plus_values: Sequence[int], minus_values: Sequence[int], dps: 
 
 
 # --------------------------------------------------------------------------
-# exact solutions
+# the kernel-class engine: near-solution counts and minimal gaps
 # --------------------------------------------------------------------------
 
 
-def _side_vector_index(count: int, Y: int) -> dict[tuple, list[tuple[int, ...]]]:
-    """Map kernel vector -> list of value multisets (nondecreasing tuples)."""
-    index: dict[tuple, list[tuple[int, ...]]] = {}
-    for combo in itertools.combinations_with_replacement(range(1, Y + 1), count):
-        key = _kernel_vector(combo, [1] * count)
-        index.setdefault(key, []).append(combo)
-    return index
+@dataclass(frozen=True)
+class _Side:
+    """One side of a form over the product of its ranges, in ravel order."""
+
+    ranges: tuple[tuple[int, int], ...]
+    sums: np.ndarray  # float64 sum of the square roots of each tuple
+    classes: np.ndarray  # kernel-class id of each tuple
+    vectors: list[tuple]  # canonical kernel vector of each class id
+
+    def tuple_at(self, flat: int) -> tuple[int, ...]:
+        dims = tuple(hi - lo + 1 for lo, hi in self.ranges)
+        return tuple(lo + int(i) for (lo, _), i in zip(self.ranges, np.unravel_index(flat, dims)))
 
 
-def _multiset_permutations(ms: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    seen = set()
-    for perm in itertools.permutations(ms):
-        if perm not in seen:
-            seen.add(perm)
-            yield perm
+def _enumerate_side(ranges: Sequence[tuple[int, int]]) -> _Side:
+    """Sums and kernel classes of every tuple in the product of ranges.
 
-
-def exact_relation_solutions(
-    signature: RelationSignature, Y: int, side_budget: int = DEFAULT_SIDE_BUDGET
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All ordered tuples in [1, Y]^arity solving the relation with equality.
-
-    Yields (plus_tuple, minus_tuple) pairs.  Exactness rests on grouping by
-    squarefree kernel: per kernel h the integer coefficient sums on both sides
-    must agree, because sqrt(h) for distinct squarefree h are linearly
-    independent over the rationals.
+    Appending a value v = a**2 * h to a tuple adds a to the tuple's
+    coefficient of kernel h, so the new class depends only on the old class
+    and v: one small table per range maps (old class, value) to the new class.
     """
-    p, q = signature.plus, signature.minus
-    for count in (p, q):
-        if count and math.comb(Y + count - 1, count) > side_budget:
-            raise BudgetExceededError(
-                f"side enumeration of {math.comb(Y + count - 1, count)} multisets "
-                f"exceeds budget {side_budget}"
-            )
-    left = _side_vector_index(p, Y)
-    if q == 0:
-        # a nonempty sum of positive square roots never vanishes
-        return
-    right = _side_vector_index(q, Y)
-    for key, lmss in sorted(left.items()):
-        rmss = right.get(key)
-        if not rmss:
-            continue
-        for lms in lmss:
-            for rms in rmss:
-                for lt in _multiset_permutations(lms):
-                    for rt in _multiset_permutations(rms):
-                        yield lt, rt
-
-
-def count_exact_solutions(signature: RelationSignature, Y: int) -> int:
-    """Number of ordered exact solutions in [1, Y]^arity."""
-    total = 0
-    for _ in exact_relation_solutions(signature, Y):
-        total += 1
-    return total
-
-
-# --------------------------------------------------------------------------
-# near-solution counting and minimal gaps
-# --------------------------------------------------------------------------
-
-
-def _side_sums(ranges: Sequence[tuple[int, int]], side_budget: int) -> np.ndarray:
-    """Float64 sums of square roots over the cartesian product of ranges."""
-    size = 1
-    for lo, hi in ranges:
-        size *= hi - lo + 1
-    if size > side_budget:
-        raise BudgetExceededError(
-            f"side of {size} tuples exceeds budget {side_budget}; "
-            f"split the meet-in-the-middle ranges"
-        )
     sums = np.zeros(1, dtype=np.float64)
+    classes = np.zeros(1, dtype=np.int64)
+    vectors: list[tuple] = [()]
     for lo, hi in ranges:
         roots = np.sqrt(np.arange(lo, hi + 1, dtype=np.float64))
         sums = (sums[:, None] + roots[None, :]).ravel()
-    return sums
-
-
-def _side_vector_counts(ranges: Sequence[tuple[int, int]]) -> dict[tuple, int]:
-    """Kernel-vector histogram of sum sqrt over the product of ranges."""
-    counts: dict[tuple, int] = {(): 1}
-    for lo, hi in ranges:
-        nxt: dict[tuple, int] = {}
-        for v in range(lo, hi + 1):
-            kf = kernel_decompose(v)
-            for key, c in counts.items():
-                acc = dict(key)
+        forms = [kernel_decompose(v) for v in range(lo, hi + 1)]
+        index: dict[tuple, int] = {}
+        table = np.empty((len(vectors), len(forms)), dtype=np.int64)
+        for c, vector in enumerate(vectors):
+            for k, kf in enumerate(forms):
+                acc = dict(vector)
                 acc[kf.h] = acc.get(kf.h, 0) + kf.a
-                nkey = tuple(sorted((h, s) for h, s in acc.items() if s))
-                nxt[nkey] = nxt.get(nkey, 0) + c
-        counts = nxt
-    return counts
+                table[c, k] = index.setdefault(tuple(sorted(acc.items())), len(index))
+        classes = table[classes].ravel()
+        vectors = list(index)
+    return _Side(tuple(ranges), sums, classes, vectors)
 
 
-def _count_exact_zero_pairs(query: RelationQuery) -> int:
-    p = query.signature.plus
-    left = _side_vector_counts(query.ranges[:p])
-    right = _side_vector_counts(query.ranges[p:])
-    return sum(c * right.get(key, 0) for key, c in left.items())
+class _Box:
+    """Both sides of a query box, each enumerated once.
+
+    A plus and a minus tuple form an exact zero exactly when their kernel
+    vectors agree, so every minus tuple gets the plus class of its zero
+    partners (-1 for none) and zeros are found by comparing class ids.
+    """
+
+    def __init__(self, query: RelationQuery, side_budget: int):
+        p = query.signature.plus
+        sides = (query.ranges[:p], query.ranges[p:])
+        for ranges in sides:
+            size = math.prod(hi - lo + 1 for lo, hi in ranges)
+            if size > side_budget:
+                raise BudgetExceededError(
+                    f"side of {size} tuples exceeds budget {side_budget}; "
+                    f"split the meet-in-the-middle ranges"
+                )
+        self.plus, self.minus = (_enumerate_side(ranges) for ranges in sides)
+        index = {vector: c for c, vector in enumerate(self.plus.vectors)}
+        partner = [index.get(vector, -1) for vector in self.minus.vectors]
+        self.partner = np.array(partner, dtype=np.int64)[self.minus.classes]
+        self.order = np.argsort(self.plus.sums)
+        self.sorted_sums = self.plus.sums[self.order]
+        self.sorted_classes = self.plus.classes[self.order]
+
+    def count(self, delta: float) -> int:
+        """Pairs in the window fl(M - delta) < P < fl(M + delta) that are not
+        exact zeros; at delta == 0, the exact zeros."""
+        size = self.sorted_sums.size
+        m = self.minus.sums
+        if delta == 0:
+            lo, hi = np.zeros(m.size, dtype=np.int64), np.full(m.size, size)
+        else:
+            lo = np.searchsorted(self.sorted_sums, m - delta, side="right")
+            hi = np.searchsorted(self.sorted_sums, m + delta, side="left")
+        # zeros in a window: the partner class's tuples at sorted positions
+        # [lo, hi), found in the plus tuples ordered by (class, position)
+        keys = np.sort(self.sorted_classes * size + np.arange(size))
+        has = self.partner >= 0
+        base = self.partner[has] * size
+        zeros = np.searchsorted(keys, base + hi[has]) - np.searchsorted(keys, base + lo[has])
+        zeros = int(np.maximum(zeros, 0).sum())
+        if delta == 0:
+            return zeros
+        return int(np.maximum(hi - lo, 0).sum()) - zeros
+
+    def _walk(self, pos: np.ndarray, step: int) -> np.ndarray:
+        """Step each minus tuple's sorted position past its zero partners."""
+        pos = pos.copy()
+        active = np.arange(pos.size)
+        while active.size:
+            active = active[(pos[active] >= 0) & (pos[active] < self.sorted_sums.size)]
+            active = active[self.sorted_classes[pos[active]] == self.partner[active]]
+            pos[active] += step
+        return pos
+
+    def min_gap(self) -> tuple[float, tuple[tuple[int, ...], tuple[int, ...]] | None]:
+        """Smallest nonzero |form| over the box, with a witness.
+
+        Each minus sum is paired with the nearest plus sums below and above
+        it that are not its exact zeros.  Candidates are taken in the order
+        (gap, plus flat index, minus flat index), so ties pick the same
+        witness every time; gaps below NEAR_ZERO_RECHECK are re-verified in
+        50 digits before they are trusted.
+        """
+        m = self.minus.sums
+        i0 = np.searchsorted(self.sorted_sums, m)
+        pos = np.concatenate([self._walk(i0 - 1, -1), self._walk(i0, 1)])
+        mi = np.tile(np.arange(m.size), 2)
+        inside = (pos >= 0) & (pos < self.sorted_sums.size)
+        pos, mi = pos[inside], mi[inside]
+        gaps = np.abs(self.sorted_sums[pos] - m[mi])
+        pi = self.order[pos]
+
+        best = math.inf
+        witness = None
+        for k in np.lexsort((mi, pi, gaps)):
+            gap = float(gaps[k])
+            if gap >= best:
+                break
+            pair = (self.plus.tuple_at(pi[k]), self.minus.tuple_at(mi[k]))
+            if gap < NEAR_ZERO_RECHECK:
+                gap = float(abs(form_value_hp(*pair)))
+            if 0 < gap < best:
+                best, witness = gap, pair
+        return best, witness
 
 
 def near_solution_count(
     query: RelationQuery, side_budget: int = DEFAULT_SIDE_BUDGET
 ) -> RelationCount:
-    """Exact count of tuples with 0 < |form| < delta.
+    """Count of tuples with 0 < |form| < delta, with the minimal nonzero gap
+    over the box: the pairs in the float64 window of the module docstring
+    that are not exact zeros, which makes the count never negative.
 
-    delta == 0 counts the exact solutions instead (kernel-grouped, so it
-    agrees with exact_relation_solutions).  delta == inf counts everything
-    that is not an exact solution.
+    delta == 0 counts the exact solutions instead.  delta == inf counts
+    everything that is not an exact solution.
     """
-    p = query.signature.plus
-    for side in (query.ranges[:p], query.ranges[p:]):
-        size = math.prod(hi - lo + 1 for lo, hi in side)
-        if size > side_budget:
-            raise BudgetExceededError(
-                f"side of {size} tuples exceeds budget {side_budget}; "
-                f"split the meet-in-the-middle ranges"
-            )
-    zeros = _count_exact_zero_pairs(query)
-    if query.delta == 0:
-        count = zeros
-        min_gap = _min_gap_from_sums(query, side_budget)[0]
-        return RelationCount(query=query, count=count, min_nonzero_gap=min_gap)
-
-    plus = np.sort(_side_sums(query.ranges[:p], side_budget))
-    minus = _side_sums(query.ranges[p:], side_budget)
-    if math.isinf(query.delta):
-        total = plus.size * minus.size
-        within = total
-    else:
-        hi_idx = np.searchsorted(plus, minus + query.delta, side="left")
-        lo_idx = np.searchsorted(plus, minus - query.delta, side="right")
-        within = int((hi_idx - lo_idx).sum())
-    count = within - zeros
-    min_gap = _min_gap_from_sums(query, side_budget)[0]
-    return RelationCount(query=query, count=count, min_nonzero_gap=min_gap)
-
-
-def _min_gap_from_sums(
-    query: RelationQuery, side_budget: int
-) -> tuple[float, tuple[tuple[int, ...], tuple[int, ...]] | None]:
-    """Smallest nonzero |form| over the query box, with a witness."""
-    p = query.signature.plus
-    plus_ranges, minus_ranges = query.ranges[:p], query.ranges[p:]
-    plus = _side_sums(plus_ranges, side_budget)
-    minus = _side_sums(minus_ranges, side_budget)
-    order = np.argsort(plus)
-    plus_sorted = plus[order]
-
-    best = math.inf
-    best_pair: tuple[int, int] | None = None  # (plus flat index, minus flat index)
-    candidates: list[tuple[float, int, int]] = []
-    idx = np.searchsorted(plus_sorted, minus)
-    for j, i0 in enumerate(idx):
-        for i in (i0 - 1, i0):
-            if 0 <= i < plus_sorted.size:
-                gap = abs(float(plus_sorted[i]) - float(minus[j]))
-                candidates.append((gap, int(order[i]), j))
-    candidates.sort()
-
-    def unravel(flat: int, ranges: Sequence[tuple[int, int]]) -> tuple[int, ...]:
-        dims = [hi - lo + 1 for lo, hi in ranges]
-        out = []
-        for lo, n in zip(reversed([lo for lo, _ in ranges]), reversed(dims)):
-            out.append(lo + flat % n)
-            flat //= n
-        return tuple(reversed(out))
-
-    for gap, pi, mi in candidates:
-        if gap >= best:
-            break
-        pt = unravel(pi, plus_ranges)
-        mt = unravel(mi, minus_ranges)
-        if form_is_zero(pt, mt):
-            continue
-        if gap < NEAR_ZERO_RECHECK:
-            gap = float(abs(form_value_hp(pt, mt)))
-        if 0 < gap < best:
-            best = gap
-            best_pair = (pi, mi)
-
-    if best_pair is None:
-        return math.inf, None
-    witness = (unravel(best_pair[0], plus_ranges), unravel(best_pair[1], minus_ranges))
-    return best, witness
+    box = _Box(query, side_budget)
+    return RelationCount(query=query, count=box.count(query.delta),
+                         min_nonzero_gap=box.min_gap()[0])
 
 
 def min_gap(
@@ -381,7 +354,7 @@ def min_gap(
         ranges=tuple((1, Y) for _ in range(signature.arity)),
         delta=0.0,
     )
-    gap, witness = _min_gap_from_sums(query, side_budget)
+    gap, witness = _Box(query, side_budget).min_gap()
     if witness is None:
-        raise ValueError("no nonzero form in range")
+        raise NoNonzeroFormError("no nonzero form in range")
     return gap, witness, gap * Y ** signature.gap_exponent

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .divisor import build_divisor_table
-from .relations import BudgetExceededError
+from .relations import BudgetExceededError, spf_table
 
 MAX_CONSTANT_CUTOFF = 1 << 20
 
@@ -225,11 +225,7 @@ def estimate_constant(name: str, Y: int) -> CompletedEstimate:
 @lru_cache(maxsize=8)
 def _d_of_squares(bound: int) -> np.ndarray:
     """d(s**2) for s = 1..bound (index s-1), via factorization."""
-    spf = np.arange(bound + 1)
-    for p in range(2, math.isqrt(bound) + 1):
-        if spf[p] == p:
-            sl = spf[p * p :: p]
-            np.minimum(sl, p, out=sl)
+    spf = spf_table(bound)
     out = np.ones(bound + 1, dtype=np.float64)
     for s in range(2, bound + 1):
         m, acc = s, 1
@@ -256,11 +252,7 @@ def _c1_sum(Y: int) -> float:
     n2 = 2 * Y
     d_sq = _d_of_squares(n2)  # d(s^2), s = 1..2Y
     sf = _squarefree_flags(Y)
-    spf = np.arange(Y + 1)
-    for p in range(2, math.isqrt(Y) + 1):
-        if spf[p] == p:
-            sl = spf[p * p :: p]
-            np.minimum(sl, p, out=sl)
+    spf = spf_table(Y)  # factors the kernels h <= Y
     s_pows = np.arange(1, n2 + 1, dtype=np.float64) ** -1.5
 
     size = 1

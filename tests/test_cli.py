@@ -151,3 +151,33 @@ def test_verify_quick_csv_rows_have_header_width(tmp_path):
     assert len(rows) == 14
     assert all(len(row) == 4 for row in rows)
     assert any(", " in row[3] for row in rows[1:])
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--plus", "2", "--minus", "2", "--ranges", "1:4,1:4", "--delta", "0.1"],
+    ["count", "--plus", "1", "--minus", "1", "--ranges", "1:4,1:4", "--delta", "nan"],
+    ["count", "--plus", "1", "--minus", "1", "--ranges", "4:1,1:4", "--delta", "0.1"],
+    ["mingap", "--plus", "0", "--minus", "2", "--Y", "5"],
+    ["mingap", "--plus", "1", "--minus", "1", "--Y", "0"],
+    ["mingap", "--plus", "1", "--minus", "1", "--Y", "1"],
+])
+def test_bad_relation_arguments_exit_code(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert "bad arguments" in capsys.readouterr().err
+    assert not (tmp_path / f"{argv[0]}.csv").exists()
+
+
+def test_malformed_ranges_exit_code(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--plus", "1", "--minus", "1", "--ranges", "1-4,1:4",
+              "--delta", "0.1", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "expected lo:hi" in capsys.readouterr().err
+
+
+def test_count_accepts_infinite_delta(tmp_path):
+    rc = main(["count", "--plus", "1", "--minus", "1", "--ranges", "1:4,1:4",
+               "--delta", "inf", "--out", str(tmp_path)])
+    assert rc == 0
+    header, row = (tmp_path / "count.csv").read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["count"] == "12"

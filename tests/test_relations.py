@@ -1,15 +1,18 @@
 import itertools
 import math
+import random
+import tracemalloc
+from functools import lru_cache
 
-import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from divisorlab.relations import (
+    NEAR_ZERO_RECHECK,
     BudgetExceededError,
+    NoNonzeroFormError,
     RelationQuery,
     RelationSignature,
-    count_exact_solutions,
-    exact_relation_solutions,
     form_is_zero,
     form_value_hp,
     kernel_decompose,
@@ -61,44 +64,99 @@ def test_signature_validation():
     assert RelationSignature(4, 4).gap_exponent == 63.5
 
 
+def test_query_rejects_nan_delta_and_accepts_inf():
+    sig = RelationSignature(1, 1)
+    with pytest.raises(ValueError):
+        RelationQuery(sig, ((1, 3), (1, 3)), math.nan)
+    with pytest.raises(ValueError):
+        RelationQuery(sig, ((1, 3), (1, 3)), -0.5)
+    assert RelationQuery(sig, ((1, 3), (1, 3)), math.inf).delta == math.inf
+
+
+@lru_cache(maxsize=None)
+def _is_zero(pt, mt):
+    return form_is_zero(pt, mt)
+
+
+def _oracle(sig, box, delta):
+    """(count, min nonzero gap) by brute force over the full product.
+
+    Zeros are decided by form_is_zero; a nonzero pair counts when its float64
+    side sums (added left to right, as the engine adds them) satisfy
+    M - delta < P < M + delta.  The min gap is the 50-digit |form| of the
+    pairs whose float gap is within 1e-12 of the smallest float gap.
+    """
+    sides = []
+    for ranges in (box[: sig.plus], box[sig.plus:]):
+        tuples = list(itertools.product(*(range(lo, hi + 1) for lo, hi in ranges)))
+        sides.append([(t, sum(math.sqrt(v) for v in t)) for t in tuples])
+    count, gaps = 0, []
+    for pt, P in sides[0]:
+        for mt, M in sides[1]:
+            if _is_zero(pt, mt):
+                count += delta == 0
+                continue
+            count += delta > 0 and M - delta < P < M + delta
+            gaps.append((abs(P - M), pt, mt))
+    if not gaps:
+        return count, math.inf
+    floor = min(g for g, _, _ in gaps)
+    best = min(abs(form_value_hp(pt, mt)) for g, pt, mt in gaps if g <= floor + 1e-12)
+    return count, float(best)
+
+
+def _assert_gap(got, want, box):
+    """Equal within 1e-9 relative, plus the float error of the side sums
+    for gaps found in float (at or above NEAR_ZERO_RECHECK)."""
+    if want == math.inf:
+        assert got == math.inf
+        return
+    largest = sum(math.sqrt(hi) for _, hi in box)
+    assert abs(got - want) <= 1e-9 * want + 8 * math.ulp(largest), (got, want)
+
+
 def test_exact_solutions_11():
     # sqrt(n) = sqrt(r) only for n = r
-    sols = list(exact_relation_solutions(RelationSignature(1, 1), 6))
-    assert sorted(sols) == [((n,), (n,)) for n in range(1, 7)]
+    sig, box = RelationSignature(1, 1), ((1, 6), (1, 6))
+    rc = near_solution_count(RelationQuery(sig, box, 0.0))
+    assert rc.count == 6 == _oracle(sig, box, 0.0)[0]
 
 
 def test_exact_solutions_22_y4_count():
-    # brute-force count over 4**4 tuples: 28, all multiset-diagonal
-    assert count_exact_solutions(RelationSignature(2, 2), 4) == 28
+    # 28 exact solutions over 4**4 tuples, all multiset-diagonal
+    sig, box = RelationSignature(2, 2), tuple((1, 4) for _ in range(4))
+    assert near_solution_count(RelationQuery(sig, box, 0.0)).count == 28
+    assert _oracle(sig, box, 0.0)[0] == 28
 
 
 def test_exact_solutions_include_nondiagonal():
-    sols = set(exact_relation_solutions(RelationSignature(2, 2), 9))
-    assert ((1, 9), (4, 4)) in sols
-    assert ((9, 1), (4, 4)) in sols
+    sig = RelationSignature(2, 2)
+    # 1 + 3 = 2 + 2 in both orders of the plus side
+    for box in (((1, 1), (9, 9), (4, 4), (4, 4)), ((9, 9), (1, 1), (4, 4), (4, 4))):
+        assert near_solution_count(RelationQuery(sig, box, 0.0)).count == 1
+    box = tuple((1, 9) for _ in range(4))
+    rc = near_solution_count(RelationQuery(sig, box, 0.0))
+    assert rc.count == _oracle(sig, box, 0.0)[0]
+    diagonal = sum(1 for t in itertools.product(range(1, 10), repeat=4)
+                   if sorted(t[:2]) == sorted(t[2:]))
+    assert rc.count > diagonal
 
 
 def test_exact_solutions_80_empty():
-    assert count_exact_solutions(RelationSignature(8, 0), 5) == 0
+    # a nonempty sum of positive square roots never vanishes
+    sig = RelationSignature(8, 0)
+    assert near_solution_count(RelationQuery(sig, tuple((1, 5) for _ in range(8)), 0.0)).count == 0
+    box = tuple((1, 2) for _ in range(8))
+    assert near_solution_count(RelationQuery(sig, box, 0.0)).count == _oracle(sig, box, 0.0)[0] == 0
 
 
 def test_exact_solutions_budget():
+    sig = RelationSignature(4, 4)
+    box = tuple((1, 10 ** 9) for _ in range(8))
     with pytest.raises(BudgetExceededError):
-        list(exact_relation_solutions(RelationSignature(4, 4), 10 ** 9))
-
-
-def _brute_count(sig, box, delta):
-    """Independent float-filtered brute force over the full product."""
-    sides = []
-    for which in (box[: sig.plus], box[sig.plus:]):
-        sums = np.zeros(1)
-        for lo, hi in which:
-            r = np.sqrt(np.arange(lo, hi + 1, dtype=np.float64))
-            sums = (sums[:, None] + r[None, :]).ravel()
-        sides.append(sums)
-    diff = np.abs(sides[0][:, None] - sides[1][None, :]).ravel()
-    eps = 1e-9
-    return int(((diff > eps) & (diff < delta)).sum())
+        near_solution_count(RelationQuery(sig, box, 0.0))
+    with pytest.raises(BudgetExceededError):
+        min_gap(sig, 10 ** 9)
 
 
 @pytest.mark.parametrize("delta", [0.005, 0.05, 0.5])
@@ -106,14 +164,23 @@ def test_near_solution_count_matches_brute_force(delta):
     sig = RelationSignature(2, 2)
     box = ((1, 15), (1, 15), (1, 15), (1, 15))
     rc = near_solution_count(RelationQuery(sig, box, delta))
-    assert rc.count == _brute_count(sig, box, delta)
+    assert rc.count == _oracle(sig, box, delta)[0]
 
 
 def test_near_solution_count_delta_zero_is_exact_count():
     sig = RelationSignature(2, 2)
     box = tuple((1, 9) for _ in range(4))
     rc = near_solution_count(RelationQuery(sig, box, 0.0))
-    assert rc.count == count_exact_solutions(sig, 9)
+    assert rc.count == _oracle(sig, box, 0.0)[0]
+
+
+def test_near_solution_count_never_negative_below_float_resolution():
+    # fl(M - delta) == fl(M + delta) == M here, so the window is empty
+    sig = RelationSignature(2, 2)
+    for K in (16, 32, 64):
+        box = tuple((1, K) for _ in range(4))
+        for delta in (1e-16, 1e-18, 5e-324):
+            assert near_solution_count(RelationQuery(sig, box, delta)).count == 0
 
 
 def test_near_solution_count_monotone_in_delta():
@@ -148,8 +215,96 @@ def test_min_gap_matches_exhaustive():
     assert abs(float(form_value_hp(pt, mt))) == pytest.approx(gap, rel=1e-12)
 
 
+def test_min_gap_witness_ties_take_smallest_plus_index():
+    # ((13,30),(9,37)) and ((37,9),(13,30)) have the same float gap; candidates
+    # are ordered by (gap, plus flat index, minus flat index), 629 < 1808
+    gap, witness, _ = min_gap(RelationSignature(2, 2), 50)
+    assert witness == ((13, 30), (9, 37))
+    assert gap == abs((math.sqrt(13) + math.sqrt(30)) - (math.sqrt(9) + math.sqrt(37)))
+
+
+def test_min_gap_below_recheck_threshold_is_50_digit():
+    # the minimal gap of (3,3) over [1,64]^6, 1.55e-9, sits at this pair
+    box = ((17, 17), (12, 12), (50, 56), (1, 1), (40, 40), (60, 60))
+    rc = near_solution_count(RelationQuery(RelationSignature(3, 3), box, 0.0))
+    assert rc.min_nonzero_gap < NEAR_ZERO_RECHECK
+    assert rc.min_nonzero_gap == float(abs(form_value_hp((17, 12, 56), (1, 40, 60))))
+
+
 def test_min_gap_positive_for_8_variables():
     gap, witness, const = min_gap(RelationSignature(4, 4), 6)
     assert gap > 0
     assert const > 0
     assert len(witness[0]) == 4 and len(witness[1]) == 4
+
+
+def test_min_gap_without_nonzero_form_raises():
+    # over [1,1]^2 the only (1,1) form is sqrt(1) - sqrt(1) = 0
+    with pytest.raises(NoNonzeroFormError):
+        min_gap(RelationSignature(1, 1), 1)
+    assert min_gap(RelationSignature(2, 0), 1)[0] == 2.0
+
+
+def test_min_gap_walks_past_exact_zero_ties():
+    # sqrt(9) - sqrt(9) = 0 sits where the nearest nonzero pair sqrt(10) - 3
+    # would be looked for; sqrt(9) - sqrt(8) is farther
+    box = ((1, 10), (1, 9))
+    rc = near_solution_count(RelationQuery(RelationSignature(1, 1), box, 0.0))
+    assert rc.min_nonzero_gap == pytest.approx(math.sqrt(10) - 3, rel=1e-9)
+
+
+def test_min_gap_matches_oracle_on_random_22_boxes():
+    rng = random.Random(1)
+    sig = RelationSignature(2, 2)
+    for _ in range(200):
+        box = []
+        for _ in range(4):
+            lo = rng.randint(1, 12)
+            box.append((lo, lo + rng.randint(0, 8)))
+        box = tuple(box)
+        rc = near_solution_count(RelationQuery(sig, box, 0.0))
+        count, gap = _oracle(sig, box, 0.0)
+        assert rc.count == count, box
+        _assert_gap(rc.min_nonzero_gap, gap, box)
+
+
+_SIGNATURES = [RelationSignature(1, 1), RelationSignature(2, 2),
+               RelationSignature(3, 1), RelationSignature(2, 3)]
+_DELTAS = [0.0, 5e-324, 1e-16, 1e-8, 0.1, math.inf]
+
+
+@st.composite
+def _boxes(draw):
+    sig = draw(st.sampled_from(_SIGNATURES))
+    width = 6 if sig.arity <= 2 else 3
+    box = []
+    for _ in range(sig.arity):
+        lo = draw(st.integers(1, 12))
+        box.append((lo, lo + draw(st.integers(0, width))))
+    return sig, tuple(box)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_boxes(), st.sampled_from(_DELTAS))
+def test_near_solution_count_matches_oracle(sig_box, delta):
+    sig, box = sig_box
+    rc = near_solution_count(RelationQuery(sig, box, delta))
+    count, gap = _oracle(sig, box, delta)
+    assert rc.count >= 0
+    assert rc.count == count
+    _assert_gap(rc.min_nonzero_gap, gap, box)
+
+
+def test_count_memory_stays_near_side_size():
+    # (4,4) over [1,12]^8 has 433,272 exact zero pairs; none is materialised
+    sig = RelationSignature(4, 4)
+    box = tuple((1, 12) for _ in range(8))
+    near_solution_count(RelationQuery(sig, box, 0.01))
+    tracemalloc.start()
+    try:
+        rc = near_solution_count(RelationQuery(sig, box, math.inf))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc.count == 12 ** 8 - 433272
+    assert peak < 8e6
