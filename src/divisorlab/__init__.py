@@ -25,9 +25,7 @@ from .relations import (
     near_solution_count,
 )
 from .series import (
-    CompletedEstimate,
     ConstantEstimate,
-    default_constants,
     estimate_constant,
     extrapolate_sqrt,
     main_term_coefficient,
@@ -44,7 +42,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceededError",
-    "CompletedEstimate",
     "ConstantEstimate",
     "DeltaSample",
     "DivisorTable",
@@ -57,7 +54,6 @@ __all__ = [
     "WindowSpec",
     "abs_moment",
     "build_divisor_table",
-    "default_constants",
     "delta_at",
     "delta_of",
     "estimate_constant",

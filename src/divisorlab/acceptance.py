@@ -2,8 +2,8 @@
 
 Each check prints one PASS/FAIL line with the measured quantities; the battery
 returns overall success.  Tolerances are fixed here and nowhere else.  The
-expensive shared inputs (the streaming moment profile and the constant
-estimates) are computed once and reused across checks.
+expensive shared inputs are computed once and reused across checks: the
+streaming moment profile here, the constant estimates by series' memo.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .relations import (
     min_gap,
     near_solution_count,
 )
-from .series import CompletedEstimate, estimate_constant, zeta_em
+from .series import estimate_constant, zeta_em
 from .voronoi import residual_mean_square
 
 A_SMALL = 35.0 / 4.0
@@ -72,21 +72,11 @@ class AcceptanceContext:
             abs_limit=self.abs_limit,
         )
 
-    @cached_property
-    def constant_estimates(self) -> dict[str, CompletedEstimate]:
-        return {name: estimate_constant(name, self.constant_cutoff)
-                for name in ("C1", "C2", "C4", "C7")}
-
-    @cached_property
-    def constants(self) -> dict[str, float]:
-        return {name: est.estimate for name, est in self.constant_estimates.items()}
-
     def constants_used(self, *names: str) -> str:
-        """The named estimates with their tail indicators, for a detail line
-        (no commas: the acceptance CSV does not quote its fields)."""
+        """The named estimates with their tail indicators, for a detail line."""
         return " ".join(
             f"{n}={e.estimate:.6g} (partial {e.partial_sum:.6g} tail {e.estimate_tail:.3g})"
-            for n, e in ((n, self.constant_estimates[n]) for n in names))
+            for n, e in ((n, estimate_constant(n, self.constant_cutoff)) for n in names))
 
     def pow_integral(self, k: int, X: int) -> float:
         return self.profile[X][("pow", k)]
@@ -154,7 +144,7 @@ def criterion_5(ctx: AcceptanceContext) -> CriterionResult:
     for k in (3, 4):
         devs = {}
         for X in (ctx.X_mid, ctx.X_hi):
-            main = moment_main_term(k, X, ctx.constants)
+            main = moment_main_term(k, X, ctx.constant_cutoff)
             devs[X] = abs(ctx.pow_integral(k, X) / main - 1.0)
         ok &= devs[ctx.X_hi] <= 0.25 and devs[ctx.X_hi] < devs[ctx.X_mid]
         parts.append(f"k={k}: dev {devs[ctx.X_mid]:.4f} -> {devs[ctx.X_hi]:.4f}")
@@ -165,7 +155,7 @@ def criterion_5(ctx: AcceptanceContext) -> CriterionResult:
 
 def criterion_6(ctx: AcceptanceContext) -> CriterionResult:
     """Eighth moment ratio to its main term in [0.5, 2], approaching 1."""
-    ratios = {X: ctx.pow_integral(8, X) / moment_main_term(8, X, ctx.constants)
+    ratios = {X: ctx.pow_integral(8, X) / moment_main_term(8, X, ctx.constant_cutoff)
               for X in (ctx.X_mid, ctx.X_hi)}
     ok = 0.5 <= ratios[ctx.X_hi] <= 2.0 and abs(ratios[ctx.X_hi] - 1) < abs(ratios[ctx.X_mid] - 1)
     return CriterionResult(6, "eighth moment", ok,

@@ -33,14 +33,12 @@ from .relations import (
     min_gap,
     near_solution_count,
 )
-from .series import estimate_constant
+from .series import DEFAULT_CUTOFFS, estimate_constant
 from .voronoi import residual_at, residual_mean_square, truncated_sum
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-_CONSTANTS = ("C1", "C2", "C4", "C7")
 
 
 def _fmt(v) -> str:
@@ -111,16 +109,27 @@ def _parse_ranges(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def _parse_names(text: str) -> list[str]:
+    """'C2,C7' -> ['C2', 'C7'], each a key of DEFAULT_CUTOFFS; an argparse type."""
+    names = [name.strip() for name in text.split(",")]
+    for name in names:
+        if name not in DEFAULT_CUTOFFS:
+            raise argparse.ArgumentTypeError(
+                f"unknown constant {name!r}; choose from {', '.join(DEFAULT_CUTOFFS)}")
+    return names
+
+
 def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Overlay key=value pairs from --config; explicit flags win."""
+    """Overlay key=value pairs from --config; explicit flags win.  Each value
+    is converted by its flag's own argparse type."""
     if not getattr(args, "config", None):
         return
-    defaults = {a.dest: a.default for a in parser._actions}
+    actions = {a.dest: a for a in parser._actions}
     for action in parser._actions:
         if isinstance(getattr(action, "choices", None), dict):
             subparser = action.choices.get(args.command)
             if subparser is not None:
-                defaults.update({a.dest: a.default for a in subparser._actions})
+                actions.update({a.dest: a for a in subparser._actions})
     for line in Path(args.config).read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -128,17 +137,17 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if not hasattr(args, key):
-            raise SystemExit(f"unknown config key: {key!r}")
-        if getattr(args, key) == defaults.get(key):  # flag not given explicitly
-            current = defaults.get(key)
-            if isinstance(current, bool):
-                setattr(args, key, value.lower() in ("1", "true", "yes"))
-            elif isinstance(current, int) and current is not None:
-                setattr(args, key, int(value))
-            elif isinstance(current, float) and current is not None:
-                setattr(args, key, float(value))
-            else:
-                setattr(args, key, value)
+            parser.error(f"unknown config key: {key!r}")
+        action = actions[key]
+        if getattr(args, key) != action.default:  # flag given explicitly
+            continue
+        if isinstance(action.default, bool):  # store_true flags
+            setattr(args, key, value.lower() in ("1", "true", "yes"))
+            continue
+        try:
+            setattr(args, key, action.type(value) if action.type else value)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            parser.error(f"config key {key!r}: {exc}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,7 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("constants", help="partial sums of C1/C2/C4/C7")
-    p.add_argument("--names", type=str, default="C1,C2,C4,C7")
+    p.add_argument("--names", type=_parse_names, default=list(DEFAULT_CUTOFFS),
+                   help="comma separated, from C1,C2,C4,C7")
     p.add_argument("--Y", type=int, default=256)
     common(p)
 
@@ -319,10 +329,7 @@ def _cmd_mingap(args) -> int:
 def _cmd_constants(args) -> int:
     t0 = time.perf_counter()
     results = []
-    for name in args.names.split(","):
-        name = name.strip()
-        if name not in _CONSTANTS:
-            raise SystemExit(f"unknown constant {name!r}; choose from {list(_CONSTANTS)}")
+    for name in args.names:
         est = estimate_constant(name, args.Y)
         results.append({
             "name": name,
@@ -339,39 +346,23 @@ def _cmd_constants(args) -> int:
     return EXIT_OK
 
 
-def _constants_at(Y: int) -> dict[str, float]:
-    return {name: estimate_constant(name, Y).estimate for name in _CONSTANTS}
-
-
 def _cmd_moment(args) -> int:
+    """The moment and window subcommands: one moment with its main term,
+    written to <command>.csv."""
     t0 = time.perf_counter()
-    constants = _constants_at(args.constants_Y)
-    r = moment(args.k, args.X, constants=constants, threads=args.threads)
+    if args.command == "window":
+        r = window_moment(WindowSpec(X=args.X, H=args.H), args.k, args.constants_Y,
+                          threads=args.threads)
+    else:
+        r = moment(args.k, args.X, args.constants_Y, threads=args.threads)
     elapsed = time.perf_counter() - t0
-    out = args.out / "moment.csv"
+    out = args.out / f"{args.command}.csv"
     write_csv(out,
               ["exponent", "lo", "hi", "integral", "main_term", "relative_deviation",
                "constants_cutoff_Y", "runtime_s"],
               [[r.exponent, r.lo, r.hi, r.integral, r.main_term, r.relative_deviation,
                 args.constants_Y, elapsed]])
-    write_manifest(args.out / "moment.manifest.json", vars_config(args), [out], elapsed)
-    print(f"integral={_fmt(r.integral)} main={_fmt(r.main_term)} rel_dev={_fmt(r.relative_deviation)}")
-    return EXIT_OK
-
-
-def _cmd_window(args) -> int:
-    t0 = time.perf_counter()
-    constants = _constants_at(args.constants_Y)
-    spec = WindowSpec(X=args.X, H=args.H)
-    r = window_moment(spec, args.k, constants=constants, threads=args.threads)
-    elapsed = time.perf_counter() - t0
-    out = args.out / "window.csv"
-    write_csv(out,
-              ["exponent", "lo", "hi", "integral", "main_term", "relative_deviation",
-               "constants_cutoff_Y", "runtime_s"],
-              [[r.exponent, r.lo, r.hi, r.integral, r.main_term, r.relative_deviation,
-                args.constants_Y, elapsed]])
-    write_manifest(args.out / "window.manifest.json", vars_config(args), [out], elapsed)
+    write_manifest(args.out / f"{args.command}.manifest.json", vars_config(args), [out], elapsed)
     print(f"integral={_fmt(r.integral)} main={_fmt(r.main_term)} rel_dev={_fmt(r.relative_deviation)}")
     return EXIT_OK
 
@@ -408,7 +399,7 @@ _COMMANDS = {
     "mingap": _cmd_mingap,
     "constants": _cmd_constants,
     "moment": _cmd_moment,
-    "window": _cmd_window,
+    "window": _cmd_moment,
     "expsum": _cmd_expsum,
     "verify": _cmd_verify,
 }

@@ -155,13 +155,15 @@ def moment_profile(
     return result
 
 
-def moment_main_term(k: int, X: float, constants: dict[str, float] | None = None) -> float:
-    """Main term of the k-th moment over [2, X]; 0 where the theory gives none."""
+def moment_main_term(k: int, X: float, constants_Y: int | None = None) -> float:
+    """Main term of the k-th moment over [2, X]; 0 where the theory gives none.
+    constants_Y is the cutoff of the constant estimates it uses (None: the
+    defaults of series.DEFAULT_CUTOFFS)."""
     from .series import main_term_coefficient
 
     if k in (5, 6, 7):
         return 0.0
-    c = main_term_coefficient(k, constants)
+    c = main_term_coefficient(k, constants_Y)
     if k == 1:
         return c * X
     if k == 2:
@@ -176,7 +178,7 @@ def moment_main_term(k: int, X: float, constants: dict[str, float] | None = None
 def moment(
     k: int,
     X: float,
-    constants: dict[str, float] | None = None,
+    constants_Y: int | None = None,
     threads: int = 1,
 ) -> MomentResult:
     """Integral of Delta**k over [2, X] with its predicted main term."""
@@ -186,7 +188,7 @@ def moment(
         raise ValueError("X must be >= 2")
     prof = moment_profile([k], [], [int(X)], threads=threads)
     integral = prof[int(X)][("pow", k)]
-    main = moment_main_term(k, X, constants)
+    main = moment_main_term(k, X, constants_Y)
     rel = (integral - main) / main if main != 0.0 else math.nan
     return MomentResult(exponent=float(k), lo=2.0, hi=float(X), integral=integral,
                         main_term=main, relative_deviation=rel)
@@ -210,7 +212,7 @@ def abs_moment(A: float, X: float, threads: int = 1) -> MomentResult:
 def window_moment(
     spec: WindowSpec,
     k: int,
-    constants: dict[str, float] | None = None,
+    constants_Y: int | None = None,
     threads: int = 1,
 ) -> MomentResult:
     """Integral of Delta**k over [X, X+H] against the short-interval main term.
@@ -227,7 +229,7 @@ def window_moment(
     lo, hi = int(spec.X), int(spec.X + spec.H)
     prof = moment_profile([k], [], [hi], lo=lo, threads=threads)
     integral = prof[hi][("pow", k)]
-    main = moment_main_term(k, hi, constants) - moment_main_term(k, lo, constants)
+    main = moment_main_term(k, hi, constants_Y) - moment_main_term(k, lo, constants_Y)
     rel = (integral - main) / main if main != 0.0 else math.nan
     return MomentResult(exponent=float(k), lo=float(lo), hi=float(hi),
                         integral=integral, main_term=main, relative_deviation=rel)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import mpmath
@@ -122,22 +121,34 @@ def spf_table(bound: int) -> np.ndarray:
     return spf
 
 
-# kernel_decompose asks for the same bound on every call
-_spf_sieve = lru_cache(maxsize=4)(spf_table)
+# kernel_decompose's table: grown to the next power of two that covers the
+# value asked for (at least 2^10, at most DEFAULT_SPF_BOUND)
+_spf = np.zeros(0, dtype=np.int64)
 
 
-def kernel_decompose(n: int, spf_bound: int = DEFAULT_SPF_BOUND) -> KernelForm:
+def _spf_covering(n: int) -> np.ndarray:
+    """A smallest-prime-factor table covering n.  The table returned is the
+    one checked or built here, so a concurrent caller swapping in another
+    table cannot hand back one too short for n."""
+    global _spf
+    spf = _spf
+    if n >= len(spf):
+        spf = _spf = spf_table(max(1 << 10, 1 << (n - 1).bit_length()))
+    return spf
+
+
+def kernel_decompose(n: int) -> KernelForm:
     """Factor out the largest square: n = a**2 * h with h squarefree.
 
-    Uses the smallest-prime-factor sieve below spf_bound and 64-bit trial
-    division above it.
+    Uses the smallest-prime-factor sieve up to DEFAULT_SPF_BOUND and 64-bit
+    trial division above it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     a, h = 1, 1
     m = n
-    if m <= spf_bound:
-        spf = _spf_sieve(spf_bound)
+    if m <= DEFAULT_SPF_BOUND:
+        spf = _spf_covering(m)
         while m > 1:
             p = int(spf[m])
             e = 0

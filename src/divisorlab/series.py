@@ -34,17 +34,16 @@ MAX_CONSTANT_CUTOFF = 1 << 20
 
 @dataclass(frozen=True)
 class ConstantEstimate:
-    name: str  # one of C1, C2, C4, C7, c2_closed
+    name: str  # one of C1, C2, C4, C7
     Y: int
     partial_sum: float
     tail_indicator: float  # |partial(Y) - partial(Y // 2)|
+    estimate: float  # >= partial_sum; see estimate_constant
+    estimate_tail: float  # |estimate(Y) - estimate(Y // 2)|
 
 
-def _check_cutoff(Y: int) -> None:
-    if Y < 1:
-        raise ValueError("cutoff must be >= 1")
-    if Y > MAX_CONSTANT_CUTOFF:
-        raise BudgetExceededError(f"cutoff {Y} exceeds enumeration budget {MAX_CONSTANT_CUTOFF}")
+# cutoffs of the constant estimates when none is given
+DEFAULT_CUTOFFS = {"C1": 512, "C2": 4096, "C4": 256, "C7": 256}
 
 
 @lru_cache(maxsize=16)
@@ -86,7 +85,6 @@ def _relation_product(p: int, q: int, Y: int) -> np.ndarray:
     Every coefficient is a sum of positive terms, so each grows with Y.
     F[1, 1] is the first cumulant sum_h [xy] f_h = sum_{n<=Y} d(n)^2 n^{-3/2}.
     """
-    _check_cutoff(Y)
     d = _divisor_counts(Y)
     sf = _squarefree_flags(Y)
     # F[i, j]: coefficient of x^i y^j in the running product
@@ -114,51 +112,32 @@ def _relation_product(p: int, q: int, Y: int) -> np.ndarray:
     return F
 
 
-def _relation_constant_sum(p: int, q: int, Y: int) -> float:
-    """Sum of q-weights over ordered exact solutions with all variables <= Y,
-    for the relation with p roots on the left and q on the right.
-
-    Every kernel used must appear on both sides with equal coefficient sums
-    (a kernel on one side only would force a positive sum to vanish), so the
-    answer is p! q! [x^p y^q] prod_h (1 + f_h(x, y)); see _relation_product.
-    """
-    F = _relation_product(p, q, Y)
-    return float(F[p, q]) * math.factorial(p) * math.factorial(q)
-
-
-def _with_tail(name: str, Y: int, fn) -> ConstantEstimate:
-    full = fn(Y)
-    half = fn(Y // 2) if Y // 2 >= 1 else 0.0
-    return ConstantEstimate(name=name, Y=Y, partial_sum=full, tail_indicator=abs(full - half))
-
-
 _SIGNATURES = {"C2": (2, 2), "C4": (6, 2), "C7": (4, 4)}
+
+
+def partial_C1(Y: int) -> ConstantEstimate:
+    """Truncated C1: alpha, beta, h <= Y."""
+    return estimate_constant("C1", Y)
 
 
 def partial_C2(Y: int) -> ConstantEstimate:
     """Truncated C2: signature (2, 2), all variables <= Y."""
-    return _with_tail("C2", Y, lambda y: _relation_constant_sum(*_SIGNATURES["C2"], y))
+    return estimate_constant("C2", Y)
 
 
 def partial_C4(Y: int) -> ConstantEstimate:
     """Truncated C4: signature (6, 2), all variables <= Y."""
-    return _with_tail("C4", Y, lambda y: _relation_constant_sum(*_SIGNATURES["C4"], y))
+    return estimate_constant("C4", Y)
 
 
 def partial_C7(Y: int) -> ConstantEstimate:
     """Truncated C7: signature (4, 4), all variables <= Y."""
-    return _with_tail("C7", Y, lambda y: _relation_constant_sum(*_SIGNATURES["C7"], y))
+    return estimate_constant("C7", Y)
 
 
 # --------------------------------------------------------------------------
 # estimates of the limits
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CompletedEstimate(ConstantEstimate):
-    estimate: float  # >= partial_sum; see estimate_constant
-    estimate_tail: float  # |estimate(Y) - estimate(Y // 2)|
 
 
 def first_cumulant_limit() -> float:
@@ -177,12 +156,15 @@ def _completed_sum(p: int, q: int, F: np.ndarray) -> float:
     return float(total) * math.factorial(p) * math.factorial(q)
 
 
-def estimate_constant(name: str, Y: int) -> CompletedEstimate:
-    """Estimate of the limit of C1, C2, C4 or C7 from the sums up to cutoff Y.
+def estimate_constant(name: str, Y: int | None = None) -> ConstantEstimate:
+    """Partial sum of C1, C2, C4 or C7 up to cutoff Y, and an estimate of its
+    limit; Y=None takes DEFAULT_CUTOFFS[name].  This is the one place that
+    computes a constant: partial_<name> and the moment main terms call it.
 
-    The partial_sum and tail_indicator fields equal those of partial_<name>(Y).
-    Every term of these sums is positive, so each partial sum is a lower
-    bound of the limit.
+    Both are memoized per (name, cutoff) (_sums), so asking again, or at
+    twice a cutoff already asked for, costs one new sum at most.  Every term
+    of these sums is positive, so each partial sum is a lower bound of the
+    limit.
 
     C2, C4 and C7 converge slowly, mostly through one term: the first cumulant
     sum_{n<=Y} d(n)^2 n^{-3/2} of the kernel product (see _relation_product),
@@ -199,22 +181,35 @@ def estimate_constant(name: str, Y: int) -> CompletedEstimate:
     C1 has no such dominant term and converges fast (49.10 at Y=1024, 49.34 at
     Y=1e4); its estimate is the partial sum.
     """
+    if name not in DEFAULT_CUTOFFS:
+        raise ValueError(f"unknown constant {name!r}; choose from {', '.join(DEFAULT_CUTOFFS)}")
+    if Y is None:
+        Y = DEFAULT_CUTOFFS[name]
+    if Y < 1:
+        raise ValueError("cutoff must be >= 1")
+    if Y > MAX_CONSTANT_CUTOFF:
+        raise BudgetExceededError(f"cutoff {Y} exceeds enumeration budget {MAX_CONSTANT_CUTOFF}")
+    (full, full_est), (half, half_est) = _sums(name, Y), _sums(name, Y // 2)
+    return ConstantEstimate(name, Y, full, abs(full - half), full_est, abs(full_est - half_est))
+
+
+@lru_cache(maxsize=64)
+def _sums(name: str, y: int) -> tuple[float, float]:
+    """(partial sum, estimate) of constant name at cutoff y; (0, 0) below 1.
+
+    For C2, C4 and C7 the partial sum is p! q! [x^p y^q] of the kernel
+    product (_relation_product): every kernel used must appear on both sides
+    with equal coefficient sums, since a kernel on one side only would force
+    a positive sum to vanish.
+    """
+    if y < 1:
+        return 0.0, 0.0
     if name == "C1":
-        est = partial_C1(Y)
-        return CompletedEstimate(name, Y, est.partial_sum, est.tail_indicator,
-                                 est.partial_sum, est.tail_indicator)
-    if name not in _SIGNATURES:
-        raise ValueError(f"unknown constant {name!r}; choose from C1, C2, C4, C7")
+        c1 = _c1_sum(y)
+        return c1, c1
     p, q = _SIGNATURES[name]
-
-    def sums(y: int) -> tuple[float, float]:
-        if y < 1:
-            return 0.0, 0.0
-        F = _relation_product(p, q, y)
-        return float(F[p, q]) * math.factorial(p) * math.factorial(q), _completed_sum(p, q, F)
-
-    (full, full_est), (half, half_est) = sums(Y), sums(Y // 2)
-    return CompletedEstimate(name, Y, full, abs(full - half), full_est, abs(full_est - half_est))
+    F = _relation_product(p, q, y)
+    return float(F[p, q]) * math.factorial(p) * math.factorial(q), _completed_sum(p, q, F)
 
 
 # --------------------------------------------------------------------------
@@ -248,7 +243,6 @@ def _c1_sum(Y: int) -> float:
     itself against the shifted d((alpha+beta)^2 h) weights, evaluated by FFT
     convolution; the full triple loop would cost Y**2 per h.
     """
-    _check_cutoff(Y)
     n2 = 2 * Y
     d_sq = _d_of_squares(n2)  # d(s^2), s = 1..2Y
     sf = _squarefree_flags(Y)
@@ -287,10 +281,6 @@ def _c1_sum(Y: int) -> float:
     return total
 
 
-def partial_C1(Y: int) -> ConstantEstimate:
-    return _with_tail("C1", Y, _c1_sum)
-
-
 # --------------------------------------------------------------------------
 # zeta values and moment coefficients
 # --------------------------------------------------------------------------
@@ -322,14 +312,6 @@ def zeta_em(s: float) -> float:
     return total
 
 
-@lru_cache(maxsize=4)
-def default_constants() -> dict[str, float]:
-    """Constant estimates (estimate_constant) at the default cutoffs: C1 at
-    512, C2 at 4096, C4 and C7 at 256."""
-    cutoffs = {"C1": 512, "C2": 4096, "C4": 256, "C7": 256}
-    return {name: estimate_constant(name, Y).estimate for name, Y in cutoffs.items()}
-
-
 def extrapolate_sqrt(points: list[tuple[int, float]]) -> float:
     """Least-squares fit of value ~ a + b * Y**(-1/2); returns a.
 
@@ -346,12 +328,14 @@ def extrapolate_sqrt(points: list[tuple[int, float]]) -> float:
     return float(coef[0])
 
 
-def main_term_coefficient(k: int, constants: dict[str, float] | None = None) -> float:
+def main_term_coefficient(k: int, constants_Y: int | None = None) -> float:
     """Leading coefficient of the k-th moment main term.
 
     k=1: X/4.  k=2: zeta(3/2)^4 / (6 pi^2 zeta(3)) * X^(3/2).
     k=3: 3 C1 / (28 pi^3) * X^(7/4).  k=4: 3 C2 / (64 pi^4) * X^2.
     k=8: (35 C7 - 28 C4) / (2048 pi^8) * integral of x^2.
+    Only the constants of k are estimated, at cutoff constants_Y (None: the
+    DEFAULT_CUTOFFS of each).
     """
     if k not in (1, 2, 3, 4, 8):
         raise ValueError(f"no closed-form main term for k={k}")
@@ -359,9 +343,12 @@ def main_term_coefficient(k: int, constants: dict[str, float] | None = None) -> 
         return 0.25
     if k == 2:
         return zeta_em(1.5) ** 4 / (6 * math.pi ** 2 * zeta_em(3.0))
-    c = constants if constants is not None else default_constants()
+
+    def c(name: str) -> float:
+        return estimate_constant(name, constants_Y).estimate
+
     if k == 3:
-        return 3 * c["C1"] / (28 * math.pi ** 3)
+        return 3 * c("C1") / (28 * math.pi ** 3)
     if k == 4:
-        return 3 * c["C2"] / (64 * math.pi ** 4)
-    return (35 * c["C7"] - 28 * c["C4"]) / (2048 * math.pi ** 8)
+        return 3 * c("C2") / (64 * math.pi ** 4)
+    return (35 * c("C7") - 28 * c("C4")) / (2048 * math.pi ** 8)

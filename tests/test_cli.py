@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from divisorlab import series
 from divisorlab.cli import _fmt, build_parser, main
 from divisorlab.divisor import d_trial_division, hyperbola_D
 
@@ -85,6 +86,25 @@ def test_constants_subcommand(tmp_path):
     assert all(d["Y"] == 64 for d in data)
 
 
+def test_constants_unknown_name_exit_code(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["constants", "--names", "C2,C3", "--Y", "8", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unknown constant 'C3'" in capsys.readouterr().err
+    assert not (tmp_path / "constants.json").exists()
+
+
+def test_window_k2_estimates_no_constant(tmp_path, monkeypatch):
+    asked = []
+    monkeypatch.setattr(series, "estimate_constant", lambda *a: asked.append(a))
+    rc = main(["window", "--k", "2", "--X", "1e6", "--H", "5000", "--out", str(tmp_path)])
+    assert rc == 0
+    assert asked == []
+    header, row = (tmp_path / "window.csv").read_text().splitlines()
+    vals = dict(zip(header.split(","), row.split(",")))
+    assert (vals["lo"], vals["hi"], vals["constants_cutoff_Y"]) == ("1000000", "1005000", "256")
+
+
 def test_moment_subcommand(tmp_path):
     rc = main(["moment", "--k", "2", "--X", "20000", "--constants-Y", "64",
                "--out", str(tmp_path)])
@@ -124,6 +144,30 @@ def test_config_file_fills_defaults(tmp_path):
     assert rc == 0
     header, row = (tmp_path / "voronoi.csv").read_text().splitlines()
     assert row.split(",")[1] == "5"
+
+
+def test_config_file_out_is_a_path(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"out = {tmp_path / 'results'}\n")
+    assert main(["delta", "--x", "100", "--config", str(cfg)]) == 0
+    assert (tmp_path / "results" / "delta.csv").read_text().splitlines()[1].split(",")[1] == "482"
+
+
+def test_config_file_converts_by_flag_type(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("names = C2\nY = 8\n")
+    assert main(["constants", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    data = json.loads((tmp_path / "constants.json").read_text())
+    assert [(d["name"], d["Y"]) for d in data] == [("C2", 8)]
+
+
+def test_config_file_bad_value_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("Y = many\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["voronoi", "--x", "50.5", "--config", str(cfg), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not (tmp_path / "voronoi.csv").exists()
 
 
 def test_config_file_unknown_key(tmp_path):

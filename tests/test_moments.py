@@ -4,6 +4,7 @@ import warnings
 import mpmath
 import pytest
 
+from divisorlab import series
 from divisorlab.divisor import EULER_GAMMA, hyperbola_D
 from divisorlab.moments import (
     WindowSpec,
@@ -13,6 +14,7 @@ from divisorlab.moments import (
     moment_profile,
     window_moment,
 )
+from divisorlab.series import estimate_constant
 
 TWO_GAMMA_MINUS_ONE = 2 * EULER_GAMMA - 1
 
@@ -87,10 +89,23 @@ def test_moment_first_close_to_quarter_x():
 def test_moment_main_terms():
     assert moment_main_term(1, 100.0) == 25.0
     assert moment_main_term(5, 100.0) == 0.0
-    consts = {"C1": 1.0, "C2": 1.0, "C4": 1.0, "C7": 1.0}
-    assert moment_main_term(8, 2.0, consts) == 0.0  # integral of x^2 from 2 to 2
-    assert moment_main_term(4, 10.0, consts) == pytest.approx(
-        3 / (64 * math.pi ** 4) * 100.0)
+    assert moment_main_term(8, 2.0, 16) == 0.0  # integral of x^2 from 2 to 2
+    assert moment_main_term(4, 10.0, 16) == pytest.approx(
+        3 * estimate_constant("C2", 16).estimate / (64 * math.pi ** 4) * 100.0)
+
+
+@pytest.mark.parametrize("k, names", [(1, []), (2, []), (3, ["C1"]), (4, ["C2"]),
+                                      (5, []), (8, ["C7", "C4"])])
+def test_main_term_asks_only_for_its_constants(monkeypatch, k, names):
+    asked = []
+
+    def recording(name, Y=None):
+        asked.append((name, Y))
+        return estimate_constant(name, 16)
+
+    monkeypatch.setattr(series, "estimate_constant", recording)
+    moment_main_term(k, 100.0)
+    assert asked == [(name, None) for name in names]
 
 
 def test_moment_validation():

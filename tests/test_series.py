@@ -5,12 +5,13 @@ import mpmath
 import numpy as np
 import pytest
 
+from divisorlab import series
 from divisorlab.acceptance import AcceptanceContext
 from divisorlab.divisor import build_divisor_table
 from divisorlab.relations import BudgetExceededError, form_is_zero
 from divisorlab.series import (
+    DEFAULT_CUTOFFS,
     _relation_product,
-    default_constants,
     estimate_constant,
     extrapolate_sqrt,
     first_cumulant_limit,
@@ -139,11 +140,11 @@ def test_extrapolate_sqrt_recovers_exact_model():
 def test_main_term_coefficients():
     assert main_term_coefficient(1) == 0.25
     assert main_term_coefficient(2) == pytest.approx(0.6542839775, rel=1e-9)
-    consts = {"C1": 1.0, "C2": 2.0, "C4": 3.0, "C7": 4.0}
-    assert main_term_coefficient(3, consts) == pytest.approx(3 / (28 * math.pi ** 3))
-    assert main_term_coefficient(4, consts) == pytest.approx(6 / (64 * math.pi ** 4))
-    assert main_term_coefficient(8, consts) == pytest.approx(
-        (35 * 4.0 - 28 * 3.0) / (2048 * math.pi ** 8))
+    Y = 32
+    c = {name: estimate_constant(name, Y).estimate for name in ("C1", "C2", "C4", "C7")}
+    assert main_term_coefficient(3, Y) == 3 * c["C1"] / (28 * math.pi ** 3)
+    assert main_term_coefficient(4, Y) == 3 * c["C2"] / (64 * math.pi ** 4)
+    assert main_term_coefficient(8, Y) == (35 * c["C7"] - 28 * c["C4"]) / (2048 * math.pi ** 8)
     with pytest.raises(ValueError):
         main_term_coefficient(5)
 
@@ -156,9 +157,11 @@ def test_coefficient_identity_forms():
 
 
 def test_default_constants_positive():
-    c = default_constants()
-    assert set(c) == {"C1", "C2", "C4", "C7"}
-    assert all(v > 0 for v in c.values())
+    assert DEFAULT_CUTOFFS == {"C1": 512, "C2": 4096, "C4": 256, "C7": 256}
+    for name, Y in DEFAULT_CUTOFFS.items():
+        est = estimate_constant(name)
+        assert est == estimate_constant(name, Y)
+        assert est.estimate >= est.partial_sum > 0
 
 
 @pytest.mark.parametrize("Y", [1, 10, 256, 1000])
@@ -196,4 +199,28 @@ def test_estimate_c1_is_partial_sum():
 def test_quick_acceptance_c7_above_larger_partial_sum():
     # the {64, 128, 256} square-root fit gave 1.6e7, below this lower bound
     ctx = AcceptanceContext(quick=True)
-    assert ctx.constants["C7"] >= partial_C7(4096).partial_sum
+    assert estimate_constant("C7", ctx.constant_cutoff).estimate >= partial_C7(4096).partial_sum
+
+
+def test_cutoff_validation():
+    for name in DEFAULT_CUTOFFS:
+        with pytest.raises(ValueError):
+            estimate_constant(name, 0)
+    with pytest.raises(BudgetExceededError):
+        estimate_constant("C1", (1 << 20) + 1)
+
+
+def test_partial_sums_memoized_per_cutoff(monkeypatch):
+    # C4 at 64 needs the sums at 64 and 32; at 128 only the one at 128 is new
+    calls = []
+
+    def counting(p, q, Y):
+        calls.append(Y)
+        return _relation_product(p, q, Y)
+
+    series._sums.cache_clear()
+    monkeypatch.setattr(series, "_relation_product", counting)
+    first = partial_C4(64)
+    second = partial_C4(128)
+    assert calls == [64, 32, 128]
+    assert second.tail_indicator == second.partial_sum - first.partial_sum
