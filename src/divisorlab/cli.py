@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .divisor import RangeOverflowError, build_divisor_table, delta_at, hyperbola_D
-from .expsum import eval_S, moment8_S
+from .expsum import abs_S_grid, moment8_S
 from .moments import WindowSpec, moment, window_moment
 from .relations import (
     BudgetExceededError,
@@ -370,9 +370,8 @@ def _cmd_moment(args) -> int:
 def _cmd_expsum(args) -> int:
     t0 = time.perf_counter()
     integral, ratio = moment8_S(args.U, args.N, args.rootk, args.samples)
-    rows = []
-    for x in np.linspace(args.U, 2 * args.U, min(args.samples, 256)):
-        rows.append([float(x), abs(eval_S(float(x), args.N, args.rootk).value)])
+    xs = np.linspace(args.U, 2 * args.U, min(args.samples, 256))
+    rows = list(zip(xs.tolist(), abs_S_grid(xs, args.N, args.rootk).tolist()))
     out_grid = args.out / "expsum_grid.csv"
     write_csv(out_grid, ["x", "abs_S"], rows)
     out_sum = args.out / "expsum_moment.csv"

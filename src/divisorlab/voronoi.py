@@ -8,6 +8,20 @@ and (pi*sqrt(2))**(-1) * Sigma_Y(x) approximates Delta(x); the full expansion
 replaces each cosine by the Bessel combination K1 + (pi/2) Y1.  The residual
 R(x) = Delta(x) - (pi sqrt 2)**(-1) Sigma_Y(x) has mean square shrinking like
 Y**(-1/2) over dyadic windows.
+
+Error bound.  With W_Y = sum_{n<=Y} d(n) n**(-3/4) and u = 2**-53, a computed
+Sigma_Y(x) differs from the exactly rounded sum of the same float terms (the
+math.fsum oracle in tests/test_voronoi.py) by at most
+
+    (22 + log2 Y) * u * x**(1/4) * W_Y,
+
+the bound of numpy's pairwise row sum, and from the exact Sigma_Y(x) by at most
+
+    x**(1/4) * W_Y * (phi + (30 + log2 Y) * u),
+
+where phi bounds the error of one phase: 16 pi u sqrt(x Y) while n*x stays
+below PHASE_DOUBLE_LIMIT, and 4 pi u + 16 pi u_ld sqrt(x Y) past it, with u_ld
+the unit roundoff of np.longdouble (2**-64 on x86-64 Linux).
 """
 
 from __future__ import annotations
@@ -26,6 +40,9 @@ INV_PI_SQRT2 = 1.0 / (math.pi * math.sqrt(2.0))
 # beyond this product n*x the phase 4*pi*sqrt(n*x) is formed in extended
 # precision; an error above a fraction of 2*pi would scramble the residual
 PHASE_DOUBLE_LIMIT = float(1 << 40)
+
+# (point, term) pairs per chunk of truncated_sum_many; bounds the working set
+_CHUNK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -50,40 +67,58 @@ def _weights(Y: int) -> tuple[np.ndarray, np.ndarray]:
     return n, d * n ** -0.75
 
 
-def _phases(x: float, n: np.ndarray) -> np.ndarray:
-    """4 pi sqrt(n x) - pi/4, in extended precision when n*x is large."""
-    if x * float(n[-1]) > PHASE_DOUBLE_LIMIT:
-        nx = n.astype(np.longdouble) * np.longdouble(x)
-        ph = 4.0 * np.pi * np.sqrt(nx)
-        ph = np.mod(ph, 2 * np.pi)  # reduce while still extended
-        return ph.astype(np.float64) - 0.25 * math.pi
-    return 4.0 * math.pi * np.sqrt(n * x) - 0.25 * math.pi
+def _cosine_sums(xs: np.ndarray, n: np.ndarray, w: np.ndarray, extended: bool) -> np.ndarray:
+    """sum_n w_n cos(4 pi sqrt(n x) - pi/4) for each x in xs, over one
+    (points x terms) array; the products n*x and the reduction mod 2 pi are
+    in extended precision when `extended`."""
+    if extended:
+        ph = np.multiply.outer(xs.astype(np.longdouble), n.astype(np.longdouble))
+        np.sqrt(ph, out=ph)
+        ph *= 4.0 * np.pi
+        np.mod(ph, 2 * np.pi, out=ph)  # reduce while still extended
+        ph = ph.astype(np.float64)
+    else:
+        ph = np.multiply.outer(xs, n)
+        np.sqrt(ph, out=ph)
+        ph *= 4.0 * math.pi
+    ph -= 0.25 * math.pi
+    np.cos(ph, out=ph)
+    ph *= w
+    return ph.sum(axis=1)
+
+
+def truncated_sum_many(xs: np.ndarray, Y: int) -> np.ndarray:
+    """Sigma_Y at many points, _CHUNK_ELEMENTS (point, term) pairs at a time.
+
+    Each row of weighted cosines is reduced by numpy's pairwise sum, whose
+    order depends only on Y, so a point's value does not depend on the other
+    points or on the chunking.  Points past PHASE_DOUBLE_LIMIT (x * Y above
+    it) form their phases in extended precision.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    out = np.zeros(len(xs))
+    if Y == 0:
+        return out
+    n, w = _weights(Y)
+    rows = max(1, _CHUNK_ELEMENTS // Y)
+    extended = xs * n[-1] > PHASE_DOUBLE_LIMIT
+    for ext in (False, True):
+        idx = np.flatnonzero(extended == ext)
+        for i in range(0, len(idx), rows):
+            chunk = idx[i : i + rows]
+            out[chunk] = xs[chunk] ** 0.25 * _cosine_sums(xs[chunk], n, w, ext)
+    return out
 
 
 def truncated_sum(x: float, Y: int) -> TruncatedSum:
-    """The cosine-form partial sum Sigma_Y(x).
-
-    Terms are combined with exact float summation (math.fsum), so the value is
-    independent of summation order.
-    """
+    """The cosine-form partial sum Sigma_Y(x): the one-point case of
+    truncated_sum_many, with the error bound of the module docstring."""
     if x < 1:
         raise ValueError("x must be >= 1")
     if Y < 0:
         raise ValueError("Y must be >= 0")
-    if Y == 0:
-        return TruncatedSum(x=float(x), Y=0, value=0.0)
-    n, w = _weights(Y)
-    terms = w * np.cos(_phases(float(x), n))
-    return TruncatedSum(x=float(x), Y=Y, value=x ** 0.25 * math.fsum(terms))
-
-
-def truncated_sum_many(xs: np.ndarray, Y: int) -> np.ndarray:
-    """Sigma_Y at many points; one vectorized pass per point."""
-    n, w = _weights(Y)
-    out = np.empty(len(xs))
-    for i, x in enumerate(np.asarray(xs, dtype=np.float64)):
-        out[i] = x ** 0.25 * math.fsum(w * np.cos(_phases(float(x), n)))
-    return out
+    value = float(truncated_sum_many(np.array([x], dtype=np.float64), Y)[0])
+    return TruncatedSum(x=float(x), Y=Y, value=value)
 
 
 def bessel_tail_term(x: float, n: int) -> float:

@@ -1,0 +1,31 @@
+"""The exp-sum grid product runs through BLAS (zgemm), so its summation order
+could follow the BLAS thread count; the Voronoi row sums must not either.
+Both must give the same bits under one and two OpenBLAS threads."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+_PROGRAM = """
+from divisorlab.expsum import moment8_S
+from divisorlab.voronoi import residual_mean_square
+print([v.hex() for v in moment8_S(4096.0, 64, 2)])
+print(residual_mean_square(1e5, 1e5, 16000, 512).hex())
+"""
+
+
+def _run(threads: int) -> str:
+    path = os.pathsep.join(p for p in (str(_SRC), os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", _PROGRAM], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    return done.stdout
+
+
+def test_grid_kernels_bit_identical_across_blas_threads():
+    one = _run(1)
+    assert one.count("0x") == 3
+    assert _run(2) == one

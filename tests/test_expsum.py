@@ -1,10 +1,25 @@
 import cmath
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
-from divisorlab.expsum import eval_S, moment8_S
+from divisorlab import expsum
+from divisorlab.expsum import POINTS_PER_PHASE_UNIT, abs_S_grid, eval_S, moment8_S
+
+
+def _grid_points(U, N, k):
+    return int(POINTS_PER_PHASE_UNIT * U * (2 * N) ** (1.0 / k)) + 1
+
+
+def _abs_S_mp(x, N, k):
+    """|S(x, N, k)| in 30 digits at the float x."""
+    with mpmath.workdps(30):
+        x = mpmath.mpf(float(x))
+        return float(abs(mpmath.fsum(mpmath.expjpi(2 * x * mpmath.root(n, k))
+                                     for n in range(N + 1, 2 * N + 1))))
 
 
 def test_eval_S_at_zero():
@@ -65,3 +80,47 @@ def test_moment8_validation():
         moment8_S(0.0, 16, 2)
     with pytest.raises(ValueError):
         moment8_S(10.0 ** 9, 4096, 2)  # grid budget
+    for N, k in ((1, 2), (16, 1)):
+        with pytest.raises(ValueError):
+            moment8_S(10.0, N, k)
+        with pytest.raises(ValueError):
+            abs_S_grid(np.linspace(10.0, 20.0, 16), N, k)
+
+
+def test_abs_S_grid_within_stated_bound():
+    # the module docstring's absolute bound, at the 32 grid points of smallest
+    # |S| (where the relative error is largest) and 32 spread over the grid
+    for U, N, k in ((4096.0, 64, 2), (256.0, 16, 3)):
+        points = _grid_points(U, N, k)
+        xs = np.linspace(U, 2 * U, points)
+        got = abs_S_grid(xs, N, k)
+        bound = 16 * math.pi * 2.0 ** -53 * N * (2 * U) * (2 * N) ** (1.0 / k)
+        picks = np.concatenate([np.argsort(got)[:32], np.linspace(0, points - 1, 32).astype(int)])
+        worst = max(abs(got[i] - _abs_S_mp(xs[i], N, k)) for i in picks)
+        assert worst <= bound, (U, N, k, worst, bound)
+
+
+def test_moment8_matches_direct_summation(monkeypatch):
+    # reference: eval_S at every linspace point and one trapezoid; a tiny
+    # block size also runs many grid blocks and trapezoid panels
+    U, N, k = 64.0, 16, 2
+    xs = np.linspace(U, 2 * U, _grid_points(U, N, k))
+    direct = np.array([abs(eval_S(float(x), N, k).value) for x in xs]) ** 8
+    want = float(np.trapezoid(direct, xs))
+    assert moment8_S(U, N, k)[0] == pytest.approx(want, rel=1e-10)
+    monkeypatch.setattr(expsum, "_BLOCK_ELEMENTS", 100)
+    assert moment8_S(U, N, k)[0] == pytest.approx(want, rel=1e-10)
+
+
+def test_moment8_working_set_at_largest_grid():
+    # criterion 11's largest grid (5.9e6 points): beyond xs and the values,
+    # which the trapezoid needs, only a few blocks of 2**20 complex values
+    U, N = 65536.0, 256
+    held = 2 * 8 * _grid_points(U, N, 2)
+    tracemalloc.start()
+    try:
+        moment8_S(U, N, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - held <= 3 * 16 * expsum._BLOCK_ELEMENTS, (peak, held)

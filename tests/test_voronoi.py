@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
 
-from divisorlab import bessel
-from divisorlab.divisor import delta_at
+from divisorlab import bessel, voronoi
+from divisorlab.divisor import build_divisor_table, delta_at
 from divisorlab.voronoi import (
     INV_PI_SQRT2,
+    PHASE_DOUBLE_LIMIT,
     bessel_partial_sum,
     bessel_tail_term,
     residual_at,
@@ -16,6 +19,31 @@ from divisorlab.voronoi import (
     truncated_sum,
     truncated_sum_many,
 )
+
+U = 2.0 ** -53
+
+
+def _divisor_weights(Y):
+    n = np.arange(1, Y + 1, dtype=np.float64)
+    return n, build_divisor_table(1, Y).values.astype(np.float64) * n ** -0.75
+
+
+def _sigma_fsum(x, Y):
+    """Sigma_Y(x) below PHASE_DOUBLE_LIMIT by exact float summation of the
+    float terms (math.fsum): the oracle for the chunked evaluator."""
+    n, w = _divisor_weights(Y)
+    return x ** 0.25 * math.fsum(w * np.cos(4.0 * math.pi * np.sqrt(n * x) - 0.25 * math.pi))
+
+
+def _sigma_mp(x, Y):
+    """Sigma_Y(x) in 30 digits at the float x."""
+    d = build_divisor_table(1, Y).values
+    with mpmath.workdps(30):
+        x = mpmath.mpf(x)
+        s = mpmath.fsum(int(d[n - 1]) * mpmath.mpf(n) ** mpmath.mpf(-0.75)
+                        * mpmath.cos(4 * mpmath.pi * mpmath.sqrt(n * x) - mpmath.pi / 4)
+                        for n in range(1, Y + 1))
+        return float(x ** 0.25 * s)
 
 
 def test_bessel_large_argument_expansions():
@@ -45,10 +73,51 @@ def test_truncated_sum_first_term():
 
 
 def test_truncated_sum_many_matches_scalar():
-    xs = np.array([10.5, 99.5, 12345.5])
+    # a point's value depends neither on the other points nor on the chunks;
+    # 1e12 + 0.5 takes the extended-phase path in the same call
+    xs = np.array([10.5, 99.5, 12345.5, 1e12 + 0.5])
     many = truncated_sum_many(xs, 50)
     for x, v in zip(xs, many):
         assert v == truncated_sum(float(x), 50).value
+    xs = stratified_midpoints(1e5, 1e5, 3 * voronoi._CHUNK_ELEMENTS // 16000)
+    many = truncated_sum_many(xs, 16000)
+    for i in (0, len(xs) // 2, len(xs) - 1):
+        assert many[i] == truncated_sum(float(xs[i]), 16000).value
+
+
+def test_truncated_sum_many_within_bound_of_fsum_oracle():
+    # module docstring: (22 + log2 Y) u x^(1/4) W_Y from numpy's pairwise sum
+    xs = stratified_midpoints(1e5, 1e5, 128)
+    for Y in (1000, 16000):
+        W = math.fsum(_divisor_weights(Y)[1])
+        many = truncated_sum_many(xs, Y)
+        for x, v in zip(xs, many):
+            assert abs(v - _sigma_fsum(float(x), Y)) <= (22 + math.log2(Y)) * U * x ** 0.25 * W
+
+
+def test_extended_phase_against_mpmath():
+    # past PHASE_DOUBLE_LIMIT: the module docstring's bound against the exact sum
+    x, Y = 1e12 + 0.5, 2000
+    assert x * Y > PHASE_DOUBLE_LIMIT
+    W = math.fsum(_divisor_weights(Y)[1])
+    u_ld = float(np.finfo(np.longdouble).eps) / 2
+    phi = 4 * math.pi * U + 16 * math.pi * u_ld * math.sqrt(x * Y)
+    err = abs(truncated_sum(x, Y).value - _sigma_mp(x, Y))
+    assert err <= x ** 0.25 * W * (phi + (30 + math.log2(Y)) * U)
+
+
+def test_truncated_sum_many_working_set():
+    # 512 points x 16000 terms (65 MB as one float64 array) in chunks of
+    # _CHUNK_ELEMENTS pairs
+    xs = stratified_midpoints(1e5, 1e5, 512)
+    truncated_sum_many(xs[:1], 16000)  # the cached weights are not temporaries
+    tracemalloc.start()
+    try:
+        truncated_sum_many(xs, 16000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * voronoi._CHUNK_ELEMENTS, peak
 
 
 def test_bessel_term_approaches_cosine_term():
