@@ -369,6 +369,12 @@ def _cmd_moment(args) -> int:
 
 def _cmd_expsum(args) -> int:
     t0 = time.perf_counter()
+    if not (math.isfinite(args.U) and args.U > 0):
+        return _usage_error(f"need a finite U > 0, got {args.U}")
+    if args.N < 2 or args.rootk < 2:
+        return _usage_error(f"need N >= 2 and rootk >= 2, got N={args.N} rootk={args.rootk}")
+    if args.samples < 16:
+        return _usage_error(f"need samples >= 16, got {args.samples}")
     integral, ratio = moment8_S(args.U, args.N, args.rootk, args.samples)
     xs = np.linspace(args.U, 2 * args.U, min(args.samples, 256))
     rows = list(zip(xs.tolist(), abs_S_grid(xs, args.N, args.rootk).tolist()))

@@ -93,9 +93,14 @@ def truncated_sum_many(xs: np.ndarray, Y: int) -> np.ndarray:
     Each row of weighted cosines is reduced by numpy's pairwise sum, whose
     order depends only on Y, so a point's value does not depend on the other
     points or on the chunking.  Points past PHASE_DOUBLE_LIMIT (x * Y above
-    it) form their phases in extended precision.
+    it) form their phases in extended precision.  Every point must be finite
+    and >= 1, and Y >= 0.
     """
     xs = np.asarray(xs, dtype=np.float64)
+    if not (np.isfinite(xs).all() and (xs >= 1).all()):
+        raise ValueError("points must be finite and >= 1")
+    if Y < 0:
+        raise ValueError("Y must be >= 0")
     out = np.zeros(len(xs))
     if Y == 0:
         return out
@@ -113,10 +118,6 @@ def truncated_sum_many(xs: np.ndarray, Y: int) -> np.ndarray:
 def truncated_sum(x: float, Y: int) -> TruncatedSum:
     """The cosine-form partial sum Sigma_Y(x): the one-point case of
     truncated_sum_many, with the error bound of the module docstring."""
-    if x < 1:
-        raise ValueError("x must be >= 1")
-    if Y < 0:
-        raise ValueError("Y must be >= 0")
     value = float(truncated_sum_many(np.array([x], dtype=np.float64), Y)[0])
     return TruncatedSum(x=float(x), Y=Y, value=value)
 

@@ -125,6 +125,20 @@ def test_expsum_subcommand(tmp_path):
     assert all(0 <= float(r.split(",")[1]) <= 16.0 + 1e-9 for r in grid[1:])
 
 
+@pytest.mark.parametrize("argv", [
+    ["--N", "16", "--U", "nan"],
+    ["--N", "16", "--U", "inf"],
+    ["--N", "0", "--U", "16"],
+    ["--N", "1", "--U", "16"],
+    ["--N", "16", "--U", "16", "--rootk", "1"],
+    ["--N", "16", "--U", "16", "--samples", "8"],
+])
+def test_bad_expsum_arguments_exit_code(tmp_path, capsys, argv):
+    assert main(["expsum", *argv, "--out", str(tmp_path)]) == 2
+    assert "bad arguments" in capsys.readouterr().err
+    assert not (tmp_path / "expsum_moment.csv").exists()
+
+
 def test_config_file_overlay(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment\nx = 100\n")

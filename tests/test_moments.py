@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 import warnings
 
 import mpmath
+import numpy as np
 import pytest
 
-from divisorlab import series
-from divisorlab.divisor import EULER_GAMMA, hyperbola_D
+from divisorlab import moments, series
+from divisorlab.divisor import EULER_GAMMA, hyperbola_D, prefix_block
 from divisorlab.moments import (
     WindowSpec,
+    _int_powers,
     abs_moment,
     moment,
     moment_main_term,
@@ -17,6 +20,7 @@ from divisorlab.moments import (
 from divisorlab.series import estimate_constant
 
 TWO_GAMMA_MINUS_ONE = 2 * EULER_GAMMA - 1
+U = 2.0 ** -53
 
 
 def _oracle_unit_interval(m, power=None, abs_power=None):
@@ -38,11 +42,30 @@ def _oracle_unit_interval(m, power=None, abs_power=None):
     return float(total)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_unit_interval_quadrature_matches_mpmath(k):
-    prof = moment_profile([k], [], [1001], lo=1000)
-    want = _oracle_unit_interval(1000, power=k)
-    assert prof[1001][("pow", k)] == pytest.approx(want, rel=1e-12)
+    # Delta changes sign inside [1000, 1001) and is negative on all of
+    # [1007, 1008), where odd powers must keep their sign
+    assert _oracle_unit_interval(1000, power=1) > 0 > _oracle_unit_interval(1007, power=1)
+    for m in (1000, 1007):
+        prof = moment_profile([k], [], [m + 1], lo=m)
+        want = _oracle_unit_interval(m, power=k)
+        assert prof[m + 1][("pow", k)] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an 80-bit long double")
+def test_int_powers_within_chain_error_bound():
+    # mixed signs and magnitudes around those of Delta; the bound of the
+    # _block_integrals docstring, plus the long double reference's own error
+    d = np.random.default_rng(7).standard_normal(1 << 14) * 30.0
+    ks = list(range(1, 17))
+    got = _int_powers(d, ks)
+    for k in ks:
+        want = np.power(d.astype(np.longdouble), k)
+        err = np.abs(got[k].astype(np.longdouble) - want)
+        gamma = (k - 1) * U / (1 - (k - 1) * U)
+        assert np.all(err <= (gamma + k * 2.0 ** -63) * np.abs(want)), k
+    assert np.array_equal(got[1], d)
 
 
 @pytest.mark.parametrize("A", [1.0, 3.5, 35.0 / 4.0])
@@ -70,6 +93,47 @@ def test_profile_thread_count_does_not_change_values():
     a = moment_profile([2, 8], [1.5], [20000], block=1024, threads=1)
     b = moment_profile([2, 8], [1.5], [20000], block=1024, threads=4)
     assert a == b
+
+
+def test_profile_threads_bit_identical_over_multichunk_blocks():
+    # each block of 2**16 intervals is integrated in several chunks
+    assert moments._CHUNK < 2 ** 16
+    kw = dict(powers=[1, 2, 3, 4, 8], abs_powers=[35.0 / 4.0], checkpoints=[200000],
+              block=2 ** 16)
+    assert moment_profile(**kw, threads=1) == moment_profile(**kw, threads=2)
+
+
+def test_block_integrals_working_set(monkeypatch):
+    # one 2**20-interval block with the powers of the stream profile: beyond
+    # the block's int64 D array (made before tracing starts) the chunk loop
+    # holds a few (interval x node) arrays, 6.0 MiB measured
+    start, stop = 2, 2 + (1 << 20)
+    D = prefix_block(start, stop)
+    monkeypatch.setattr(moments, "prefix_block", lambda a, b: D)
+    chunk_array = moments._CHUNK * len(moments.GL8_NODES) * 8
+    tracemalloc.start()
+    try:
+        moments._block_integrals(start, stop, [1, 2, 3, 4, 8], [35.0 / 4.0, 267.0 / 27.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * chunk_array, peak
+
+
+@pytest.mark.parametrize("powers", [[0], [-2], [2.0], [1.5], [2, 0]])
+def test_profile_rejects_non_integer_powers(powers):
+    with pytest.raises(ValueError):
+        moment_profile(powers, [], [100])
+
+
+@pytest.mark.parametrize("A", [0.0, -1.5, math.nan, math.inf])
+def test_profile_rejects_bad_abs_powers(A):
+    with pytest.raises(ValueError):
+        moment_profile([2], [A], [100])
+
+
+def test_profile_repeated_power_counted_once():
+    assert moment_profile([2, 2], [], [1000]) == moment_profile([2], [], [1000])
 
 
 def test_profile_abs_limit_freezes_abs_integrals():

@@ -65,6 +65,18 @@ def test_truncated_sum_trivial_and_validation():
         truncated_sum(10.0, -1)
 
 
+@pytest.mark.parametrize("xs, Y", [
+    ([-5.0, 0.25], 10),
+    ([2.0, 0.5], 10),
+    ([2.0, math.nan], 10),
+    ([math.inf], 10),
+    ([2.0], -1),
+])
+def test_truncated_sum_many_validation(xs, Y):
+    with pytest.raises(ValueError):
+        truncated_sum_many(np.array(xs), Y)
+
+
 def test_truncated_sum_first_term():
     # Y = 1: x^{1/4} cos(4 pi sqrt(x) - pi/4)
     x = 7.3
