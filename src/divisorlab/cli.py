@@ -1,8 +1,8 @@
 """Command-line front end: parameter parsing, CSV/JSON output, run manifests.
 
-Exit codes: 0 success, 2 bad arguments (malformed or invalid values,
-including integers beyond MAX_SIEVE_ARGUMENT), 3 enumeration/budget limit
-exceeded.
+Exit codes, set by one rule in main: 0 success, 2 for every invalid argument
+(a ValueError from whichever layer refuses it, integers beyond
+MAX_SIEVE_ARGUMENT included), 3 for every budget refusal (BudgetExceededError).
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 import sys
 import tempfile
@@ -27,7 +26,6 @@ from .expsum import abs_S_grid, moment8_S
 from .moments import WindowSpec, moment, window_moment
 from .relations import (
     BudgetExceededError,
-    NoNonzeroFormError,
     RelationQuery,
     RelationSignature,
     min_gap,
@@ -275,18 +273,10 @@ def _cmd_voronoi(args) -> int:
     return EXIT_OK
 
 
-def _usage_error(reason: ValueError | str) -> int:
-    print(f"bad arguments: {reason}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def _cmd_count(args) -> int:
     t0 = time.perf_counter()
-    try:
-        sig = RelationSignature(args.plus, args.minus)
-        query = RelationQuery(signature=sig, ranges=args.ranges, delta=args.delta)
-    except ValueError as exc:
-        return _usage_error(exc)
+    sig = RelationSignature(args.plus, args.minus)
+    query = RelationQuery(signature=sig, ranges=args.ranges, delta=args.delta)
     rc = near_solution_count(query)
     Y = max(hi for _, hi in query.ranges)
     const = rc.min_nonzero_gap * Y ** sig.gap_exponent
@@ -307,16 +297,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_mingap(args) -> int:
     t0 = time.perf_counter()
-    try:
-        sig = RelationSignature(args.plus, args.minus)
-    except ValueError as exc:
-        return _usage_error(exc)
-    if args.Y < 1:
-        return _usage_error(f"need Y >= 1, got {args.Y}")
-    try:
-        gap, witness, const = min_gap(sig, args.Y)
-    except NoNonzeroFormError as exc:
-        return _usage_error(exc)
+    gap, witness, const = min_gap(RelationSignature(args.plus, args.minus), args.Y)
     out = args.out / "mingap.csv"
     write_csv(out, ["plus", "minus", "Y", "gap", "empirical_constant", "witness"],
               [[args.plus, args.minus, args.Y, gap, const, " ".join(map(str, witness[0] + witness[1]))]])
@@ -369,12 +350,6 @@ def _cmd_moment(args) -> int:
 
 def _cmd_expsum(args) -> int:
     t0 = time.perf_counter()
-    if not (math.isfinite(args.U) and args.U > 0):
-        return _usage_error(f"need a finite U > 0, got {args.U}")
-    if args.N < 2 or args.rootk < 2:
-        return _usage_error(f"need N >= 2 and rootk >= 2, got N={args.N} rootk={args.rootk}")
-    if args.samples < 16:
-        return _usage_error(f"need samples >= 16, got {args.samples}")
     integral, ratio = moment8_S(args.U, args.N, args.rootk, args.samples)
     xs = np.linspace(args.U, 2 * args.U, min(args.samples, 256))
     rows = list(zip(xs.tolist(), abs_S_grid(xs, args.N, args.rootk).tolist()))
@@ -421,6 +396,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BUDGET
     except RangeOverflowError as exc:
         print(f"out of range: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ValueError as exc:  # every invalid argument, whichever layer refuses it
+        print(f"bad arguments: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

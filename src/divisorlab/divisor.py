@@ -199,8 +199,8 @@ def delta_of(x: float, D: int) -> float:
 
 def delta_at(x: float) -> DeltaSample:
     """Delta(x) with exact D(floor(x)) computed by the hyperbola identity."""
-    if x < 1:
-        raise ValueError("x must be >= 1")
+    if not (math.isfinite(x) and x >= 1):
+        raise ValueError(f"x must be finite and >= 1, got {x}")
     D = hyperbola_D(math.floor(x))
     return DeltaSample(x=float(x), D=D, delta=delta_of(float(x), D))
 

@@ -34,6 +34,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .arith import BudgetExceededError
+
 # sampling density: at least this many quadrature points per unit change of the
 # fastest phase x * (2N)**(1/k); |S|**8 oscillates on exactly that scale
 POINTS_PER_PHASE_UNIT = 4
@@ -102,11 +104,14 @@ def moment8_S(U: float, N: int, k: int, samples: int = 16) -> tuple[float, float
     """
     if samples < 16:
         raise ValueError("samples must be >= 16")
-    if U <= 0:
-        raise ValueError("U must be > 0")
+    if not (math.isfinite(U) and U > 0):
+        raise ValueError(f"U must be finite and > 0, got {U}")
+    if N < 2 or k < 2:
+        raise ValueError(f"need N >= 2 and k >= 2, got N={N} k={k}")
     points = max(int(samples), int(POINTS_PER_PHASE_UNIT * U * (2 * N) ** (1.0 / k)) + 1)
     if points > _MAX_QUAD_POINTS:
-        raise ValueError(f"quadrature grid of {points} points exceeds budget {_MAX_QUAD_POINTS}")
+        raise BudgetExceededError(
+            f"quadrature grid of {points} points exceeds budget {_MAX_QUAD_POINTS}")
     xs = np.linspace(U, 2 * U, points)
     vals = abs_S_grid(xs, N, k)
     vals **= 8

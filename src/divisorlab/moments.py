@@ -50,6 +50,10 @@ class WindowSpec:
     H: float
     delta: float = 0.01
 
+    def __post_init__(self):
+        if not (math.isfinite(self.X) and math.isfinite(self.H) and self.H > 0):
+            raise ValueError(f"need finite X and H > 0, got X={self.X}, H={self.H}")
+
     @property
     def admissible(self) -> bool:
         return self.X ** (7.0 / 32.0 + self.delta) <= self.H <= self.X

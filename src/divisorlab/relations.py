@@ -30,6 +30,9 @@ from typing import Sequence
 import mpmath
 import numpy as np
 
+# the factoring lives in arith; its names stay importable from here
+from .arith import DEFAULT_SPF_BOUND, BudgetExceededError, KernelForm, kernel_decompose  # noqa: F401
+
 # Sides of the enumeration may not exceed this many tuples; larger requests
 # must be split by the caller.
 DEFAULT_SIDE_BUDGET = 1 << 22
@@ -41,21 +44,8 @@ NEAR_ZERO_RECHECK = 1e-8
 VERIFY_DPS = 50
 
 
-class BudgetExceededError(RuntimeError):
-    """Enumeration would exceed the configured budget; names the limit hit."""
-
-
 class NoNonzeroFormError(ValueError):
     """Every form over the box is an exact zero, so there is no minimal gap."""
-
-
-@dataclass(frozen=True)
-class KernelForm:
-    """Unique decomposition n = a**2 * h with h squarefree."""
-
-    n: int
-    a: int
-    h: int
 
 
 @dataclass(frozen=True)
@@ -105,76 +95,8 @@ class RelationCount:
 
 
 # --------------------------------------------------------------------------
-# squarefree-kernel decomposition
+# exact zero test
 # --------------------------------------------------------------------------
-
-DEFAULT_SPF_BOUND = 1 << 20
-
-
-def spf_table(bound: int) -> np.ndarray:
-    """Smallest-prime-factor table for 0..bound (built afresh on each call)."""
-    spf = np.arange(bound + 1, dtype=np.int64)
-    for p in range(2, math.isqrt(bound) + 1):
-        if spf[p] == p:
-            sl = spf[p * p :: p]
-            np.minimum(sl, p, out=sl)
-    return spf
-
-
-# kernel_decompose's table: grown to the next power of two that covers the
-# value asked for (at least 2^10, at most DEFAULT_SPF_BOUND)
-_spf = np.zeros(0, dtype=np.int64)
-
-
-def _spf_covering(n: int) -> np.ndarray:
-    """A smallest-prime-factor table covering n.  The table returned is the
-    one checked or built here, so a concurrent caller swapping in another
-    table cannot hand back one too short for n."""
-    global _spf
-    spf = _spf
-    if n >= len(spf):
-        spf = _spf = spf_table(max(1 << 10, 1 << (n - 1).bit_length()))
-    return spf
-
-
-def kernel_decompose(n: int) -> KernelForm:
-    """Factor out the largest square: n = a**2 * h with h squarefree.
-
-    Uses the smallest-prime-factor sieve up to DEFAULT_SPF_BOUND and 64-bit
-    trial division above it.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    a, h = 1, 1
-    m = n
-    if m <= DEFAULT_SPF_BOUND:
-        spf = _spf_covering(m)
-        while m > 1:
-            p = int(spf[m])
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            a *= p ** (e // 2)
-            if e % 2:
-                h *= p
-    else:
-        if n > (1 << 62):
-            raise BudgetExceededError(f"n={n} beyond 64-bit trial-division budget")
-        p = 2
-        while p * p <= m:
-            if m % p == 0:
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                a *= p ** (e // 2)
-                if e % 2:
-                    h *= p
-            p += 1 if p == 2 else 2
-        if m > 1:
-            h *= m
-    return KernelForm(n=n, a=a, h=h)
 
 
 def _kernel_vector(values: Sequence[int], signs: Sequence[int]) -> tuple[tuple[int, int], ...]:

@@ -26,8 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .arith import BudgetExceededError, factor_table, factorize
 from .divisor import build_divisor_table
-from .relations import BudgetExceededError, spf_table
 
 MAX_CONSTANT_CUTOFF = 1 << 20
 
@@ -52,28 +52,17 @@ def _divisor_counts(bound: int) -> np.ndarray:
     return build_divisor_table(1, bound).values.astype(np.float64)
 
 
-@lru_cache(maxsize=16)
-def _squarefree_flags(bound: int) -> np.ndarray:
-    flags = np.ones(bound + 1, dtype=bool)
-    flags[0] = False
-    for p in range(2, math.isqrt(bound) + 1):
-        flags[p * p :: p * p] = False
-    return flags
-
-
 def _kernel_side_sums(h: int, Y: int, max_count: int, d: np.ndarray) -> list[np.ndarray]:
     """G[i][s] = weighted count of ordered i-tuples (a_1..a_i), a_j <= isqrt(Y/h),
     with sum a_j = s; weight prod d(a**2 h) * (a**2 h)**(-3/4)."""
     A = math.isqrt(Y // h)
     a = np.arange(1, A + 1, dtype=np.float64)
     vals = (a * a * h).astype(np.int64)
-    w = d[vals - 1] * (a * a * h) ** -0.75
+    w = np.zeros(A + 1)
+    w[1:] = d[vals - 1] * (a * a * h) ** -0.75
     G: list[np.ndarray] = [np.array([1.0])]
     for _ in range(max_count):
-        nxt = np.zeros(len(G[-1]) + A, dtype=np.float64)
-        for ai in range(1, A + 1):
-            nxt[ai:ai + len(G[-1])] += w[ai - 1] * G[-1]
-        G.append(nxt)
+        G.append(np.convolve(G[-1], w))
     return G
 
 
@@ -86,13 +75,13 @@ def _relation_product(p: int, q: int, Y: int) -> np.ndarray:
     F[1, 1] is the first cumulant sum_h [xy] f_h = sum_{n<=Y} d(n)^2 n^{-3/2}.
     """
     d = _divisor_counts(Y)
-    sf = _squarefree_flags(Y)
+    kernels = factor_table(Y)[1]
     # F[i, j]: coefficient of x^i y^j in the running product
     F = np.zeros((p + 1, q + 1))
     F[0, 0] = 1.0
     inv_fact = [1.0 / math.factorial(i) for i in range(max(p, q) + 1)]
     for h in range(1, Y + 1):
-        if not sf[h]:
+        if kernels[h - 1] != h:  # h not squarefree
             continue
         G = _kernel_side_sums(h, Y, max(p, q), d)
         P = np.zeros((p + 1, q + 1))
@@ -217,52 +206,31 @@ def _sums(name: str, y: int) -> tuple[float, float]:
 # --------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _d_of_squares(bound: int) -> np.ndarray:
-    """d(s**2) for s = 1..bound (index s-1), via factorization."""
-    spf = spf_table(bound)
-    out = np.ones(bound + 1, dtype=np.float64)
-    for s in range(2, bound + 1):
-        m, acc = s, 1
-        while m > 1:
-            pp = int(spf[m])
-            e = 0
-            while m % pp == 0:
-                m //= pp
-                e += 1
-            acc *= 2 * e + 1
-        out[s] = acc
-    return out[1:]
-
-
 def _c1_sum(Y: int) -> float:
     """sum over alpha, beta, h <= Y, h squarefree, of
     (alpha*beta*(alpha+beta))**(-3/2) * h**(-9/4) * d(alpha^2 h) d(beta^2 h) d((alpha+beta)^2 h).
 
     Per squarefree h the alpha/beta sum is a correlation of one vector with
     itself against the shifted d((alpha+beta)^2 h) weights, evaluated by FFT
-    convolution; the full triple loop would cost Y**2 per h.
+    convolution; the full triple loop would cost Y**2 per h.  The square is
+    read only at 2..2Y, which a transform of length 2Y + 1 holds unwrapped.
     """
+    from scipy.fft import next_fast_len  # at module level it slows the package import
+
     n2 = 2 * Y
-    d_sq = _d_of_squares(n2)  # d(s^2), s = 1..2Y
-    sf = _squarefree_flags(Y)
-    spf = spf_table(Y)  # factors the kernels h <= Y
+    _, kernels, d_sq = factor_table(n2)
+    d_sq = d_sq.astype(np.float64)  # d(s^2), s = 1..2Y
     s_pows = np.arange(1, n2 + 1, dtype=np.float64) ** -1.5
 
-    size = 1
-    while size < 2 * n2 + 1:
-        size *= 2
+    size = next_fast_len(n2 + 1, real=True)
     total = 0.0
     for h in range(1, Y + 1):
-        if not sf[h]:
+        if kernels[h - 1] != h:  # h not squarefree
             continue
         # dvec[s-1] = d(s^2 h): relative to d(s^2), a prime p | h turns the
         # local factor (2e+1) into (2e+2); applied incrementally per power.
         dvec = d_sq.copy()
-        m = h
-        while m > 1:
-            p = int(spf[m])
-            m //= p  # h squarefree: exponent of p is 1
+        for p, _ in factorize(h):  # h squarefree: each exponent is 1
             prev = 2.0
             dvec *= 2.0
             e, pe = 1, p
@@ -275,8 +243,7 @@ def _c1_sum(Y: int) -> float:
         a_vec = np.zeros(size)
         a_vec[1 : Y + 1] = s_pows[:Y] * dvec[:Y]
         conv = np.fft.irfft(np.fft.rfft(a_vec) ** 2, size)
-        s_idx = np.arange(2, n2 + 1)
-        inner = float(np.dot(conv[s_idx], s_pows[s_idx - 1] * dvec[s_idx - 1]))
+        inner = float(np.dot(conv[2 : n2 + 1], s_pows[1:] * dvec[1:]))  # s = 2..2Y
         total += h ** -2.25 * inner
     return total
 

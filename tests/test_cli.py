@@ -132,10 +132,17 @@ def test_expsum_subcommand(tmp_path):
     ["--N", "1", "--U", "16"],
     ["--N", "16", "--U", "16", "--rootk", "1"],
     ["--N", "16", "--U", "16", "--samples", "8"],
+    ["--N", "16", "--U", "16", "--rootk", "0"],
 ])
 def test_bad_expsum_arguments_exit_code(tmp_path, capsys, argv):
     assert main(["expsum", *argv, "--out", str(tmp_path)]) == 2
     assert "bad arguments" in capsys.readouterr().err
+    assert not (tmp_path / "expsum_moment.csv").exists()
+
+
+def test_expsum_budget_exit_code(tmp_path, capsys):
+    assert main(["expsum", "--N", "16", "--U", "1e20", "--out", str(tmp_path)]) == 3
+    assert "budget exceeded" in capsys.readouterr().err
     assert not (tmp_path / "expsum_moment.csv").exists()
 
 
@@ -218,6 +225,14 @@ def test_verify_quick_csv_rows_have_header_width(tmp_path):
     ["mingap", "--plus", "0", "--minus", "2", "--Y", "5"],
     ["mingap", "--plus", "1", "--minus", "1", "--Y", "0"],
     ["mingap", "--plus", "1", "--minus", "1", "--Y", "1"],
+    # the other commands follow the same rule
+    ["moment", "--k", "9", "--X", "1000"],
+    ["window", "--k", "2", "--X", "1000", "--H", "-5"],
+    ["window", "--k", "2", "--X", "nan", "--H", "10"],
+    ["voronoi", "--x", "nan"],
+    ["delta", "--x", "nan"],
+    ["sieve", "--lo", "0", "--hi", "5"],
+    ["constants", "--Y", "0"],
 ])
 def test_bad_relation_arguments_exit_code(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2

@@ -107,6 +107,12 @@ def test_delta_at_100():
     assert s.delta == pytest.approx(6.0399, abs=1e-3)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, 0.5])
+def test_delta_at_rejects_bad_x(x):
+    with pytest.raises(ValueError, match="x must be finite and >= 1"):
+        delta_at(x)
+
+
 def test_delta_jump_at_integers():
     # Delta is right-continuous with a jump of d(m) at m
     before = delta_at(4.0 - 1e-9)

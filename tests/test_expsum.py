@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from divisorlab import expsum
+from divisorlab.arith import BudgetExceededError
 from divisorlab.expsum import POINTS_PER_PHASE_UNIT, abs_S_grid, eval_S, moment8_S
 
 
@@ -78,7 +79,10 @@ def test_moment8_validation():
         moment8_S(10.0, 16, 2, samples=8)
     with pytest.raises(ValueError):
         moment8_S(0.0, 16, 2)
-    with pytest.raises(ValueError):
+    for U in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            moment8_S(U, 16, 2)
+    with pytest.raises(BudgetExceededError):
         moment8_S(10.0 ** 9, 4096, 2)  # grid budget
     for N, k in ((1, 2), (16, 1)):
         with pytest.raises(ValueError):

@@ -193,6 +193,13 @@ def test_window_spec_admissibility():
     assert not WindowSpec(X=10 ** 6, H=2 * 10 ** 6).admissible
 
 
+@pytest.mark.parametrize("X,H", [(1000.0, -5.0), (1000.0, 0.0), (1000.0, math.nan),
+                                 (1000.0, math.inf), (math.nan, 10.0)])
+def test_window_spec_rejects_bad_window(X, H):
+    with pytest.raises(ValueError, match="H > 0"):
+        WindowSpec(X=X, H=H)
+
+
 def test_window_moment_equals_difference_of_full_moments():
     spec = WindowSpec(X=2000.0, H=1000.0)
     with warnings.catch_warnings():

@@ -7,7 +7,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from divisorlab import relations
+from divisorlab import arith
 from divisorlab.relations import (
     DEFAULT_SPF_BOUND,
     NEAR_ZERO_RECHECK,
@@ -60,7 +60,7 @@ def _kernel_by_trial_division(n):
 
 def test_kernel_decompose_across_table_sizes(monkeypatch):
     # the table grows by powers of two from 2^10 up to DEFAULT_SPF_BOUND
-    monkeypatch.setattr(relations, "_spf", relations._spf[:0])
+    monkeypatch.setattr(arith, "_spf", arith._spf[:0])
     values = [1, 5, 1023, 1024, 1025]
     values += [(1 << e) + d for e in range(11, 21) for d in (-1, 0, 1)]
     values += [DEFAULT_SPF_BOUND + 1, 2 ** 20 * 9 - 1, 3 ** 12 * 2]
@@ -68,11 +68,11 @@ def test_kernel_decompose_across_table_sizes(monkeypatch):
     for n in values:
         kf = kernel_decompose(n)
         assert (kf.a, kf.h) == _kernel_by_trial_division(n), n
-    assert len(relations._spf) == DEFAULT_SPF_BOUND + 1
+    assert len(arith._spf) == DEFAULT_SPF_BOUND + 1
 
 
 def test_kernel_decompose_table_sized_to_value(monkeypatch):
-    monkeypatch.setattr(relations, "_spf", relations._spf[:0])
+    monkeypatch.setattr(arith, "_spf", arith._spf[:0])
     tracemalloc.start()
     try:
         kernel_decompose(5)
@@ -80,7 +80,7 @@ def test_kernel_decompose_table_sized_to_value(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert len(relations._spf) == (1 << 10) + 1
+    assert len(arith._spf) == (1 << 10) + 1
 
 
 def test_form_is_zero_examples():

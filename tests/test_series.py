@@ -78,8 +78,8 @@ def test_c1_first_term():
     assert partial_C1(1).partial_sum == pytest.approx(3.0 * 2 ** -1.5, rel=1e-14)
 
 
-def test_c1_matches_brute_force():
-    Y = 10
+@pytest.mark.parametrize("Y", [10, 15, 16])  # transform lengths around 2Y + 1 = 21, 31, 33
+def test_c1_matches_brute_force(Y):
     d = build_divisor_table(1, 4 * Y ** 3).values
     total = 0.0
     for h in range(1, Y + 1):
