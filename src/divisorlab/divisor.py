@@ -18,6 +18,10 @@ EULER_GAMMA = 0.577215664901532860606512090082
 # Coefficient of the linear term in the main-term approximation of D(x).
 TWO_GAMMA_MINUS_ONE = 2.0 * EULER_GAMMA - 1.0
 
+# The same to 40 digits for the long double path of delta_unit: the float64
+# value is 9.9e-18 off, which alone moves Delta(2e12) by 2e-5.
+_TWO_GAMMA_MINUS_ONE_LD = np.longdouble("0.1544313298030657212130241801648048620844")
+
 # Default segmented-sieve block: 2**22 integers keeps the working set in cache
 # at 1e8..1e9 scale.
 DEFAULT_BLOCK = 1 << 22
@@ -31,6 +35,9 @@ MAX_SIEVE_ARGUMENT = 1 << 52
 # at once, so their temporaries stay a few MB for short windows at any x.
 _SCATTER_CHUNK = 1 << 16
 _SCATTER_HITS = 1 << 18
+
+# hyperbola_D_many takes its sorted arguments in runs of this many
+_MANY_ROWS = 1 << 9
 
 
 class RangeOverflowError(ValueError):
@@ -126,17 +133,6 @@ def _add_divisor_pairs(values: np.ndarray, lo: int, d: np.ndarray) -> None:
     values += hits
 
 
-def d_trial_division(n: int) -> int:
-    """Divisor count by trial division; the independent cross-check."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    count = 0
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            count += 1 if d * d == n else 2
-    return count
-
-
 def hyperbola_D(x: int) -> int:
     """Exact D(x) = sum_{n<=x} d(n) by the hyperbola identity
 
@@ -160,41 +156,71 @@ def hyperbola_D(x: int) -> int:
 
 
 def hyperbola_D_many(xs: np.ndarray) -> np.ndarray:
-    """Vectorized hyperbola_D over an int64 array of arguments.
+    """hyperbola_D at every x of an int64 array, exact.
 
-    Loops over the divisor n (up to sqrt(max x)) and adds floor(x/n) for all
-    x >= n*n at once, so the work is O(max_x / 1 + max_x / 2 + ...) numpy
-    element operations rather than a Python loop per x.
+    The arguments are sorted and taken in runs of _MANY_ROWS; a run adds
+    floor(x/n) in (run x divisor) int64 blocks of at most _SCATTER_CHUNK
+    elements, over the divisors up to its largest root and only for the
+    x >= n*n.  These are the divisions of hyperbola_D at each x, without its
+    per-call overhead; each sum stays below 2**63 as there.
     """
     xs = np.asarray(xs, dtype=np.int64)
     if xs.size and xs.min() < 1:
         raise ValueError("all arguments must be >= 1")
+    if xs.size and xs.max() > MAX_SIEVE_ARGUMENT:
+        raise RangeOverflowError(f"x={xs.max()} exceeds supported range {MAX_SIEVE_ARGUMENT}")
+    order = np.argsort(xs, kind="stable")
+    xs = xs[order]
     roots = np.sqrt(xs.astype(np.float64)).astype(np.int64)
     # guard against floating roundoff on the integer square root
     roots = np.where((roots + 1) * (roots + 1) <= xs, roots + 1, roots)
     roots = np.where(roots * roots > xs, roots - 1, roots)
-    out = -roots * roots
-    nmax = int(roots.max(initial=0))
-    order = np.argsort(xs, kind="stable")
-    sorted_xs = xs[order]
-    for n in range(1, nmax + 1):
-        # x >= n*n  <=>  index past the insertion point of n*n
-        start = np.searchsorted(sorted_xs, n * n, side="left")
-        out[order[start:]] += 2 * (sorted_xs[start:] // n)
+    sums = np.zeros(len(xs), dtype=np.int64)
+    for i in range(0, len(xs), _MANY_ROWS):
+        x, r = xs[i : i + _MANY_ROWS, None], roots[i : i + _MANY_ROWS, None]
+        top = int(r[-1, 0])
+        width = _SCATTER_CHUNK // len(x)
+        for a in range(1, top + 1, width):
+            j = int(np.searchsorted(r[:, 0], a))  # the x >= a*a
+            n = np.arange(a, min(a + width, top + 1), dtype=np.int64)
+            q = x[j:] // n
+            if n[-1] > r[j, 0]:
+                q[n > r[j:]] = 0
+            sums[i + j : i + len(x)] += q.sum(axis=1)
+    out = np.empty_like(sums)
+    out[order] = 2 * sums - roots * roots
     return out
 
 
-def delta_of(x: float, D: int) -> float:
-    """Delta(x) given the exact D(floor(x)).
+def delta_unit(m, D, u) -> np.ndarray:
+    """Delta(m + u) on the smooth branch D - x*log(x) - (2*gamma - 1)*x of
+    one unit interval, as a float64 array; m, D and u broadcast, and m or u
+    is an array.
 
-    For x beyond 2**40 the product x*log(x) is formed in extended precision:
-    Delta ~ x**(1/4) would otherwise drown in the cancellation against D.
+    D = D(floor(m)) and m + u stays in that interval, so for an integer m,
+    u = 1 gives the left limit at m + 1; m need not be an integer.  x = m + u
+    is built here and overwritten, so beside the result the call holds one
+    array of their shape.  When any x exceeds 2**40 the whole evaluation is
+    in long double, with D exact from its integer value and 2*gamma - 1 to 40
+    digits: in float64 Delta ~ x**(1/4) would drown in the cancellation of
+    x*log(x) against D.
     """
-    if x > float(1 << 40):
-        xl = np.longdouble(x)
-        main = xl * np.log(xl) + np.longdouble(TWO_GAMMA_MINUS_ONE) * xl
-        return float(np.longdouble(D) - main)
-    return D - x * math.log(x) - TWO_GAMMA_MINUS_ONE * x
+    x = np.add(m, u)
+    c = TWO_GAMMA_MINUS_ONE
+    if x.max(initial=0.0) > 2.0 ** 40:
+        x = np.add(m, u, dtype=np.longdouble)
+        c = _TWO_GAMMA_MINUS_ONE_LD
+    delta = np.log(x)
+    delta *= x
+    np.subtract(np.asarray(D, dtype=x.dtype), delta, out=delta)
+    x *= c
+    delta -= x
+    return delta.astype(np.float64, copy=False)
+
+
+def delta_of(x: float, D: int) -> float:
+    """Delta(x) given the exact D(floor(x)): delta_unit at one point."""
+    return float(delta_unit(np.array([x]), D, 0.0)[0])
 
 
 def delta_at(x: float) -> DeltaSample:

@@ -20,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .divisor import DEFAULT_BLOCK, TWO_GAMMA_MINUS_ONE, EULER_GAMMA, prefix_block
-from .parallel import CompensatedSum, ordered_map
+from .divisor import DEFAULT_BLOCK, EULER_GAMMA, delta_unit, prefix_block
+from .parallel import ordered_map
 
 _nodes, _weights = np.polynomial.legendre.leggauss(8)
 GL8_NODES = 0.5 * (_nodes + 1.0)  # on [0, 1]
@@ -60,12 +60,12 @@ class WindowSpec:
 
 
 def _newton_roots(D: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Zeros of D - x*log(x) - (2g-1)*x inside [m, m+1); the branch is strictly
-    decreasing there, so at most one zero exists and Newton from the midpoint
-    converges in a handful of steps."""
+    """Zeros of the smooth branch of Delta inside [m, m+1); the branch is
+    strictly decreasing there, so at most one zero exists and Newton from the
+    midpoint converges in a handful of steps."""
     x = m + 0.5
     for _ in range(6):
-        g = D - x * np.log(x) - TWO_GAMMA_MINUS_ONE * x
+        g = delta_unit(m, D, x - m)
         x = x + g / (np.log(x) + 2.0 * EULER_GAMMA)
         np.clip(x, m, m + 1.0, out=x)
     return x
@@ -82,16 +82,6 @@ def _int_powers(d: np.ndarray, ks: Sequence[int]) -> dict[int, np.ndarray]:
             for k in ks}
 
 
-def _delta_nodes(Dm: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Dm - xs*log(xs) - (2g-1)*xs at the nodes xs, overwriting xs."""
-    delta = np.log(xs)
-    delta *= xs
-    np.subtract(Dm[:, None], delta, out=delta)
-    xs *= TWO_GAMMA_MINUS_ONE
-    delta -= xs
-    return delta
-
-
 def _chunk_integrals(
     Dm: np.ndarray,
     m: np.ndarray,
@@ -100,25 +90,22 @@ def _chunk_integrals(
 ) -> dict:
     """Integrals of Delta**k and |Delta|**A over the unit intervals [m, m+1)
     with D(m) = Dm; its temporaries are freed when it returns."""
-    delta = _delta_nodes(Dm, np.add.outer(m, GL8_NODES))
+    delta = delta_unit(m[:, None], Dm[:, None], GL8_NODES)
     out = {("pow", k): float((pw @ GL8_WEIGHTS).sum())
            for k, pw in _int_powers(delta, powers).items()}
     if not abs_powers:
         return out
     absd = np.abs(delta)
-    # intervals where the smooth branch crosses zero: endpoint signs differ
-    g_lo = Dm - m * np.log(m) - TWO_GAMMA_MINUS_ONE * m
-    m1 = m + 1.0
-    g_hi = Dm - m1 * np.log(m1) - TWO_GAMMA_MINUS_ONE * m1
-    cross = (g_lo > 0.0) & (g_hi < 0.0)
-    idx = np.nonzero(cross)[0]
+    # intervals where the smooth branch crosses zero: endpoint signs differ;
+    # u = 0 and 1 as a column, so each end is one contiguous row (3x faster)
+    ends = delta_unit(m, Dm, np.array([[0.0], [1.0]]))
+    idx = np.nonzero((ends[0] > 0.0) & (ends[1] < 0.0))[0]
     if idx.size:
         roots = _newton_roots(Dm[idx], m[idx])
         left_w = roots - m[idx]
-        xs_l = m[idx][:, None] + left_w[:, None] * GL8_NODES[None, :]
-        xs_r = roots[:, None] + (1.0 - left_w)[:, None] * GL8_NODES[None, :]
-        d_l = np.abs(_delta_nodes(Dm[idx], xs_l))
-        d_r = np.abs(_delta_nodes(Dm[idx], xs_r))
+        d_l = np.abs(delta_unit(m[idx, None], Dm[idx, None], left_w[:, None] * GL8_NODES))
+        d_r = np.abs(delta_unit(roots[:, None], Dm[idx, None],
+                                (1.0 - left_w)[:, None] * GL8_NODES))
     for a in abs_powers:
         per_interval = absd ** a @ GL8_WEIGHTS
         total = float(per_interval.sum())
@@ -157,7 +144,7 @@ def _block_integrals(
     parts: dict = {}
     for off in range(0, stop - start, _CHUNK):
         m = np.arange(start + off, start + min(off + _CHUNK, stop - start), dtype=np.float64)
-        chunk = _chunk_integrals(D[off : off + m.size].astype(np.float64), m, powers, abs_powers)
+        chunk = _chunk_integrals(D[off : off + m.size], m, powers, abs_powers)
         for key, value in chunk.items():
             parts.setdefault(key, []).append(value)
     return {key: math.fsum(p) for key, p in parts.items()}
@@ -202,15 +189,11 @@ def moment_profile(
     partials = ordered_map(task, spans, threads=threads)
 
     keys = list(dict.fromkeys([("pow", k) for k in powers] + [("abs", a) for a in abs_powers]))
-    acc = {key: CompensatedSum() for key in keys}
-    result: dict[int, dict] = {}
     cp = set(checkpoints)
-    for (a, b), part in zip(spans, partials):
-        for key in keys:
-            acc[key].add(part.get(key, 0.0))
-        if b in cp:
-            result[b] = {key: acc[key].value for key in keys}
-    return result
+    # each checkpoint adds all block partials up to it by math.fsum, the rule
+    # _block_integrals uses for its chunk partials
+    return {b: {key: math.fsum(part.get(key, 0.0) for part in partials[: i + 1]) for key in keys}
+            for i, (_, b) in enumerate(spans) if b in cp}
 
 
 def moment_main_term(k: int, X: float, constants_Y: int | None = None) -> float:
@@ -242,8 +225,8 @@ def moment(
     """Integral of Delta**k over [2, X] with its predicted main term."""
     if not 1 <= k <= 8:
         raise ValueError("k must be in 1..8")
-    if X < 2:
-        raise ValueError("X must be >= 2")
+    if not (math.isfinite(X) and X >= 3):  # whole unit intervals from 2 to int(X)
+        raise ValueError(f"X must be finite and >= 3, got {X}")
     prof = moment_profile([k], [], [int(X)], threads=threads)
     integral = prof[int(X)][("pow", k)]
     main = moment_main_term(k, X, constants_Y)
@@ -257,6 +240,8 @@ def abs_moment(A: float, X: float, threads: int = 1) -> MomentResult:
     of order X**(1 + A/4) but no asymptotic constant, so main_term is 0."""
     if A <= 0:
         raise ValueError("A must be > 0")
+    if not (math.isfinite(X) and X >= 3):
+        raise ValueError(f"X must be finite and >= 3, got {X}")
     if A == int(A) and int(A) % 2 == 0:
         r = moment(int(A), X, threads=threads)
         return MomentResult(exponent=A, lo=r.lo, hi=r.hi, integral=r.integral,
@@ -279,12 +264,15 @@ def window_moment(
     intervals).  An inadmissible window (flag violated) only warns: exploration
     outside the proved range is allowed.
     """
+    lo, hi = int(spec.X), int(spec.X + spec.H)
+    if hi <= lo:
+        raise ValueError(f"window holds no whole unit interval: need int(X+H) > int(X), "
+                         f"got X={spec.X}, H={spec.H}")
     if not spec.admissible:
         warnings.warn(
             f"window H={spec.H} outside [X^(7/32+{spec.delta}), X]; proceeding",
             stacklevel=2,
         )
-    lo, hi = int(spec.X), int(spec.X + spec.H)
     prof = moment_profile([k], [], [hi], lo=lo, threads=threads)
     integral = prof[hi][("pow", k)]
     main = moment_main_term(k, hi, constants_Y) - moment_main_term(k, lo, constants_Y)

@@ -21,24 +21,3 @@ def ordered_map(fn: Callable[[T], R], tasks: Sequence[T], threads: int = 1) -> l
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, tasks))
 
-
-class CompensatedSum:
-    """Neumaier running sum; order of add() calls fixes the result exactly."""
-
-    __slots__ = ("total", "_c")
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self._c = 0.0
-
-    def add(self, x: float) -> None:
-        t = self.total + x
-        if abs(self.total) >= abs(x):
-            self._c += (self.total - t) + x
-        else:
-            self._c += (x - t) + self.total
-        self.total = t
-
-    @property
-    def value(self) -> float:
-        return self.total + self._c

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from divisorlab import arith, relations
 from divisorlab.arith import factor_table, factorize, kernel_decompose
-from divisorlab.divisor import d_trial_division
+from oracles import d_trial_division
 
 
 def _by_trial_division(n):

@@ -6,7 +6,8 @@ import pytest
 
 from divisorlab import series
 from divisorlab.cli import _fmt, build_parser, main
-from divisorlab.divisor import d_trial_division, hyperbola_D
+from divisorlab.divisor import hyperbola_D
+from oracles import d_trial_division
 
 
 def test_fmt_17_significant_digits():
@@ -238,6 +239,17 @@ def test_bad_relation_arguments_exit_code(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert "bad arguments" in capsys.readouterr().err
     assert not (tmp_path / f"{argv[0]}.csv").exists()
+
+
+@pytest.mark.parametrize("argv, names", [
+    # a window or moment with no whole unit interval
+    (["window", "--k", "2", "--X", "1000", "--H", "0.5"], ["int(X+H) > int(X)", "H=0.5"]),
+    (["moment", "--k", "2", "--X", "2.5"], ["X must be finite and >= 3", "2.5"]),
+])
+def test_no_whole_unit_interval_names_the_argument(tmp_path, capsys, argv, names):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "bad arguments" in err and all(name in err for name in names), err
 
 
 def test_malformed_ranges_exit_code(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,13 +12,14 @@ from divisorlab.divisor import (
     MAX_SIEVE_ARGUMENT,
     RangeOverflowError,
     build_divisor_table,
-    d_trial_division,
     delta_at,
     delta_of,
+    delta_unit,
     hyperbola_D,
     hyperbola_D_many,
     prefix_block,
 )
+from oracles import d_trial_division
 
 # d(1..12) by hand
 D_SMALL = [1, 2, 2, 3, 2, 4, 2, 4, 3, 4, 2, 6]
@@ -99,6 +101,58 @@ def test_hyperbola_many_matches_scalar():
 def test_hyperbola_many_unsorted_input():
     xs = np.array([500, 3, 10 ** 5, 77], dtype=np.int64)
     assert list(hyperbola_D_many(xs)) == [hyperbola_D(int(x)) for x in xs]
+
+
+def test_hyperbola_many_across_runs_and_repeats():
+    # more arguments than one sorted run, with repeats, squares and square - 1
+    rng = np.random.default_rng(3)
+    xs = np.concatenate([rng.integers(1, 3 * 10 ** 6, 1500), [4, 3, 4, 10 ** 6, 10 ** 6 - 1]])
+    prefix = np.cumsum(build_divisor_table(1, 3 * 10 ** 6).values, dtype=np.int64)
+    assert np.array_equal(hyperbola_D_many(xs), prefix[xs - 1])
+    assert hyperbola_D_many(np.array([], dtype=np.int64)).size == 0
+
+
+def test_hyperbola_many_refuses_beyond_max_argument():
+    with pytest.raises(RangeOverflowError):
+        hyperbola_D_many(np.array([5, MAX_SIEVE_ARGUMENT + 1], dtype=np.int64))
+
+
+def test_delta_unit_broadcasts_and_left_limit():
+    m = np.array([4.0, 10.0, 1000.0])
+    D = np.array([hyperbola_D(4), hyperbola_D(10), hyperbola_D(1000)])
+    u = np.array([0.0, 0.25, 1.0])
+    got = delta_unit(m[:, None], D[:, None], u)
+    assert got.shape == (3, 3) and got.dtype == np.float64
+    for i, mi in enumerate(m):
+        for j, uj in enumerate(u):
+            assert got[i, j] == delta_of(mi + uj, int(D[i]))
+    # u = 1 is the left limit at m + 1: Delta(m + 1) less the jump d(m + 1)
+    assert got[0, 2] == pytest.approx(delta_at(5.0).delta - d_trial_division(5), abs=1e-12)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an 80-bit long double")
+@pytest.mark.parametrize("x", [2.0 ** 40 + 12345.5, 2e12 + 0.3, 3e14 + 0.75])
+def test_delta_at_above_2_40_matches_mpmath(x):
+    # long double x*log(x) rounds to u_ld*x*log(x); the float64 constant
+    # 2*gamma - 1 alone was 9.9e-18 off, 3e-3 in Delta at 3e14
+    s = delta_at(x)
+    with mpmath.workdps(50):
+        X = mpmath.mpf(x)
+        exact = float(s.D - X * mpmath.log(X) - (2 * mpmath.euler - 1) * X)
+    assert abs(s.delta - exact) <= 4 * 2.0 ** -64 * x * math.log(x)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an 80-bit long double")
+def test_delta_unit_extended_when_any_point_exceeds_2_40():
+    # the point below 2**40 is evaluated in long double with its neighbour
+    m = np.array([2.0 ** 40 - 1000.0, 2.0 ** 40 + 1000.0])
+    D = np.array([hyperbola_D(int(v)) for v in m])
+    got = delta_unit(m, D, 0.5)
+    with mpmath.workdps(50):
+        X = mpmath.mpf(m[0] + 0.5)
+        exact = float(int(D[0]) - X * mpmath.log(X) - (2 * mpmath.euler - 1) * X)
+    assert got[1] == delta_of(m[1] + 0.5, int(D[1]))
+    assert abs(got[0] - exact) <= 4 * 2.0 ** -64 * m[0] * math.log(m[0])
 
 
 def test_delta_at_100():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from divisorlab import moments, series
-from divisorlab.divisor import EULER_GAMMA, hyperbola_D, prefix_block
+from divisorlab.divisor import hyperbola_D, prefix_block
 from divisorlab.moments import (
     WindowSpec,
     _int_powers,
@@ -19,27 +19,29 @@ from divisorlab.moments import (
 )
 from divisorlab.series import estimate_constant
 
-TWO_GAMMA_MINUS_ONE = 2 * EULER_GAMMA - 1
 U = 2.0 ** -53
 
 
 def _oracle_unit_interval(m, power=None, abs_power=None):
-    """mpmath quadrature of Delta**k or |Delta|**A over [m, m+1), split at the
-    branch root when the smooth branch changes sign inside the interval."""
+    """50-digit mpmath quadrature of Delta**k or |Delta|**A over [m, m+1),
+    split at the branch root when the smooth branch changes sign inside the
+    interval."""
     D = hyperbola_D(m)
+    with mpmath.workdps(50):
+        c = 2 * mpmath.euler - 1
 
-    def g(x):
-        return D - x * mpmath.log(x) - TWO_GAMMA_MINUS_ONE * x
+        def g(x):
+            return D - x * mpmath.log(x) - c * x
 
-    pieces = [mpmath.mpf(m), mpmath.mpf(m + 1)]
-    if g(m) * g(m + 1) < 0:
-        root = mpmath.findroot(g, m + 0.5)
-        pieces.insert(1, root)
-    total = mpmath.mpf(0)
-    f = (lambda x: g(x) ** power) if power is not None else (lambda x: abs(g(x)) ** abs_power)
-    for a, b in zip(pieces, pieces[1:]):
-        total += mpmath.quad(f, [a, b])
-    return float(total)
+        pieces = [mpmath.mpf(m), mpmath.mpf(m + 1)]
+        if g(m) * g(m + 1) < 0:
+            root = mpmath.findroot(g, m + 0.5)
+            pieces.insert(1, root)
+        total = mpmath.mpf(0)
+        f = (lambda x: g(x) ** power) if power is not None else (lambda x: abs(g(x)) ** abs_power)
+        for a, b in zip(pieces, pieces[1:]):
+            total += mpmath.quad(f, [a, b])
+        return float(total)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
@@ -51,6 +53,16 @@ def test_unit_interval_quadrature_matches_mpmath(k):
         prof = moment_profile([k], [], [m + 1], lo=m)
         want = _oracle_unit_interval(m, power=k)
         assert prof[m + 1][("pow", k)] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an 80-bit long double")
+@pytest.mark.parametrize("m, bound", [(2 * 10 ** 12, 2e-9), (10 ** 14, 1e-7)])
+def test_unit_interval_above_2_40_matches_mpmath(m, bound):
+    # past 2**40 Delta is formed in long double, where the rounding of
+    # x*log(x), u_ld*x*log(x), is 3e-6 at 2e12 and 2e-4 at 1e14 (6.4e-11 and
+    # 1.0e-8 measured); float64 nodes and constant gave 1.3e-7 and 1.6e-5
+    got = moment_profile([2], [], [m + 1], lo=m)[m + 1][("pow", 2)]
+    assert got == pytest.approx(_oracle_unit_interval(m, power=2), rel=bound)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an 80-bit long double")
@@ -181,6 +193,11 @@ def test_moment_validation():
         moment(2, 1.0)
     with pytest.raises(ValueError):
         abs_moment(-1.0, 100.0)
+    for X in (2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="X must be finite and >= 3"):
+            moment(2, X)
+        with pytest.raises(ValueError, match="X must be finite and >= 3"):
+            abs_moment(1.5, X)
 
 
 def test_abs_moment_even_integer_matches_power_moment():

@@ -1,8 +1,4 @@
-import math
-
-import pytest
-
-from divisorlab.parallel import CompensatedSum, ordered_map
+from divisorlab.parallel import ordered_map
 
 
 def test_ordered_map_preserves_order():
@@ -14,31 +10,3 @@ def test_ordered_map_preserves_order():
 def test_ordered_map_single_task():
     assert ordered_map(str, [7], threads=8) == ["7"]
 
-
-def test_compensated_sum_recovers_cancelled_term():
-    # naive summation loses the 1.0 entirely; the compensated sum keeps it
-    xs = [1e16, 1.0, -1e16]
-    acc = CompensatedSum()
-    for x in xs:
-        acc.add(x)
-    assert acc.value == 1.0
-    assert sum(xs) == 0.0
-
-
-def test_compensated_sum_close_to_fsum():
-    xs = [(-1) ** k * 0.1 * k for k in range(2000)]
-    acc = CompensatedSum()
-    for x in xs:
-        acc.add(x)
-    assert acc.value == pytest.approx(math.fsum(xs), abs=1e-12)
-
-
-def test_compensated_sum_order_fixed():
-    xs = [0.1 * k for k in range(1000)]
-    a = CompensatedSum()
-    b = CompensatedSum()
-    for x in xs:
-        a.add(x)
-    for x in xs:
-        b.add(x)
-    assert a.value == b.value

@@ -7,7 +7,7 @@ import pytest
 from scipy import special
 
 from divisorlab import bessel, voronoi
-from divisorlab.divisor import build_divisor_table, delta_at
+from divisorlab.divisor import build_divisor_table, delta_at, delta_of, hyperbola_D
 from divisorlab.voronoi import (
     INV_PI_SQRT2,
     PHASE_DOUBLE_LIMIT,
@@ -184,8 +184,22 @@ def test_residual_mean_square_decreases_with_cutoff():
     assert 0 < fine < coarse
 
 
+@pytest.mark.parametrize("X, H", [(1e5, 1e4), (1e9 + 0.25, 3e3), (2.0 ** 40 + 700.0, 1500.0)])
+def test_residual_mean_square_equals_per_sample_loop(X, H):
+    # the last window lies past 2**40, where Delta is formed in long double
+    Y, count = 200, 32
+    xs = stratified_midpoints(X, H, count)
+    deltas = np.array([delta_of(float(x), hyperbola_D(int(m)))
+                       for x, m in zip(xs, np.floor(xs).astype(np.int64))])
+    r = deltas - INV_PI_SQRT2 * truncated_sum_many(xs, Y)
+    assert residual_mean_square(X, H, Y, count) == float(np.mean(r * r))
+
+
 def test_residual_mean_square_validation():
     with pytest.raises(ValueError):
         residual_mean_square(1.0, 10.0, 10, 16)
+    for X, H in [(math.nan, 1e5), (math.inf, 1e5), (1e5, math.nan), (1e5, math.inf)]:
+        with pytest.raises(ValueError, match="finite X"):
+            residual_mean_square(X, H, 100, 16)
     with pytest.raises(ValueError):
         stratified_midpoints(10.0, 5.0, 0)
