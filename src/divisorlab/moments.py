@@ -27,8 +27,9 @@ _nodes, _weights = np.polynomial.legendre.leggauss(8)
 GL8_NODES = 0.5 * (_nodes + 1.0)  # on [0, 1]
 GL8_WEIGHTS = 0.5 * _weights
 
-# unit intervals per chunk: each (interval x node) float64 array is 1 MiB and
-# a chunk's arrays stay cache-sized; 2**14 timed best of 2**12..2**16 on 2 vCPUs
+# unit intervals per chunk: each (node x interval) float64 array is 1 MiB and
+# a chunk's arrays stay cache-sized; 2**13..2**15 timed best of 2**12..2**16
+# on 2 vCPUs, under either node layout
 _CHUNK = 1 << 14
 
 
@@ -89,34 +90,39 @@ def _chunk_integrals(
     abs_powers: Sequence[float],
 ) -> dict:
     """Integrals of Delta**k and |Delta|**A over the unit intervals [m, m+1)
-    with D(m) = Dm; its temporaries are freed when it returns."""
-    delta = delta_unit(m[:, None], Dm[:, None], GL8_NODES)
-    out = {("pow", k): float((pw @ GL8_WEIGHTS).sum())
-           for k, pw in _int_powers(delta, powers).items()}
+    with D(m) = Dm; its temporaries are freed when it returns.
+
+    Node values are laid out (node, interval): each of the 8 nodes is one
+    contiguous row of m.size intervals, so every ufunc runs an inner loop
+    m.size long, not 8 long as in an (interval, node) layout.
+    """
+    delta = delta_unit(m, Dm, GL8_NODES[:, None])
+    out = {("pow", k): _node_sum(pw) for k, pw in _int_powers(delta, powers).items()}
     if not abs_powers:
         return out
     absd = np.abs(delta)
-    # intervals where the smooth branch crosses zero: endpoint signs differ;
-    # u = 0 and 1 as a column, so each end is one contiguous row (3x faster)
+    # intervals where the smooth branch crosses zero: endpoint signs differ
     ends = delta_unit(m, Dm, np.array([[0.0], [1.0]]))
     idx = np.nonzero((ends[0] > 0.0) & (ends[1] < 0.0))[0]
     if idx.size:
         roots = _newton_roots(Dm[idx], m[idx])
         left_w = roots - m[idx]
-        d_l = np.abs(delta_unit(m[idx, None], Dm[idx, None], left_w[:, None] * GL8_NODES))
-        d_r = np.abs(delta_unit(roots[:, None], Dm[idx, None],
-                                (1.0 - left_w)[:, None] * GL8_NODES))
+        d_l = np.abs(delta_unit(m[idx], Dm[idx], left_w * GL8_NODES[:, None]))
+        d_r = np.abs(delta_unit(roots, Dm[idx], (1.0 - left_w) * GL8_NODES[:, None]))
     for a in abs_powers:
-        per_interval = absd ** a @ GL8_WEIGHTS
-        total = float(per_interval.sum())
+        pw = absd ** a
+        total = _node_sum(pw)
         if idx.size:
-            naive = float(per_interval[idx].sum())
-            split = float((left_w * (d_l ** a @ GL8_WEIGHTS)).sum()) + float(
-                ((1.0 - left_w) * (d_r ** a @ GL8_WEIGHTS)).sum()
-            )
-            total += split - naive
+            total += (_node_sum(left_w * d_l ** a) + _node_sum((1.0 - left_w) * d_r ** a)
+                      - _node_sum(pw[:, idx]))
         out[("abs", a)] = total
     return out
+
+
+def _node_sum(pw: np.ndarray) -> float:
+    """Gauss-Legendre sum of a (node, interval) array over all its intervals:
+    the weighted node sum of each interval, then the pairwise sum of those."""
+    return float((GL8_WEIGHTS @ pw).sum())
 
 
 def _block_integrals(
@@ -162,11 +168,12 @@ def moment_profile(
     """Integrals of Delta**k and |Delta|**A from lo to each checkpoint.
 
     One streaming pass covers all checkpoints; abs_limit, when set, stops the
-    accumulation of the |Delta|**A integrals at that checkpoint (they are only
-    needed at smaller scales and fractional powers are the expensive part).
+    accumulation of the |Delta|**A integrals at that integer, a checkpoint or
+    not (they are only needed at smaller scales and fractional powers are the
+    expensive part).
 
     Returns {checkpoint: {("pow", k) | ("abs", A): integral}}.  Each k must
-    be an integer >= 1 and each A finite and > 0.
+    be an integer >= 1, each A finite and > 0, and abs_limit an integer.
     """
     for k in powers:
         if not isinstance(k, numbers.Integral) or k < 1:
@@ -174,11 +181,14 @@ def moment_profile(
     for a in abs_powers:
         if not (math.isfinite(a) and a > 0):
             raise ValueError(f"abs_powers must be finite and > 0, got {a!r}")
+    if abs_limit is not None and not isinstance(abs_limit, numbers.Integral):
+        raise ValueError(f"abs_limit must be an integer or None, got {abs_limit!r}")
     checkpoints = sorted(set(int(c) for c in checkpoints))
     if not checkpoints or checkpoints[0] <= lo:
         raise ValueError("checkpoints must exceed lo")
     hi = checkpoints[-1]
-    bounds = sorted(set(list(range(lo, hi, block)) + checkpoints + [hi]))
+    cuts = [abs_limit] if abs_limit is not None and lo < abs_limit < hi else []
+    bounds = sorted(set(list(range(lo, hi, block)) + checkpoints + cuts + [hi]))
     spans = [(a, b) for a, b in zip(bounds, bounds[1:])]
 
     def task(span):
@@ -238,17 +248,16 @@ def moment(
 def abs_moment(A: float, X: float, threads: int = 1) -> MomentResult:
     """Integral of |Delta|**A over [2, X].  The theory provides an upper bound
     of order X**(1 + A/4) but no asymptotic constant, so main_term is 0."""
-    if A <= 0:
-        raise ValueError("A must be > 0")
+    if not (math.isfinite(A) and A > 0):
+        raise ValueError(f"A must be finite and > 0, got {A}")
     if not (math.isfinite(X) and X >= 3):
         raise ValueError(f"X must be finite and >= 3, got {X}")
-    if A == int(A) and int(A) % 2 == 0:
-        r = moment(int(A), X, threads=threads)
-        return MomentResult(exponent=A, lo=r.lo, hi=r.hi, integral=r.integral,
-                            main_term=0.0, relative_deviation=math.nan)
-    prof = moment_profile([], [A], [int(X)], threads=threads)
-    return MomentResult(exponent=A, lo=2.0, hi=float(X),
-                        integral=prof[int(X)][("abs", A)],
+    if A == int(A) and int(A) % 2 == 0:  # |Delta|**A is Delta**A
+        key, powers, abs_powers = ("pow", int(A)), [int(A)], []
+    else:
+        key, powers, abs_powers = ("abs", A), [], [A]
+    prof = moment_profile(powers, abs_powers, [int(X)], threads=threads)
+    return MomentResult(exponent=A, lo=2.0, hi=float(X), integral=prof[int(X)][key],
                         main_term=0.0, relative_deviation=math.nan)
 
 

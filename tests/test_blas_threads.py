@@ -1,6 +1,7 @@
 """The exp-sum grid product runs through BLAS (zgemm), so its summation order
-could follow the BLAS thread count; the Voronoi row sums must not either.
-Both must give the same bits under one and two OpenBLAS threads."""
+could follow the BLAS thread count; the Voronoi row sums and the moment
+kernel's node sums must not either.  All must give the same bits under one and
+two OpenBLAS threads."""
 
 import os
 import subprocess
@@ -11,9 +12,13 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
 
 _PROGRAM = """
 from divisorlab.expsum import moment8_S
+from divisorlab.moments import moment_profile
 from divisorlab.voronoi import residual_mean_square
 print([v.hex() for v in moment8_S(4096.0, 64, 2)])
 print(residual_mean_square(1e5, 1e5, 16000, 512).hex())
+prof = moment_profile([1, 2, 3, 4, 8], [35 / 4, 267 / 27], [10**4, 10**5, 3 * 10**5],
+                      threads=2, abs_limit=10**5)
+print([[v.hex() for v in values.values()] for values in prof.values()])
 """
 
 
@@ -27,5 +32,5 @@ def _run(threads: int) -> str:
 
 def test_grid_kernels_bit_identical_across_blas_threads():
     one = _run(1)
-    assert one.count("0x") == 3
+    assert one.count("0x") == 3 + 3 * 7
     assert _run(2) == one

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from divisorlab import moments, series
-from divisorlab.divisor import hyperbola_D, prefix_block
+from divisorlab.divisor import delta_unit, hyperbola_D, prefix_block
 from divisorlab.moments import (
+    GL8_NODES,
+    GL8_WEIGHTS,
     WindowSpec,
     _int_powers,
     abs_moment,
@@ -18,6 +20,8 @@ from divisorlab.moments import (
     window_moment,
 )
 from divisorlab.series import estimate_constant
+
+import oracles
 
 U = 2.0 ** -53
 
@@ -80,6 +84,70 @@ def test_int_powers_within_chain_error_bound():
     assert np.array_equal(got[1], d)
 
 
+_LAYOUT_POWERS = [1, 2, 3, 4, 8]
+_LAYOUT_ABS = [1.5, 35.0 / 4.0, 267.0 / 27.0]
+# chunks with sign crossings: two below 2**40 and one in long double above it
+_LAYOUT_CHUNKS = [(1000, 1 << 14), (500_000, 1 << 14), (2 * 10 ** 12 + 10 ** 5, 1 << 12)]
+
+
+def _chunk(start, n):
+    return prefix_block(start, start + n), np.arange(start, start + n, dtype=np.float64)
+
+
+def _abs_sums(D, m, key):
+    """GL8 sum of |Delta|**e over the chunk: the scale of the rounding errors
+    of any order in which the integral of Delta**e or |Delta|**e is summed."""
+    d = np.abs(delta_unit(m, D, GL8_NODES[:, None]))
+    return float(GL8_WEIGHTS @ (d ** key[1]).sum(axis=1))
+
+
+@pytest.mark.parametrize("start, n", _LAYOUT_CHUNKS)
+def test_node_major_layout_has_the_interval_major_node_values(monkeypatch, start, n):
+    # every Delta array the kernel forms (nodes, crossing ends, Newton steps,
+    # split halves) is the reference's, bit for bit, transposed where 2-D
+    D, m = _chunk(start, n)
+    calls = {"new": [], "old": []}
+
+    def recording(side):
+        def call(*args):
+            calls[side].append(delta_unit(*args))
+            return calls[side][-1]
+        return call
+
+    monkeypatch.setattr(moments, "delta_unit", recording("new"))
+    moments._chunk_integrals(D, m, _LAYOUT_POWERS, _LAYOUT_ABS)
+    monkeypatch.setattr(oracles, "delta_unit", recording("old"))
+    monkeypatch.setattr(moments, "delta_unit", recording("old"))
+    oracles.chunk_integrals_interval_major(D, m, _LAYOUT_POWERS, _LAYOUT_ABS)
+    assert len(calls["new"]) == len(calls["old"]) > 3  # sign crossings present
+    assert calls["new"][0].shape == (len(GL8_NODES), n)
+    for new, old in zip(calls["new"], calls["old"]):
+        assert np.array_equal(new, old if new.shape == old.shape else old.T)
+
+
+@pytest.mark.parametrize("start, n", _LAYOUT_CHUNKS)
+def test_node_major_integrals_within_few_ulp_of_interval_major(start, n):
+    # same node values and power chain, so only the order of the node sums
+    # differs; 1.6 u of the absolute sums was the worst seen
+    D, m = _chunk(start, n)
+    got = moments._chunk_integrals(D, m, _LAYOUT_POWERS, _LAYOUT_ABS)
+    want = oracles.chunk_integrals_interval_major(D, m, _LAYOUT_POWERS, _LAYOUT_ABS)
+    assert got.keys() == want.keys()
+    for key in got:
+        assert abs(got[key] - want[key]) <= 8 * U * _abs_sums(D, m, key), key
+
+
+def test_node_major_block_within_few_ulp_of_interval_major(monkeypatch):
+    # a block of four chunks, with sign crossings in each
+    start, stop = 100_000, 100_000 + 4 * moments._CHUNK
+    got = moments._block_integrals(start, stop, _LAYOUT_POWERS, _LAYOUT_ABS)
+    monkeypatch.setattr(moments, "_chunk_integrals", oracles.chunk_integrals_interval_major)
+    want = moments._block_integrals(start, stop, _LAYOUT_POWERS, _LAYOUT_ABS)
+    D, m = _chunk(start, stop - start)
+    for key in got:
+        assert abs(got[key] - want[key]) <= 8 * U * _abs_sums(D, m, key), key
+
+
 @pytest.mark.parametrize("A", [1.0, 3.5, 35.0 / 4.0])
 def test_abs_quadrature_with_sign_crossing(A):
     # [995, 996] contains a zero of the smooth branch of Delta
@@ -118,7 +186,7 @@ def test_profile_threads_bit_identical_over_multichunk_blocks():
 def test_block_integrals_working_set(monkeypatch):
     # one 2**20-interval block with the powers of the stream profile: beyond
     # the block's int64 D array (made before tracing starts) the chunk loop
-    # holds a few (interval x node) arrays, 6.0 MiB measured
+    # holds a few (node x interval) arrays, 5.5 MiB measured
     start, stop = 2, 2 + (1 << 20)
     D = prefix_block(start, stop)
     monkeypatch.setattr(moments, "prefix_block", lambda a, b: D)
@@ -156,6 +224,20 @@ def test_profile_abs_limit_freezes_abs_integrals():
     assert prof[2000][("pow", 1)] != prof[1000][("pow", 1)]
 
 
+@pytest.mark.parametrize("block", [256, 512, 1024])
+def test_profile_abs_limit_between_checkpoints(block):
+    # the |Delta|**A integral freezes at abs_limit itself, not at the block
+    # boundary after it
+    prof = moment_profile([], [1.5], [4000], block=block, abs_limit=1500)
+    frozen = moment_profile([], [1.5], [1500], block=block)
+    assert prof[4000][("abs", 1.5)] == frozen[1500][("abs", 1.5)]
+
+
+def test_profile_rejects_non_integer_abs_limit():
+    with pytest.raises(ValueError, match="abs_limit must be an integer"):
+        moment_profile([], [1.5], [4000], abs_limit=1500.5)
+
+
 def test_moment_first_close_to_quarter_x():
     r = moment(1, 10 ** 5)
     assert r.main_term == 2.5 * 10 ** 4
@@ -191,8 +273,9 @@ def test_moment_validation():
         moment(9, 100.0)
     with pytest.raises(ValueError):
         moment(2, 1.0)
-    with pytest.raises(ValueError):
-        abs_moment(-1.0, 100.0)
+    for A in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="A must be finite and > 0"):
+            abs_moment(A, 100.0)
     for X in (2.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="X must be finite and >= 3"):
             moment(2, X)
@@ -202,6 +285,13 @@ def test_moment_validation():
 
 def test_abs_moment_even_integer_matches_power_moment():
     assert abs_moment(2.0, 3000.0).integral == moment(2, 3000.0).integral
+
+
+def test_abs_moment_even_integer_beyond_moment_range():
+    got = abs_moment(10.0, 3000.0).integral
+    assert got == moment_profile([10], [], [3000])[3000][("pow", 10)]
+    assert got == pytest.approx(moment_profile([], [10.0], [3000])[3000][("abs", 10.0)],
+                                rel=1e-12)
 
 
 def test_window_spec_admissibility():
