@@ -2,14 +2,16 @@
 
 Above the crossover the standard large-argument asymptotic expansions are used
 (10 terms; relative accuracy far below 1e-10 for z > 20).  Below it the values
-come from scipy's series-based routines.
+come from mpmath at 30 digits, rounded once to float64.  Those small arguments
+arise only when n*x < 2.53, so their cost (milliseconds a call) stays off the
+bulk paths.
 """
 
 from __future__ import annotations
 
 import math
 
-from scipy import special
+import mpmath
 
 ASYMPTOTIC_CROSSOVER = 20.0
 _TERMS = 10
@@ -46,17 +48,24 @@ def k1_large(z: float) -> float:
     return math.sqrt(math.pi / (2.0 * z)) * math.exp(-z) * s
 
 
-def y1(z: float) -> float:
+def _check(z: float) -> None:
+    if not math.isfinite(z):
+        raise ValueError(f"argument must be finite, got {z}")
     if z <= 0:
         raise ValueError("argument must be positive")
+
+
+def y1(z: float) -> float:
+    _check(z)
     if z > ASYMPTOTIC_CROSSOVER:
         return y1_large(z)
-    return float(special.y1(z))
+    with mpmath.workdps(30):
+        return float(mpmath.bessely(1, z))
 
 
 def k1(z: float) -> float:
-    if z <= 0:
-        raise ValueError("argument must be positive")
+    _check(z)
     if z > ASYMPTOTIC_CROSSOVER:
         return k1_large(z)
-    return float(special.k1(z))
+    with mpmath.workdps(30):
+        return float(mpmath.besselk(1, z))

@@ -13,11 +13,13 @@ import hashlib
 import io
 import json
 import os
+import platform
 import sys
 import tempfile
 import time
 from pathlib import Path
 
+import mpmath
 import numpy as np
 
 from . import __version__
@@ -79,6 +81,19 @@ def code_version_hash() -> str:
     return digest.hexdigest()[:16]
 
 
+def _environment() -> dict:
+    """Interpreter, library versions, CPU count and thread settings of this
+    process: what a manifest needs to explain a timing without a rerun."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "mpmath": mpmath.__version__,
+        "cpu_count": os.cpu_count(),
+        "thread_env": {name: os.environ.get(name) for name in
+                       ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "DIVISORLAB_THREADS")},
+    }
+
+
 def write_manifest(path: Path, config: dict, outputs: list[Path], elapsed: float) -> None:
     checksums = {}
     for out in outputs:
@@ -89,6 +104,7 @@ def write_manifest(path: Path, config: dict, outputs: list[Path], elapsed: float
         "version": __version__,
         "code_hash": code_version_hash(),
         "config": config,
+        "env": _environment(),
         "wall_time_s": round(elapsed, 3),
         "output_checksums": checksums,
     }

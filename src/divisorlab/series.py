@@ -206,6 +206,21 @@ def _sums(name: str, y: int) -> tuple[float, float]:
 # --------------------------------------------------------------------------
 
 
+def _next_5_smooth(n: int) -> int:
+    """The least 2**a * 3**b * 5**c >= n: a length pocketfft transforms fast,
+    and the one scipy.fft.next_fast_len(n, real=True) returns."""
+    best = 1 << (n - 1).bit_length()  # the least power of two >= n
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power of two times p35 that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _c1_sum(Y: int) -> float:
     """sum over alpha, beta, h <= Y, h squarefree, of
     (alpha*beta*(alpha+beta))**(-3/2) * h**(-9/4) * d(alpha^2 h) d(beta^2 h) d((alpha+beta)^2 h).
@@ -215,14 +230,12 @@ def _c1_sum(Y: int) -> float:
     convolution; the full triple loop would cost Y**2 per h.  The square is
     read only at 2..2Y, which a transform of length 2Y + 1 holds unwrapped.
     """
-    from scipy.fft import next_fast_len  # at module level it slows the package import
-
     n2 = 2 * Y
     _, kernels, d_sq = factor_table(n2)
     d_sq = d_sq.astype(np.float64)  # d(s^2), s = 1..2Y
     s_pows = np.arange(1, n2 + 1, dtype=np.float64) ** -1.5
 
-    size = next_fast_len(n2 + 1, real=True)
+    size = _next_5_smooth(n2 + 1)
     total = 0.0
     for h in range(1, Y + 1):
         if kernels[h - 1] != h:  # h not squarefree

@@ -122,25 +122,34 @@ def truncated_sum(x: float, Y: int) -> TruncatedSum:
     return TruncatedSum(x=float(x), Y=Y, value=value)
 
 
+def _bessel_term(x: float, n: int, d: int) -> float:
+    z = 4.0 * math.pi * math.sqrt(n * x)
+    return -(2.0 * math.sqrt(x) / math.pi) * d / math.sqrt(n) * (
+        bessel.k1(z) + 0.5 * math.pi * bessel.y1(z)
+    )
+
+
 def bessel_tail_term(x: float, n: int) -> float:
     """One term of the Bessel-form expansion of Delta(x):
 
         -(2 sqrt(x) / pi) * d(n) / sqrt(n) * (K1(z) + (pi/2) Y1(z)),
 
     z = 4 pi sqrt(n x).  Its large-z limit reproduces the cosine-form summand
-    divided by pi*sqrt(2)."""
-    if n < 1 or x < 1:
-        raise ValueError("need n >= 1 and x >= 1")
-    z = 4.0 * math.pi * math.sqrt(n * x)
-    d = build_divisor_table(n, n).d(n)
-    return -(2.0 * math.sqrt(x) / math.pi) * d / math.sqrt(n) * (
-        bessel.k1(z) + 0.5 * math.pi * bessel.y1(z)
-    )
+    divided by pi*sqrt(2).  x must be finite and >= 1, and n >= 1."""
+    if not (math.isfinite(x) and x >= 1 and n >= 1):
+        raise ValueError(f"need finite x >= 1 and n >= 1; got x={x}, n={n}")
+    return _bessel_term(x, n, build_divisor_table(n, n).d(n))
 
 
 def bessel_partial_sum(x: float, Y: int) -> float:
-    """Partial Bessel-form sum over n <= Y; cross-check for the cosine form."""
-    return math.fsum(bessel_tail_term(x, n) for n in range(1, Y + 1))
+    """Partial Bessel-form sum over n <= Y, the exactly rounded sum of the
+    bessel_tail_term values; cross-check for the cosine form."""
+    if not (math.isfinite(x) and x >= 1 and Y >= 0):
+        raise ValueError(f"need finite x >= 1 and Y >= 0; got x={x}, Y={Y}")
+    if Y == 0:
+        return 0.0
+    table = build_divisor_table(1, Y)
+    return math.fsum(_bessel_term(x, n, table.d(n)) for n in range(1, Y + 1))
 
 
 def residual_at(x: float, Y: int) -> ResidualSample:

@@ -1,7 +1,13 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
+import numpy as np
 import pytest
 
 from divisorlab import series
@@ -34,6 +40,11 @@ def test_delta_subcommand(tmp_path, capsys):
     assert manifest["tool"] == "divisorlab"
     assert "delta.csv" in manifest["output_checksums"]
     assert manifest["config"]["x"] == 100.0
+    env = manifest["env"]
+    assert set(env) == {"python", "numpy", "mpmath", "cpu_count", "thread_env"}
+    assert env["numpy"] == np.__version__ and env["mpmath"] == mpmath.__version__
+    assert env["cpu_count"] == os.cpu_count()
+    assert set(env["thread_env"]) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "DIVISORLAB_THREADS"}
 
 
 def test_sieve_subcommand(tmp_path):
@@ -266,3 +277,14 @@ def test_count_accepts_infinite_delta(tmp_path):
     assert rc == 0
     header, row = (tmp_path / "count.csv").read_text().splitlines()
     assert dict(zip(header.split(","), row.split(",")))["count"] == "12"
+
+
+def test_package_import_loads_no_scipy():
+    # scipy is a test oracle only; at import it would double every run's set-up
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+    program = ("import sys, divisorlab, divisorlab.cli, divisorlab.acceptance; "
+               "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    done = subprocess.run([sys.executable, "-c", program], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"

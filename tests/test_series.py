@@ -4,6 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 from divisorlab import series
 from divisorlab.acceptance import AcceptanceContext
@@ -11,6 +12,7 @@ from divisorlab.divisor import build_divisor_table
 from divisorlab.relations import BudgetExceededError, form_is_zero
 from divisorlab.series import (
     DEFAULT_CUTOFFS,
+    _next_5_smooth,
     _relation_product,
     estimate_constant,
     extrapolate_sqrt,
@@ -224,3 +226,8 @@ def test_partial_sums_memoized_per_cutoff(monkeypatch):
     second = partial_C4(128)
     assert calls == [64, 32, 128]
     assert second.tail_indicator == second.partial_sum - first.partial_sum
+
+
+def test_next_5_smooth_is_scipy_fast_len():
+    # _c1_sum's transform length, hence C1, as when scipy chose it
+    assert all(_next_5_smooth(n) == next_fast_len(n, real=True) for n in range(1, 100_001))

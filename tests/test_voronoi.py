@@ -51,10 +51,29 @@ def test_bessel_large_argument_expansions():
     for z in (20.5, 25.0, 60.0, 300.0):
         assert bessel.y1(z) == pytest.approx(float(special.y1(z)), abs=5e-12)
         assert bessel.k1(z) == pytest.approx(float(special.k1(z)), rel=5e-12)
+
+
+# Y1 vanishes at 2.1971..., 5.4296..., 8.5960...: there the check is absolute
+_Y1_ZEROS = (2.1971413260310170351, 5.4296810407941351328, 8.5960058683311689268)
+
+
+@pytest.mark.parametrize("z", (0.1, 1.0, 2.197, 5.0, 12.57, 19.99, 20.0) + _Y1_ZEROS)
+def test_bessel_small_argument_against_mpmath(z):
+    # below the crossover: mpmath at 30 digits, rounded once
+    with mpmath.workdps(50):
+        y_want = float(mpmath.bessely(1, z))
+        k_want = float(mpmath.besselk(1, z))
+    y_tol = 1e-15 if z in _Y1_ZEROS or z == 2.197 else 1e-15 * abs(y_want)
+    assert abs(bessel.y1(z) - y_want) <= y_tol
+    assert bessel.k1(z) == pytest.approx(k_want, rel=1e-15)
+
+
+@pytest.mark.parametrize("z", (0.0, -1.0, math.nan, math.inf, -math.inf))
+def test_bessel_rejects_nonpositive_and_nonfinite(z):
     with pytest.raises(ValueError):
-        bessel.y1(0.0)
+        bessel.y1(z)
     with pytest.raises(ValueError):
-        bessel.k1(-1.0)
+        bessel.k1(z)
 
 
 def test_truncated_sum_trivial_and_validation():
@@ -142,6 +161,29 @@ def test_bessel_term_approaches_cosine_term():
     ) * INV_PI_SQRT2
     # agreement up to the O(1/z) correction of the asymptotic expansion
     assert bessel_tail_term(x, n) == pytest.approx(cos_term, abs=5e-4)
+
+
+@pytest.mark.parametrize("x, Y", [(1.2, 5), (1.0, 2), (5000.5, 200)])
+def test_bessel_partial_sum_is_fsum_of_terms(x, Y):
+    # one sieve for 1..Y gives the same terms as one sieve per term; (1.2, 5)
+    # and (1.0, 2) reach the small-argument branch (z <= 20)
+    assert bessel_partial_sum(x, Y) == math.fsum(bessel_tail_term(x, n) for n in range(1, Y + 1))
+    assert bessel_partial_sum(x, 0) == 0.0
+
+
+@pytest.mark.parametrize("x", (math.nan, math.inf, 0.5))
+def test_bessel_form_rejects_bad_points(x):
+    with pytest.raises(ValueError):
+        bessel_tail_term(x, 3)
+    with pytest.raises(ValueError):
+        bessel_partial_sum(x, 3)
+
+
+def test_bessel_form_rejects_bad_indices():
+    with pytest.raises(ValueError):
+        bessel_tail_term(10.0, 0)
+    with pytest.raises(ValueError):
+        bessel_partial_sum(10.0, -1)
 
 
 def test_bessel_partial_sum_close_to_cosine_form():
