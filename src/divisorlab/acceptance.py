@@ -1,7 +1,7 @@
 """Acceptance battery: thirteen numbered checks covering every component.
 
 Each check prints one PASS/FAIL line with the measured quantities; the battery
-returns overall success.  Tolerances are fixed here and nowhere else.  The
+returns the results.  Tolerances are fixed here and nowhere else.  The
 expensive shared inputs are computed once and reused across checks: the
 streaming moment profile here, the constant estimates by series' memo.
 """
@@ -12,7 +12,6 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -363,25 +362,12 @@ _CRITERIA = [
 ]
 
 
-def run_acceptance(
-    quick: bool = False,
-    threads: int = 1,
-    out_dir: Path | None = None,
-) -> bool:
-    """Run all criteria, print one line each, optionally write a CSV report."""
+def run_acceptance(quick: bool = False, threads: int = 1) -> list[CriterionResult]:
+    """Run all criteria, printing each one's line as it finishes."""
     ctx = AcceptanceContext(quick=quick, threads=threads)
     results = []
     for crit in _CRITERIA:
         t0 = time.perf_counter()
-        res = crit(ctx)
-        results.append(res)
-        print(res.line() + f"  [{time.perf_counter() - t0:.1f}s]", flush=True)
-    ok = all(r.passed for r in results)
-    print(f"acceptance: {sum(r.passed for r in results)}/{len(results)} criteria passed")
-    if out_dir is not None:
-        from .cli import write_csv
-
-        write_csv(Path(out_dir) / "acceptance.csv",
-                  ["criterion", "name", "passed", "detail"],
-                  [[r.index, r.name, int(r.passed), r.detail] for r in results])
-    return ok
+        results.append(crit(ctx))
+        print(results[-1].line() + f"  [{time.perf_counter() - t0:.1f}s]", flush=True)
+    return results

@@ -1,8 +1,9 @@
 """Command-line front end: parameter parsing, CSV/JSON output, run manifests.
 
-Exit codes, set by one rule in main: 0 success, 2 for every invalid argument
-(a ValueError from whichever layer refuses it, integers beyond
-MAX_SIEVE_ARGUMENT included), 3 for every budget refusal (BudgetExceededError).
+Exit codes, set by one rule in main: 0 success, 1 when verify has a failing
+criterion, 2 for every invalid argument (a ValueError from whichever layer
+refuses it, integers beyond MAX_SIEVE_ARGUMENT included), 3 for every budget
+refusal (BudgetExceededError).
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ from .relations import (
     near_solution_count,
 )
 from .series import DEFAULT_CUTOFFS, estimate_constant
-from .voronoi import residual_at, residual_mean_square, truncated_sum
+from .voronoi import residual_at, truncated_sum
 
 EXIT_OK = 0
+EXIT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
@@ -95,10 +97,8 @@ def _environment() -> dict:
 
 
 def write_manifest(path: Path, config: dict, outputs: list[Path], elapsed: float) -> None:
-    checksums = {}
-    for out in outputs:
-        if out.exists():
-            checksums[out.name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    """Write a run manifest; each of the outputs must exist, to be checksummed."""
+    checksums = {out.name: hashlib.sha256(out.read_bytes()).hexdigest() for out in outputs}
     manifest = {
         "tool": "divisorlab",
         "version": __version__,
@@ -123,6 +123,14 @@ def _parse_ranges(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def _thread_count(text: str) -> int:
+    """'4' -> 4, refusing counts below 1; an argparse type."""
+    threads = int(text)
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1 thread, got {threads}")
+    return threads
+
+
 def _parse_names(text: str) -> list[str]:
     """'C2,C7' -> ['C2', 'C7'], each a key of DEFAULT_CUTOFFS; an argparse type."""
     names = [name.strip() for name in text.split(",")]
@@ -133,37 +141,6 @@ def _parse_names(text: str) -> list[str]:
     return names
 
 
-def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Overlay key=value pairs from --config; explicit flags win.  Each value
-    is converted by its flag's own argparse type."""
-    if not getattr(args, "config", None):
-        return
-    actions = {a.dest: a for a in parser._actions}
-    for action in parser._actions:
-        if isinstance(getattr(action, "choices", None), dict):
-            subparser = action.choices.get(args.command)
-            if subparser is not None:
-                actions.update({a.dest: a for a in subparser._actions})
-    for line in Path(args.config).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not hasattr(args, key):
-            parser.error(f"unknown config key: {key!r}")
-        action = actions[key]
-        if getattr(args, key) != action.default:  # flag given explicitly
-            continue
-        if isinstance(action.default, bool):  # store_true flags
-            setattr(args, key, value.lower() in ("1", "true", "yes"))
-            continue
-        try:
-            setattr(args, key, action.type(value) if action.type else value)
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            parser.error(f"config key {key!r}: {exc}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="divisorlab",
@@ -171,126 +148,98 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # command -> its parser, whose defaults --config sets
 
-    def common(p):
-        p.add_argument("--out", type=Path, default=Path("divisorlab-out"),
-                       help="output directory for CSV/JSON results")
-        p.add_argument("--threads", type=int, default=int(os.environ.get("DIVISORLAB_THREADS", "1")))
-        p.add_argument("--config", type=Path, default=None,
-                       help="key=value file; explicit flags win")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", type=Path, default=Path("divisorlab-out"),
+                        help="output directory for CSV/JSON results")
+    common.add_argument("--config", type=Path, default=None,
+                        help="key=value file; explicit flags win")
+    threaded = argparse.ArgumentParser(add_help=False, parents=[common])
+    # the string default is converted, and so checked, by the flag's type
+    threaded.add_argument("--threads", type=_thread_count,
+                          default=os.environ.get("DIVISORLAB_THREADS", "1"))
 
-    p = sub.add_parser("sieve", help="exact divisor counts over a range")
+    p = sub.add_parser("sieve", parents=[common], help="exact divisor counts over a range")
     p.add_argument("--lo", type=int, required=True)
     p.add_argument("--hi", type=int, required=True)
-    common(p)
 
-    p = sub.add_parser("delta", help="D(x) and Delta(x) at a point")
+    p = sub.add_parser("delta", parents=[common], help="D(x) and Delta(x) at a point")
     p.add_argument("--x", type=float, required=True)
-    common(p)
 
-    p = sub.add_parser("voronoi", help="truncated expansion and residual at a point")
+    p = sub.add_parser("voronoi", parents=[common],
+                       help="truncated expansion and residual at a point")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--Y", type=int, default=1000)
-    common(p)
 
-    p = sub.add_parser("count", help="near-solution count of a square-root form")
+    p = sub.add_parser("count", parents=[common],
+                       help="near-solution count of a square-root form")
     p.add_argument("--plus", type=int, required=True)
     p.add_argument("--minus", type=int, required=True)
     p.add_argument("--ranges", type=_parse_ranges, required=True,
                    help="lo:hi per variable, comma separated")
     p.add_argument("--delta", type=float, required=True)
-    common(p)
 
-    p = sub.add_parser("mingap", help="minimal nonzero form value over a box")
+    p = sub.add_parser("mingap", parents=[common], help="minimal nonzero form value over a box")
     p.add_argument("--plus", type=int, required=True)
     p.add_argument("--minus", type=int, required=True)
     p.add_argument("--Y", type=int, required=True)
-    common(p)
 
-    p = sub.add_parser("constants", help="partial sums of C1/C2/C4/C7")
+    p = sub.add_parser("constants", parents=[common], help="partial sums of C1/C2/C4/C7")
     p.add_argument("--names", type=_parse_names, default=list(DEFAULT_CUTOFFS),
                    help="comma separated, from C1,C2,C4,C7")
     p.add_argument("--Y", type=int, default=256)
-    common(p)
 
-    p = sub.add_parser("moment", help="integral of Delta**k over [2, X]")
+    p = sub.add_parser("moment", parents=[threaded], help="integral of Delta**k over [2, X]")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--X", type=float, required=True)
     p.add_argument("--constants-Y", type=int, default=256,
                    help="cutoff for the constant estimates feeding the main term")
-    common(p)
 
-    p = sub.add_parser("window", help="short-interval moment over [X, X+H]")
+    p = sub.add_parser("window", parents=[threaded], help="short-interval moment over [X, X+H]")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--X", type=float, required=True)
     p.add_argument("--H", type=float, required=True)
     p.add_argument("--constants-Y", type=int, default=256)
-    common(p)
 
-    p = sub.add_parser("expsum", help="exponential sum and its eighth moment")
+    p = sub.add_parser("expsum", parents=[common], help="exponential sum and its eighth moment")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--rootk", type=int, default=2)
     p.add_argument("--U", type=float, required=True)
     p.add_argument("--samples", type=int, default=64)
-    common(p)
 
-    p = sub.add_parser("verify", help="run the full acceptance suite")
+    p = sub.add_parser("verify", parents=[threaded], help="run the full acceptance suite")
     p.add_argument("--quick", action="store_true",
                    help="reduced scales; smoke test rather than the full gate")
-    common(p)
 
     return parser
 
 
-def _cmd_sieve(args) -> int:
-    t0 = time.perf_counter()
+def _sieve(args):
     table = build_divisor_table(args.lo, args.hi)
     D = np.cumsum(table.values, dtype=np.int64)
     D += hyperbola_D(args.lo - 1) if args.lo > 1 else 0
     rows = list(zip(range(args.lo, args.hi + 1), table.values.tolist(), D.tolist()))
-    out = args.out / "sieve.csv"
-    write_csv(out, ["n", "d", "D"], rows)
-    write_manifest(args.out / "sieve.manifest.json", vars_config(args), [out],
-                   time.perf_counter() - t0)
-    print(f"wrote {out} ({len(rows)} rows)")
-    return EXIT_OK
+    return ({"sieve.csv": (["n", "d", "D"], rows)},
+            f"wrote {args.out / 'sieve.csv'} ({len(rows)} rows)", EXIT_OK)
 
 
-def vars_config(args) -> dict:
-    cfg = {}
-    for key, val in vars(args).items():
-        if key in ("command",):
-            continue
-        cfg[key] = str(val) if isinstance(val, Path) else val
-    return cfg
-
-
-def _cmd_delta(args) -> int:
-    t0 = time.perf_counter()
+def _delta(args):
     s = delta_at(args.x)
-    print(f"x={_fmt(s.x)} D={s.D} Delta={_fmt(s.delta)}")
-    out = args.out / "delta.csv"
-    write_csv(out, ["x", "D", "delta"], [[s.x, s.D, s.delta]])
-    write_manifest(args.out / "delta.manifest.json", vars_config(args), [out],
-                   time.perf_counter() - t0)
-    return EXIT_OK
+    return ({"delta.csv": (["x", "D", "delta"], [[s.x, s.D, s.delta]])},
+            f"x={_fmt(s.x)} D={s.D} Delta={_fmt(s.delta)}", EXIT_OK)
 
 
-def _cmd_voronoi(args) -> int:
-    t0 = time.perf_counter()
+def _voronoi(args):
     ts = truncated_sum(args.x, args.Y)
     res = residual_at(args.x, args.Y)
-    print(f"x={_fmt(args.x)} Y={args.Y} sum={_fmt(ts.value)} residual={_fmt(res.value)}")
-    out = args.out / "voronoi.csv"
-    write_csv(out, ["x", "Y", "truncated_sum", "residual"],
-              [[args.x, args.Y, ts.value, res.value]])
-    write_manifest(args.out / "voronoi.manifest.json", vars_config(args), [out],
-                   time.perf_counter() - t0)
-    return EXIT_OK
+    return ({"voronoi.csv": (["x", "Y", "truncated_sum", "residual"],
+                             [[args.x, args.Y, ts.value, res.value]])},
+            f"x={_fmt(args.x)} Y={args.Y} sum={_fmt(ts.value)} residual={_fmt(res.value)}",
+            EXIT_OK)
 
 
-def _cmd_count(args) -> int:
-    t0 = time.perf_counter()
+def _count(args):
     sig = RelationSignature(args.plus, args.minus)
     query = RelationQuery(signature=sig, ranges=args.ranges, delta=args.delta)
     rc = near_solution_count(query)
@@ -303,110 +252,125 @@ def _cmd_count(args) -> int:
         row += [lo, hi]
     header += ["delta", "count", "min_nonzero_gap", "empirical_constant"]
     row += [args.delta, rc.count, rc.min_nonzero_gap, const]
-    out = args.out / "count.csv"
-    write_csv(out, header, [row])
-    write_manifest(args.out / "count.manifest.json", vars_config(args), [out],
-                   time.perf_counter() - t0)
-    print(f"count={rc.count} min_gap={_fmt(rc.min_nonzero_gap)}")
-    return EXIT_OK
+    return ({"count.csv": (header, [row])},
+            f"count={rc.count} min_gap={_fmt(rc.min_nonzero_gap)}", EXIT_OK)
 
 
-def _cmd_mingap(args) -> int:
-    t0 = time.perf_counter()
+def _mingap(args):
     gap, witness, const = min_gap(RelationSignature(args.plus, args.minus), args.Y)
-    out = args.out / "mingap.csv"
-    write_csv(out, ["plus", "minus", "Y", "gap", "empirical_constant", "witness"],
-              [[args.plus, args.minus, args.Y, gap, const, " ".join(map(str, witness[0] + witness[1]))]])
-    write_manifest(args.out / "mingap.manifest.json", vars_config(args), [out],
-                   time.perf_counter() - t0)
-    print(f"gap={_fmt(gap)} constant={_fmt(const)} witness={witness}")
-    return EXIT_OK
+    row = [args.plus, args.minus, args.Y, gap, const, " ".join(map(str, witness[0] + witness[1]))]
+    return ({"mingap.csv": (["plus", "minus", "Y", "gap", "empirical_constant", "witness"],
+                            [row])},
+            f"gap={_fmt(gap)} constant={_fmt(const)} witness={witness}", EXIT_OK)
 
 
-def _cmd_constants(args) -> int:
-    t0 = time.perf_counter()
-    results = []
-    for name in args.names:
-        est = estimate_constant(name, args.Y)
-        results.append({
-            "name": name,
-            "Y": est.Y,
-            "partial_sum": est.partial_sum,
-            "extrapolated": est.estimate,
-            "tail_indicator": est.tail_indicator,
-        })
-        print(f"{name}: partial={_fmt(est.partial_sum)} extrapolated={_fmt(est.estimate)}")
-    out = args.out / "constants.json"
-    _atomic_write(out, json.dumps(results, indent=2) + "\n")
-    write_manifest(args.out / "constants.manifest.json", vars_config(args), [out],
-                   time.perf_counter() - t0)
-    return EXIT_OK
+def _constants(args):
+    ests = [estimate_constant(name, args.Y) for name in args.names]
+    results = [{"name": name, "Y": est.Y, "partial_sum": est.partial_sum,
+                "extrapolated": est.estimate, "tail_indicator": est.tail_indicator}
+               for name, est in zip(args.names, ests)]
+    return ({"constants.json": json.dumps(results, indent=2) + "\n"},
+            "\n".join(f"{name}: partial={_fmt(est.partial_sum)} extrapolated={_fmt(est.estimate)}"
+                      for name, est in zip(args.names, ests)),
+            EXIT_OK)
 
 
-def _cmd_moment(args) -> int:
-    """The moment and window subcommands: one moment with its main term,
-    written to <command>.csv."""
+def _moment(args):
+    """The moment and window commands: one moment with its main term."""
     t0 = time.perf_counter()
     if args.command == "window":
         r = window_moment(WindowSpec(X=args.X, H=args.H), args.k, args.constants_Y,
                           threads=args.threads)
     else:
         r = moment(args.k, args.X, args.constants_Y, threads=args.threads)
-    elapsed = time.perf_counter() - t0
-    out = args.out / f"{args.command}.csv"
-    write_csv(out,
-              ["exponent", "lo", "hi", "integral", "main_term", "relative_deviation",
-               "constants_cutoff_Y", "runtime_s"],
-              [[r.exponent, r.lo, r.hi, r.integral, r.main_term, r.relative_deviation,
-                args.constants_Y, elapsed]])
-    write_manifest(args.out / f"{args.command}.manifest.json", vars_config(args), [out], elapsed)
-    print(f"integral={_fmt(r.integral)} main={_fmt(r.main_term)} rel_dev={_fmt(r.relative_deviation)}")
-    return EXIT_OK
+    row = [r.exponent, r.lo, r.hi, r.integral, r.main_term, r.relative_deviation,
+           args.constants_Y, time.perf_counter() - t0]
+    return ({f"{args.command}.csv": (["exponent", "lo", "hi", "integral", "main_term",
+                                      "relative_deviation", "constants_cutoff_Y", "runtime_s"],
+                                     [row])},
+            f"integral={_fmt(r.integral)} main={_fmt(r.main_term)} "
+            f"rel_dev={_fmt(r.relative_deviation)}",
+            EXIT_OK)
 
 
-def _cmd_expsum(args) -> int:
-    t0 = time.perf_counter()
+def _expsum(args):
     integral, ratio = moment8_S(args.U, args.N, args.rootk, args.samples)
     xs = np.linspace(args.U, 2 * args.U, min(args.samples, 256))
-    rows = list(zip(xs.tolist(), abs_S_grid(xs, args.N, args.rootk).tolist()))
-    out_grid = args.out / "expsum_grid.csv"
-    write_csv(out_grid, ["x", "abs_S"], rows)
-    out_sum = args.out / "expsum_moment.csv"
-    write_csv(out_sum, ["U", "N", "rootk", "integral", "bound_ratio"],
-              [[args.U, args.N, args.rootk, integral, ratio]])
-    write_manifest(args.out / "expsum.manifest.json", vars_config(args),
-                   [out_grid, out_sum], time.perf_counter() - t0)
-    print(f"integral={_fmt(integral)} bound_ratio={_fmt(ratio)}")
-    return EXIT_OK
+    grid = list(zip(xs.tolist(), abs_S_grid(xs, args.N, args.rootk).tolist()))
+    return ({"expsum_grid.csv": (["x", "abs_S"], grid),
+             "expsum_moment.csv": (["U", "N", "rootk", "integral", "bound_ratio"],
+                                   [[args.U, args.N, args.rootk, integral, ratio]])},
+            f"integral={_fmt(integral)} bound_ratio={_fmt(ratio)}", EXIT_OK)
 
 
-def _cmd_verify(args) -> int:
-    from .acceptance import run_acceptance
+def _verify(args):
+    from .acceptance import run_acceptance  # the battery's imports stay off other commands
 
-    ok = run_acceptance(quick=args.quick, threads=args.threads, out_dir=args.out)
-    return EXIT_OK if ok else 1
+    results = run_acceptance(quick=args.quick, threads=args.threads)
+    passed = sum(r.passed for r in results)
+    return ({"acceptance.csv": (["criterion", "name", "passed", "detail"],
+                                [[r.index, r.name, int(r.passed), r.detail] for r in results])},
+            f"acceptance: {passed}/{len(results)} criteria passed",
+            EXIT_OK if passed == len(results) else EXIT_FAILED)
 
 
-_COMMANDS = {
-    "sieve": _cmd_sieve,
-    "delta": _cmd_delta,
-    "voronoi": _cmd_voronoi,
-    "count": _cmd_count,
-    "mingap": _cmd_mingap,
-    "constants": _cmd_constants,
-    "moment": _cmd_moment,
-    "window": _cmd_moment,
-    "expsum": _cmd_expsum,
-    "verify": _cmd_verify,
-}
+_COMMANDS = {"sieve": _sieve, "delta": _delta, "voronoi": _voronoi, "count": _count,
+             "mingap": _mingap, "constants": _constants, "moment": _moment, "window": _moment,
+             "expsum": _expsum, "verify": _verify}
+
+
+def _run(args) -> int:
+    """Run args.command and write, checksum and report what it returns.
+
+    Each command takes the parsed arguments and returns its outputs (file name
+    -> (header, rows) for a CSV, or the text of a JSON file), its summary for
+    stdout and its exit status.  The manifest's wall time covers the command
+    and the writes of its outputs."""
+    t0 = time.perf_counter()
+    outputs, summary, status = _COMMANDS[args.command](args)
+    paths = []
+    for name, content in outputs.items():
+        path = args.out / name
+        if isinstance(content, str):
+            _atomic_write(path, content)
+        else:
+            write_csv(path, *content)
+        paths.append(path)
+    config = {key: str(val) if isinstance(val, Path) else val
+              for key, val in vars(args).items() if key != "command"}
+    write_manifest(args.out / f"{args.command}.manifest.json", config, paths,
+                   time.perf_counter() - t0)
+    print(summary)
+    return status
+
+
+def _read_config(path: Path, args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
+    """key=value pairs of a --config file, each a flag of args.command."""
+    values = {}
+    for line in path.read_text().splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key == "command" or not hasattr(args, key):
+            parser.error(f"unknown config key: {key!r}")
+        if isinstance(getattr(args, key), bool):  # store_true flags
+            value = value.lower() in ("1", "true", "yes")
+        values[key] = value
+    return values
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_config_file(args, parser)
+    if args.config:
+        # config values become the command's defaults: argparse converts each
+        # by its flag's type, and any flag given explicitly still wins
+        parser.commands[args.command].set_defaults(**_read_config(args.config, args, parser))
+        args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _run(args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

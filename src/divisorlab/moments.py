@@ -27,6 +27,8 @@ _nodes, _weights = np.polynomial.legendre.leggauss(8)
 GL8_NODES = 0.5 * (_nodes + 1.0)  # on [0, 1]
 GL8_WEIGHTS = 0.5 * _weights
 
+WINDOW_EXPONENT_MARGIN = 0.01
+
 # unit intervals per chunk: each (node x interval) float64 array is 1 MiB and
 # a chunk's arrays stay cache-sized; 2**13..2**15 timed best of 2**12..2**16
 # on 2 vCPUs, under either node layout
@@ -45,11 +47,10 @@ class MomentResult:
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """Short interval [X, X+H]; flag asserts H >= X**(7/32 + delta)."""
+    """Short interval [X, X+H]; flag asserts H >= X**(7/32 + WINDOW_EXPONENT_MARGIN)."""
 
     X: float
     H: float
-    delta: float = 0.01
 
     def __post_init__(self):
         if not (math.isfinite(self.X) and math.isfinite(self.H) and self.H > 0):
@@ -57,7 +58,7 @@ class WindowSpec:
 
     @property
     def admissible(self) -> bool:
-        return self.X ** (7.0 / 32.0 + self.delta) <= self.H <= self.X
+        return self.X ** (7.0 / 32.0 + WINDOW_EXPONENT_MARGIN) <= self.H <= self.X
 
 
 def _newton_roots(D: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -232,21 +233,23 @@ def moment(
     constants_Y: int | None = None,
     threads: int = 1,
 ) -> MomentResult:
-    """Integral of Delta**k over [2, X] with its predicted main term."""
+    """Integral of Delta**k over [2, int(X)] with its predicted main term there."""
     if not 1 <= k <= 8:
         raise ValueError("k must be in 1..8")
     if not (math.isfinite(X) and X >= 3):  # whole unit intervals from 2 to int(X)
         raise ValueError(f"X must be finite and >= 3, got {X}")
     prof = moment_profile([k], [], [int(X)], threads=threads)
     integral = prof[int(X)][("pow", k)]
-    main = moment_main_term(k, X, constants_Y)
+    # the main term at int(X), kept in X's type: an integer X keeps its exact
+    # powers (float(X)**3 and X**3 can round apart above 2**53)
+    main = moment_main_term(k, X - X % 1, constants_Y)
     rel = (integral - main) / main if main != 0.0 else math.nan
-    return MomentResult(exponent=float(k), lo=2.0, hi=float(X), integral=integral,
+    return MomentResult(exponent=float(k), lo=2.0, hi=float(int(X)), integral=integral,
                         main_term=main, relative_deviation=rel)
 
 
 def abs_moment(A: float, X: float, threads: int = 1) -> MomentResult:
-    """Integral of |Delta|**A over [2, X].  The theory provides an upper bound
+    """Integral of |Delta|**A over [2, int(X)].  The theory provides an upper bound
     of order X**(1 + A/4) but no asymptotic constant, so main_term is 0."""
     if not (math.isfinite(A) and A > 0):
         raise ValueError(f"A must be finite and > 0, got {A}")
@@ -257,7 +260,7 @@ def abs_moment(A: float, X: float, threads: int = 1) -> MomentResult:
     else:
         key, powers, abs_powers = ("abs", A), [], [A]
     prof = moment_profile(powers, abs_powers, [int(X)], threads=threads)
-    return MomentResult(exponent=A, lo=2.0, hi=float(X), integral=prof[int(X)][key],
+    return MomentResult(exponent=A, lo=2.0, hi=float(int(X)), integral=prof[int(X)][key],
                         main_term=0.0, relative_deviation=math.nan)
 
 
@@ -279,7 +282,7 @@ def window_moment(
                          f"got X={spec.X}, H={spec.H}")
     if not spec.admissible:
         warnings.warn(
-            f"window H={spec.H} outside [X^(7/32+{spec.delta}), X]; proceeding",
+            f"window H={spec.H} outside [X^(7/32+{WINDOW_EXPONENT_MARGIN}), X]; proceeding",
             stacklevel=2,
         )
     prof = moment_profile([k], [], [hi], lo=lo, threads=threads)

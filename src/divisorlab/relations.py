@@ -114,9 +114,9 @@ def form_is_zero(plus_values: Sequence[int], minus_values: Sequence[int]) -> boo
     return not _kernel_vector(list(plus_values) + list(minus_values), signs)
 
 
-def form_value_hp(plus_values: Sequence[int], minus_values: Sequence[int], dps: int = VERIFY_DPS):
-    """The form evaluated at high precision (mpmath)."""
-    with mpmath.workdps(dps):
+def form_value_hp(plus_values: Sequence[int], minus_values: Sequence[int]):
+    """The form evaluated at VERIFY_DPS digits (mpmath)."""
+    with mpmath.workdps(VERIFY_DPS):
         total = mpmath.mpf(0)
         for v in plus_values:
             total += mpmath.sqrt(v)
@@ -178,14 +178,14 @@ class _Box:
     partners (-1 for none) and zeros are found by comparing class ids.
     """
 
-    def __init__(self, query: RelationQuery, side_budget: int):
+    def __init__(self, query: RelationQuery):
         p = query.signature.plus
         sides = (query.ranges[:p], query.ranges[p:])
         for ranges in sides:
             size = math.prod(hi - lo + 1 for lo, hi in ranges)
-            if size > side_budget:
+            if size > DEFAULT_SIDE_BUDGET:
                 raise BudgetExceededError(
-                    f"side of {size} tuples exceeds budget {side_budget}; "
+                    f"side of {size} tuples exceeds budget {DEFAULT_SIDE_BUDGET}; "
                     f"split the meet-in-the-middle ranges"
                 )
         self.plus, self.minus = (_enumerate_side(ranges) for ranges in sides)
@@ -259,9 +259,7 @@ class _Box:
         return best, witness
 
 
-def near_solution_count(
-    query: RelationQuery, side_budget: int = DEFAULT_SIDE_BUDGET
-) -> RelationCount:
+def near_solution_count(query: RelationQuery) -> RelationCount:
     """Count of tuples with 0 < |form| < delta, with the minimal nonzero gap
     over the box: the pairs in the float64 window of the module docstring
     that are not exact zeros, which makes the count never negative.
@@ -269,13 +267,13 @@ def near_solution_count(
     delta == 0 counts the exact solutions instead.  delta == inf counts
     everything that is not an exact solution.
     """
-    box = _Box(query, side_budget)
+    box = _Box(query)
     return RelationCount(query=query, count=box.count(query.delta),
                          min_nonzero_gap=box.min_gap()[0])
 
 
 def min_gap(
-    signature: RelationSignature, Y: int, side_budget: int = DEFAULT_SIDE_BUDGET
+    signature: RelationSignature, Y: int
 ) -> tuple[float, tuple[tuple[int, ...], tuple[int, ...]], float]:
     """Minimal nonzero |form| over [1, Y]^arity, its witness, and gap * Y**e.
 
@@ -287,7 +285,7 @@ def min_gap(
         ranges=tuple((1, Y) for _ in range(signature.arity)),
         delta=0.0,
     )
-    gap, witness = _Box(query, side_budget).min_gap()
+    gap, witness = _Box(query).min_gap()
     if witness is None:
         raise NoNonzeroFormError("no nonzero form in range")
     return gap, witness, gap * Y ** signature.gap_exponent

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from divisorlab import series
-from divisorlab.cli import _fmt, build_parser, main
+from divisorlab.cli import _fmt, _read_config, build_parser, main
 from divisorlab.divisor import hyperbola_D
 from oracles import d_trial_division
 
@@ -179,6 +180,34 @@ def test_config_file_fills_defaults(tmp_path):
     assert row.split(",")[1] == "5"
 
 
+def test_explicit_flag_equal_to_its_default_beats_config(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("Y = 5\n")
+    rc = main(["voronoi", "--x", "50.5", "--Y", "1000", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 0
+    header, row = (tmp_path / "voronoi.csv").read_text().splitlines()
+    assert row.split(",")[1] == "1000"
+
+
+def test_explicit_threads_beat_config(tmp_path, monkeypatch):
+    monkeypatch.delenv("DIVISORLAB_THREADS", raising=False)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("threads = 2\n")
+    rc = main(["moment", "--k", "2", "--X", "3000", "--threads", "1", "--config", str(cfg),
+               "--out", str(tmp_path)])
+    assert rc == 0
+    assert json.loads((tmp_path / "moment.manifest.json").read_text())["config"]["threads"] == 1
+
+
+@pytest.mark.parametrize("text, value", [("1", True), ("true", True), ("Yes", True),
+                                         ("0", False), ("no", False)])
+def test_config_store_true_values(tmp_path, text, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"quick = {text}\n")
+    parser = build_parser()
+    assert _read_config(cfg, parser.parse_args(["verify"]), parser) == {"quick": value}
+
+
 def test_config_file_out_is_a_path(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"out = {tmp_path / 'results'}\n")
@@ -210,6 +239,61 @@ def test_config_file_unknown_key(tmp_path):
         main(["delta", "--x", "2", "--config", str(cfg), "--out", str(tmp_path)])
 
 
+@pytest.mark.parametrize("key", ["command", "threads"])
+def test_config_key_must_be_a_flag_of_the_command(tmp_path, capsys, key):
+    # delta takes no --threads
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["delta", "--x", "2", "--config", str(cfg), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"unknown config key: {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["moment", "--k", "2", "--X", "3000"],
+                                     ["window", "--k", "2", "--X", "3000", "--H", "1000"],
+                                     ["verify", "--quick"]])
+@pytest.mark.parametrize("env, flag", [("abc", []), ("0", []), ("1", ["--threads", "0"]),
+                                       ("1", ["--threads", "-4"]), ("1", ["--threads", "2.5"])])
+def test_bad_thread_count_exit_code(tmp_path, capsys, monkeypatch, command, env, flag):
+    monkeypatch.setenv("DIVISORLAB_THREADS", env)
+    with pytest.raises(SystemExit) as exc:
+        main([*command, *flag, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "argument --threads" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_commands_without_threads_ignore_the_thread_variable(tmp_path, monkeypatch):
+    monkeypatch.setenv("DIVISORLAB_THREADS", "abc")
+    assert main(["delta", "--x", "5", "--out", str(tmp_path)]) == 0
+
+
+def _check_manifest(out, command):
+    """<command>.manifest.json checksums exactly the other files in out."""
+    manifest = json.loads((out / f"{command}.manifest.json").read_text())
+    written = {p.name for p in out.iterdir()} - {f"{command}.manifest.json"}
+    assert written and set(manifest["output_checksums"]) == written
+    for name, digest in manifest["output_checksums"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["sieve", "--lo", "10", "--hi", "20"],
+    ["delta", "--x", "100"],
+    ["voronoi", "--x", "50.5", "--Y", "10"],
+    ["count", "--plus", "2", "--minus", "2", "--ranges", "1:6,1:6,1:6,1:6", "--delta", "0.1"],
+    ["mingap", "--plus", "2", "--minus", "2", "--Y", "6"],
+    ["constants", "--names", "C2", "--Y", "8"],
+    ["moment", "--k", "2", "--X", "3000"],
+    ["window", "--k", "2", "--X", "3000", "--H", "1000"],
+    ["expsum", "--N", "16", "--U", "16"],
+])
+def test_every_command_writes_a_manifest(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    _check_manifest(tmp_path, argv[0])
+
+
 def test_manifest_checksums_change_with_output(tmp_path):
     main(["delta", "--x", "100", "--out", str(tmp_path)])
     first = json.loads((tmp_path / "delta.manifest.json").read_text())
@@ -221,13 +305,15 @@ def test_manifest_checksums_change_with_output(tmp_path):
 
 def test_verify_quick_csv_rows_have_header_width(tmp_path):
     # detail lines hold ", " and must be quoted, not spill into extra columns
-    main(["verify", "--quick", "--out", str(tmp_path)])
+    rc = main(["verify", "--quick", "--out", str(tmp_path)])
     with open(tmp_path / "acceptance.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["criterion", "name", "passed", "detail"]
     assert len(rows) == 14
     assert all(len(row) == 4 for row in rows)
     assert any(", " in row[3] for row in rows[1:])
+    assert rc == (0 if all(row[2] == "1" for row in rows[1:]) else 1)
+    _check_manifest(tmp_path, "verify")
 
 
 @pytest.mark.parametrize("argv", [

@@ -294,6 +294,16 @@ def test_abs_moment_even_integer_beyond_moment_range():
                                 rel=1e-12)
 
 
+def test_fractional_X_integrates_and_reports_at_its_integer_part():
+    assert moment(2, 20000.9) == moment(2, 20000)
+    assert abs_moment(1.5, 20000.9) == abs_moment(1.5, 20000)
+
+
+def test_integer_X_keeps_its_exact_main_term():
+    # 244189.0 ** 3 and 244189 ** 3 can round apart; an int X keeps the exact cube
+    assert moment(8, 244189, 64).main_term == moment_main_term(8, 244189, 64)
+
+
 def test_window_spec_admissibility():
     assert WindowSpec(X=10 ** 6, H=10 ** 4).admissible
     assert not WindowSpec(X=10 ** 6, H=10.0).admissible
