@@ -7,7 +7,6 @@ of the exponential sums that control them.
 
 from .divisor import (
     DeltaSample,
-    DivisorTable,
     EULER_GAMMA,
     build_divisor_table,
     delta_at,
@@ -33,7 +32,6 @@ from .series import (
     partial_C2,
     partial_C4,
     partial_C7,
-    zeta_em,
 )
 from .voronoi import residual_at, residual_mean_square, truncated_sum
 from .expsum import ExpSumSample, eval_S, moment8_S
@@ -44,7 +42,6 @@ __all__ = [
     "BudgetExceededError",
     "ConstantEstimate",
     "DeltaSample",
-    "DivisorTable",
     "EULER_GAMMA",
     "ExpSumSample",
     "MomentResult",
@@ -75,5 +72,4 @@ __all__ = [
     "residual_mean_square",
     "truncated_sum",
     "window_moment",
-    "zeta_em",
 ]

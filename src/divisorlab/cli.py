@@ -216,10 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _sieve(args):
-    table = build_divisor_table(args.lo, args.hi)
-    D = np.cumsum(table.values, dtype=np.int64)
+    d = build_divisor_table(args.lo, args.hi)
+    D = np.cumsum(d, dtype=np.int64)
     D += hyperbola_D(args.lo - 1) if args.lo > 1 else 0
-    rows = list(zip(range(args.lo, args.hi + 1), table.values.tolist(), D.tolist()))
+    rows = list(zip(range(args.lo, args.hi + 1), d.tolist(), D.tolist()))
     return ({"sieve.csv": (["n", "d", "D"], rows)},
             f"wrote {args.out / 'sieve.csv'} ({len(rows)} rows)", EXIT_OK)
 
@@ -307,9 +307,10 @@ def _verify(args):
     from .acceptance import run_acceptance  # the battery's imports stay off other commands
 
     results = run_acceptance(quick=args.quick, threads=args.threads)
-    passed = sum(r.passed for r in results)
-    return ({"acceptance.csv": (["criterion", "name", "passed", "detail"],
-                                [[r.index, r.name, int(r.passed), r.detail] for r in results])},
+    passed = sum(r.passed for r, _ in results)
+    return ({"acceptance.csv": (["criterion", "name", "passed", "detail", "seconds"],
+                                [[r.index, r.name, int(r.passed), r.detail, f"{seconds:.3f}"]
+                                 for r, seconds in results])},
             f"acceptance: {passed}/{len(results)} criteria passed",
             EXIT_OK if passed == len(results) else EXIT_FAILED)
 

@@ -45,24 +45,6 @@ class RangeOverflowError(ValueError):
 
 
 @dataclass(frozen=True)
-class DivisorTable:
-    """Exact divisor counts for a contiguous range [lo, lo + len(values))."""
-
-    lo: int
-    values: np.ndarray  # int32, values[n - lo] = d(n)
-
-    @property
-    def hi(self) -> int:
-        """One past the last covered integer."""
-        return self.lo + len(self.values)
-
-    def d(self, n: int) -> int:
-        if not self.lo <= n < self.hi:
-            raise IndexError(f"{n} outside table range [{self.lo}, {self.hi})")
-        return int(self.values[n - self.lo])
-
-
-@dataclass(frozen=True)
 class DeltaSample:
     """One evaluation point: x, the exact D(floor(x)), and Delta(x)."""
 
@@ -71,8 +53,9 @@ class DeltaSample:
     delta: float
 
 
-def build_divisor_table(lo: int, hi: int) -> DivisorTable:
-    """Sieve exact d(n) for all n in [lo, hi], both endpoints inclusive.
+def build_divisor_table(lo: int, hi: int) -> np.ndarray:
+    """Exact d(n) for all n in [lo, hi], both endpoints inclusive, as an
+    int32 array indexed n - lo.
 
     For every divisor d <= sqrt(hi), each multiple n = d*q with q >= d gets
     +2 (the pair d, q) or +1 when q == d.  Divisors up to
@@ -111,7 +94,7 @@ def build_divisor_table(lo: int, hi: int) -> DivisorTable:
     # squares d*d in [lo, hi] with d above the split were counted twice
     squares = np.arange(max(split + 1, math.isqrt(lo - 1) + 1), root + 1, dtype=np.int64) ** 2
     values[squares - lo] -= 1
-    return DivisorTable(lo=lo, values=values)
+    return values
 
 
 def _add_divisor_pairs(values: np.ndarray, lo: int, d: np.ndarray) -> None:
@@ -136,23 +119,16 @@ def _add_divisor_pairs(values: np.ndarray, lo: int, d: np.ndarray) -> None:
 def hyperbola_D(x: int) -> int:
     """Exact D(x) = sum_{n<=x} d(n) by the hyperbola identity
 
-        D(x) = 2 * sum_{n <= sqrt(x)} floor(x/n) - floor(sqrt(x))**2
+        D(x) = 2 * sum_{n <= sqrt(x)} floor(x/n) - floor(sqrt(x))**2,
 
-    in O(sqrt(x)) int64 numpy operations, summed in chunks of _SCATTER_CHUNK
-    terms into an exact Python int.  A chunk sum is at most the whole sum,
-    below x*(log(sqrt(x)) + 1) < 2**63 for every x <= MAX_SIEVE_ARGUMENT;
-    larger x are refused.
+    evaluated by hyperbola_D_many at the one point.  x beyond
+    MAX_SIEVE_ARGUMENT is refused before it is converted to int64.
     """
     if x < 1:
         raise ValueError("x must be >= 1")
     if x > MAX_SIEVE_ARGUMENT:
         raise RangeOverflowError(f"x={x} exceeds supported range {MAX_SIEVE_ARGUMENT}")
-    root = math.isqrt(x)
-    total = 0
-    for a in range(1, root + 1, _SCATTER_CHUNK):
-        n = np.arange(a, min(a + _SCATTER_CHUNK, root + 1), dtype=np.int64)
-        total += int((x // n).sum())
-    return 2 * total - root * root
+    return int(hyperbola_D_many(np.array([x], dtype=np.int64))[0])
 
 
 def hyperbola_D_many(xs: np.ndarray) -> np.ndarray:
@@ -161,8 +137,8 @@ def hyperbola_D_many(xs: np.ndarray) -> np.ndarray:
     The arguments are sorted and taken in runs of _MANY_ROWS; a run adds
     floor(x/n) in (run x divisor) int64 blocks of at most _SCATTER_CHUNK
     elements, over the divisors up to its largest root and only for the
-    x >= n*n.  These are the divisions of hyperbola_D at each x, without its
-    per-call overhead; each sum stays below 2**63 as there.
+    x >= n*n.  The sum for one x is below x*(log(sqrt(x)) + 1) < 2**63 for
+    every x <= MAX_SIEVE_ARGUMENT; larger x are refused.
     """
     xs = np.asarray(xs, dtype=np.int64)
     if xs.size and xs.min() < 1:
@@ -233,7 +209,6 @@ def delta_at(x: float) -> DeltaSample:
 
 def prefix_block(start: int, stop: int) -> np.ndarray:
     """Exact D(m) for m in [start, stop) as an int64 array."""
-    table = build_divisor_table(start, stop - 1)
-    out = np.cumsum(table.values, dtype=np.int64)
+    out = np.cumsum(build_divisor_table(start, stop - 1), dtype=np.int64)
     out += hyperbola_D(start - 1) if start > 1 else 0
     return out

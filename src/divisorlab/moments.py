@@ -207,6 +207,10 @@ def moment_profile(
             for i, (_, b) in enumerate(spans) if b in cp}
 
 
+# k -> the exponent a of the k-th moment main term c * X**a, for k <= 4
+_MAIN_EXPONENTS = {1: 1, 2: 1.5, 3: 1.75, 4: 2}
+
+
 def moment_main_term(k: int, X: float, constants_Y: int | None = None) -> float:
     """Main term of the k-th moment over [2, X]; 0 where the theory gives none.
     constants_Y is the cutoff of the constant estimates it uses (None: the
@@ -216,15 +220,26 @@ def moment_main_term(k: int, X: float, constants_Y: int | None = None) -> float:
     if k in (5, 6, 7):
         return 0.0
     c = main_term_coefficient(k, constants_Y)
-    if k == 1:
-        return c * X
-    if k == 2:
-        return c * X ** 1.5
-    if k == 3:
-        return c * X ** 1.75
-    if k == 4:
-        return c * X ** 2
-    return c * (X ** 3 - 8.0) / 3.0  # matches the stated integral of x^2 from 2
+    if k == 8:
+        return c * (X ** 3 - 8.0) / 3.0  # matches the stated integral of x^2 from 2
+    return c * X ** _MAIN_EXPONENTS[k]
+
+
+def window_main_term(k: int, lo: int, hi: int, constants_Y: int | None = None) -> float:
+    """moment_main_term(k, hi) - moment_main_term(k, lo) for integers
+    1 <= lo < hi, formed without that subtraction, which cancels all but a
+    fraction (hi - lo)/lo of c * lo**a: c * lo**a * expm1(a * log1p(H/lo))
+    for k <= 4, and c * H * (hi**2 + hi*lo + lo**2) / 3 for k = 8."""
+    from .series import main_term_coefficient
+
+    if k in (5, 6, 7):
+        return 0.0
+    c = main_term_coefficient(k, constants_Y)
+    H = hi - lo
+    if k == 8:
+        return c * H * (hi * hi + hi * lo + lo * lo) / 3.0
+    a = _MAIN_EXPONENTS[k]
+    return c * lo ** a * math.expm1(a * math.log1p(H / lo))
 
 
 def moment(
@@ -287,7 +302,7 @@ def window_moment(
         )
     prof = moment_profile([k], [], [hi], lo=lo, threads=threads)
     integral = prof[hi][("pow", k)]
-    main = moment_main_term(k, hi, constants_Y) - moment_main_term(k, lo, constants_Y)
+    main = window_main_term(k, lo, hi, constants_Y)
     rel = (integral - main) / main if main != 0.0 else math.nan
     return MomentResult(exponent=float(k), lo=float(lo), hi=float(hi),
                         integral=integral, main_term=main, relative_deviation=rel)

@@ -49,7 +49,7 @@ DEFAULT_CUTOFFS = {"C1": 512, "C2": 4096, "C4": 256, "C7": 256}
 @lru_cache(maxsize=16)
 def _divisor_counts(bound: int) -> np.ndarray:
     """d(1..bound) as float64, index n-1."""
-    return build_divisor_table(1, bound).values.astype(np.float64)
+    return build_divisor_table(1, bound).astype(np.float64)
 
 
 def _kernel_side_sums(h: int, Y: int, max_count: int, d: np.ndarray) -> list[np.ndarray]:
@@ -130,8 +130,9 @@ def partial_C7(Y: int) -> ConstantEstimate:
 
 
 def first_cumulant_limit() -> float:
-    """sum_{n>=1} d(n)^2 n^{-3/2} = zeta(3/2)^4 / zeta(3) = 38.745... (Ramanujan)."""
-    return zeta_em(1.5) ** 4 / zeta_em(3.0)
+    """sum_{n>=1} d(n)^2 n^{-3/2} = zeta(3/2)^4 / zeta(3) (Ramanujan), from
+    30-digit mpmath rounded to double."""
+    return 38.74514414390132
 
 
 def _completed_sum(p: int, q: int, F: np.ndarray) -> float:
@@ -262,34 +263,8 @@ def _c1_sum(Y: int) -> float:
 
 
 # --------------------------------------------------------------------------
-# zeta values and moment coefficients
+# moment coefficients
 # --------------------------------------------------------------------------
-
-# B_2, B_4, ..., B_16
-_BERNOULLI_EVEN = [
-    1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30,
-    5.0 / 66, -691.0 / 2730, 7.0 / 6, -3617.0 / 510,
-]
-
-_ZETA_SPLIT = 50
-
-
-def zeta_em(s: float) -> float:
-    """Riemann zeta for real s > 1 by Euler-Maclaurin, 8 correction terms,
-    split point 50; accurate well beyond 12 digits for the s used here."""
-    if s <= 1:
-        raise ValueError("need s > 1")
-    M = _ZETA_SPLIT
-    total = sum(n ** -s for n in range(1, M))
-    total += M ** (1 - s) / (s - 1) + 0.5 * M ** -s
-    factor = s
-    power = M ** (-s - 1)
-    for j, b in enumerate(_BERNOULLI_EVEN, start=1):
-        total += b / math.factorial(2 * j) * factor * power
-        # extend the rising product s (s+1) ... (s + 2j) and shift the power
-        factor *= (s + 2 * j - 1) * (s + 2 * j)
-        power /= M * M
-    return total
 
 
 def extrapolate_sqrt(points: list[tuple[int, float]]) -> float:
@@ -322,7 +297,7 @@ def main_term_coefficient(k: int, constants_Y: int | None = None) -> float:
     if k == 1:
         return 0.25
     if k == 2:
-        return zeta_em(1.5) ** 4 / (6 * math.pi ** 2 * zeta_em(3.0))
+        return first_cumulant_limit() / (6 * math.pi ** 2)
 
     def c(name: str) -> float:
         return estimate_constant(name, constants_Y).estimate

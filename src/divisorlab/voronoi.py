@@ -63,7 +63,7 @@ class ResidualSample:
 def _weights(Y: int) -> tuple[np.ndarray, np.ndarray]:
     """(n array, d(n) * n**(-3/4)) for n = 1..Y."""
     n = np.arange(1, Y + 1, dtype=np.float64)
-    d = build_divisor_table(1, Y).values.astype(np.float64)
+    d = build_divisor_table(1, Y).astype(np.float64)
     return n, d * n ** -0.75
 
 
@@ -138,7 +138,7 @@ def bessel_tail_term(x: float, n: int) -> float:
     divided by pi*sqrt(2).  x must be finite and >= 1, and n >= 1."""
     if not (math.isfinite(x) and x >= 1 and n >= 1):
         raise ValueError(f"need finite x >= 1 and n >= 1; got x={x}, n={n}")
-    return _bessel_term(x, n, build_divisor_table(n, n).d(n))
+    return _bessel_term(x, n, int(build_divisor_table(n, n)[0]))
 
 
 def bessel_partial_sum(x: float, Y: int) -> float:
@@ -149,7 +149,7 @@ def bessel_partial_sum(x: float, Y: int) -> float:
     if Y == 0:
         return 0.0
     table = build_divisor_table(1, Y)
-    return math.fsum(_bessel_term(x, n, table.d(n)) for n in range(1, Y + 1))
+    return math.fsum(_bessel_term(x, n, int(table[n - 1])) for n in range(1, Y + 1))
 
 
 def residual_at(x: float, Y: int) -> ResidualSample:

@@ -33,6 +33,12 @@ def test_criterion_01_exact_agreement(ctx):
     _run(acceptance.criterion_1, ctx)
 
 
+def test_criterion_01_detail_is_the_same_on_a_rerun():
+    # its time is the seconds column of acceptance.csv, not part of the detail
+    quick = acceptance.AcceptanceContext(quick=True)
+    assert acceptance.criterion_1(quick) == acceptance.criterion_1(quick)
+
+
 def test_criterion_02_pointwise_delta(ctx):
     _run(acceptance.criterion_2, ctx)
 

@@ -59,8 +59,10 @@ def test_sieve_subcommand(tmp_path):
 
 
 def test_out_of_range_exit_code(tmp_path, capsys):
-    assert main(["delta", "--x", "1e17", "--out", str(tmp_path)]) == 2
-    assert "out of range" in capsys.readouterr().err
+    # 1e30 has no int64 form, so it must be refused before any conversion
+    for x in ("1e17", "1e30"):
+        assert main(["delta", "--x", x, "--out", str(tmp_path)]) == 2
+        assert "out of range" in capsys.readouterr().err
 
 
 def test_count_subcommand(tmp_path):
@@ -308,9 +310,10 @@ def test_verify_quick_csv_rows_have_header_width(tmp_path):
     rc = main(["verify", "--quick", "--out", str(tmp_path)])
     with open(tmp_path / "acceptance.csv", newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["criterion", "name", "passed", "detail"]
+    assert rows[0] == ["criterion", "name", "passed", "detail", "seconds"]
     assert len(rows) == 14
-    assert all(len(row) == 4 for row in rows)
+    assert all(len(row) == 5 for row in rows)
+    assert all(float(row[4]) >= 0 for row in rows[1:])
     assert any(", " in row[3] for row in rows[1:])
     assert rc == (0 if all(row[2] == "1" for row in rows[1:]) else 1)
     _check_manifest(tmp_path, "verify")

@@ -17,9 +17,10 @@ from divisorlab.moments import (
     moment,
     moment_main_term,
     moment_profile,
+    window_main_term,
     window_moment,
 )
-from divisorlab.series import estimate_constant
+from divisorlab.series import estimate_constant, main_term_coefficient
 
 import oracles
 
@@ -324,6 +325,24 @@ def test_window_moment_equals_difference_of_full_moments():
         w = window_moment(spec, 2)
     full = moment(2, 3000.0).integral - moment(2, 2000.0).integral
     assert w.integral == pytest.approx(full, rel=1e-12)
+    assert w.main_term == window_main_term(2, 2000, 3000)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("X", [10 ** 6, 10 ** 10, 10 ** 12, 10 ** 14])
+def test_window_main_term_matches_mpmath(k, X):
+    # moment_main_term(k, X + H) - moment_main_term(k, X) cancels all but a
+    # share H/X of c * X**a: 6.5e-10 relative for k = 8 at X = 1e12, H = 2**16
+    c = main_term_coefficient(k, 16)
+    for H in (2 ** 16, X // 2):
+        with mpmath.workdps(40):
+            lo, hi = mpmath.mpf(X), mpmath.mpf(X + H)
+            if k == 8:
+                exact = c * (hi ** 3 - lo ** 3) / 3
+            else:
+                a = {1: 1, 2: mpmath.mpf(3) / 2, 3: mpmath.mpf(7) / 4, 4: 2}[k]
+                exact = c * (hi ** a - lo ** a)
+        assert window_main_term(k, X, X + H, 16) == pytest.approx(float(exact), rel=1e-15)
 
 
 def test_window_moment_warns_when_inadmissible():

@@ -25,7 +25,7 @@ U = 2.0 ** -53
 
 def _divisor_weights(Y):
     n = np.arange(1, Y + 1, dtype=np.float64)
-    return n, build_divisor_table(1, Y).values.astype(np.float64) * n ** -0.75
+    return n, build_divisor_table(1, Y).astype(np.float64) * n ** -0.75
 
 
 def _sigma_fsum(x, Y):
@@ -37,7 +37,7 @@ def _sigma_fsum(x, Y):
 
 def _sigma_mp(x, Y):
     """Sigma_Y(x) in 30 digits at the float x."""
-    d = build_divisor_table(1, Y).values
+    d = build_divisor_table(1, Y)
     with mpmath.workdps(30):
         x = mpmath.mpf(x)
         s = mpmath.fsum(int(d[n - 1]) * mpmath.mpf(n) ** mpmath.mpf(-0.75)
