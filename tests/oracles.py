@@ -2,9 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 
-from divisorlab.divisor import delta_unit
+from divisorlab.arith import factor_table
+from divisorlab.divisor import build_divisor_table, delta_unit
 from divisorlab.moments import GL8_NODES, GL8_WEIGHTS, _int_powers, _newton_roots
 
 
@@ -17,6 +19,69 @@ def d_trial_division(n: int) -> int:
         if n % d == 0:
             count += 1 if d * d == n else 2
     return count
+
+
+def relation_product_fold(p: int, q: int, Y: int) -> np.ndarray:
+    """series._relation_product as one kernel at a time: per squarefree h, the
+    side sums G_i by np.convolve, then F <- F * (1 + f_h), truncated at
+    (p, q).  The reference for the batched, pairwise product."""
+    d = build_divisor_table(1, Y).astype(np.float64)
+    kernels = factor_table(Y)[1]
+    F = np.zeros((p + 1, q + 1))
+    F[0, 0] = 1.0
+    inv_fact = [1.0 / math.factorial(i) for i in range(max(p, q) + 1)]
+    for h in range(1, Y + 1):
+        if kernels[h - 1] != h:  # h not squarefree
+            continue
+        a = np.arange(1, math.isqrt(Y // h) + 1, dtype=np.float64)
+        w = np.zeros(len(a) + 1)
+        w[1:] = d[(a * a * h).astype(np.int64) - 1] * (a * a * h) ** -0.75
+        G = [np.array([1.0])]
+        for _ in range(max(p, q)):
+            G.append(np.convolve(G[-1], w))
+        add = np.zeros_like(F)
+        for i in range(1, p + 1):
+            for j in range(1, q + 1):
+                n = min(len(G[i]), len(G[j]))
+                e = float(np.dot(G[i][:n], G[j][:n])) * inv_fact[i] * inv_fact[j]
+                add[i:, j:] += e * F[: p + 1 - i, : q + 1 - j]
+        F += add
+    return F
+
+
+def relation_product_mpmath(p: int, q: int, Y: int, dps: int = 30) -> list[list]:
+    """The same kernel product in mpmath at dps digits, with exact divisor
+    counts from trial division and the weights (a^2 h)^(-3/4) taken at dps
+    digits: F[i][j] as mpf."""
+    with mpmath.workdps(dps):
+        kernels = factor_table(Y)[1]
+        zero, one = mpmath.mpf(0), mpmath.mpf(1)
+        F = [[zero] * (q + 1) for _ in range(p + 1)]
+        F[0][0] = one
+        for h in range(1, Y + 1):
+            if kernels[h - 1] != h:
+                continue
+            A = math.isqrt(Y // h)
+            w = [zero] + [d_trial_division(a * a * h) * mpmath.power(a * a * h, mpmath.mpf(-0.75))
+                          for a in range(1, A + 1)]
+            G = [[one]]
+            for _ in range(max(p, q)):
+                nxt = [zero] * (len(G[-1]) + A)
+                for s, g in enumerate(G[-1]):
+                    for a in range(1, A + 1):
+                        nxt[s + a] += g * w[a]
+                G.append(nxt)
+            new = [row[:] for row in F]
+            for i in range(1, p + 1):
+                for j in range(1, q + 1):
+                    n = min(i, j) * A + 1
+                    e = mpmath.fsum(x * y for x, y in zip(G[i][:n], G[j][:n]))
+                    e /= math.factorial(i) * math.factorial(j)
+                    for a in range(p + 1 - i):
+                        for b in range(q + 1 - j):
+                            new[a + i][b + j] += e * F[a][b]
+            F = new
+        return F
 
 
 def chunk_integrals_interval_major(Dm, m, powers, abs_powers) -> dict:

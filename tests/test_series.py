@@ -4,6 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.fft import next_fast_len
 
 from divisorlab import series
@@ -23,6 +24,7 @@ from divisorlab.series import (
     partial_C4,
     partial_C7,
 )
+from oracles import relation_product_fold, relation_product_mpmath
 
 
 def _q_weight(values):
@@ -96,6 +98,11 @@ def test_c1_matches_brute_force(Y):
     assert partial_C1(Y).partial_sum == pytest.approx(total, rel=1e-12)
 
 
+def test_c1_pinned_at_2000():
+    # each row of a batched transform is bit-identical to its own transform
+    assert partial_C1(2000).partial_sum == 49.22557238019381
+
+
 def test_partial_sums_monotone_in_cutoff():
     for fn in (partial_C1, partial_C2, partial_C4, partial_C7):
         vals = [fn(Y).partial_sum for Y in (8, 16, 32, 64)]
@@ -166,6 +173,28 @@ def test_kernel_first_cumulant_is_d_squared_sum(Y):
     direct = float((d * d * n ** -1.5).sum())
     for p, q in ((2, 2), (6, 2), (4, 4)):
         assert _relation_product(p, q, Y)[1, 1] == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("Y", [1, 2, 10, 64, 256, 1000])
+@pytest.mark.parametrize("p, q", [(2, 2), (6, 2), (4, 4)])
+def test_relation_product_matches_kernel_fold(p, q, Y):
+    np.testing.assert_allclose(_relation_product(p, q, Y), relation_product_fold(p, q, Y),
+                               rtol=1e-13, atol=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 300), st.sampled_from([(1, 1), (2, 2), (3, 1), (6, 2), (4, 4)]))
+def test_relation_product_matches_kernel_fold_any_cutoff(Y, pq):
+    np.testing.assert_allclose(_relation_product(*pq, Y), relation_product_fold(*pq, Y),
+                               rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("p, q, Y", [(2, 2, 4096), (6, 2, 256), (4, 4, 256)])
+def test_relation_product_rounding_against_mpmath(p, q, Y):
+    # the sequential fold is 2.1e-15 off at (2, 2, 4096)
+    exact = relation_product_mpmath(p, q, Y)[p][q]
+    with mpmath.workdps(30):
+        assert abs(mpmath.mpf(float(_relation_product(p, q, Y)[p, q])) / exact - 1) <= 1e-15
 
 
 def test_first_cumulant_limit_closed_form():
