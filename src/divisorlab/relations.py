@@ -7,17 +7,23 @@ the rationals, a form vanishes exactly when the integer coefficient sums agree
 kernel by kernel.  That makes exact-zero testing decidable without any floating
 comparison.
 
-Counts and gaps over a box come from one engine.  Each side of the form is
-enumerated once over the product of its ranges, giving every tuple the float64
-sum P (plus side) or M (minus side) of its square roots and the id of its
-kernel class; a plus and a minus tuple form an exact zero exactly when their
-classes agree.  A pair lies in the delta window when the float64 predicate
+Counts and gaps over a box come from one engine of array operations.  Each
+side of the form is enumerated once over the product of its ranges, giving
+every tuple the float64 sum P (plus side) or M (minus side) of its square
+roots and the id of its kernel class.  A side's classes are the rows of one
+int64 array, a row holding the class's (kernel, coefficient) slots in kernel
+order; each range extends every (class, value) pair at once, and one lexsort
+numbers the distinct rows.  One sorted join of both sides' rows gives each
+minus class its plus partner, and a plus and a minus tuple form an exact zero
+exactly when their classes are partners.  A pair lies in the delta window
+when the float64 predicate
 
     fl(M - delta) < P < fl(M + delta)
 
 holds, and the near-solution count is the number of pairs in the window minus
 the exact zeros in that same window, so it is never negative.  Minimal gaps
-are found in floats, skipping exact zeros by class, and candidates below
+are found in floats: each minus sum steps past the runs of its exact zeros
+among the sorted plus sums by one run-length lookup, and candidates below
 NEAR_ZERO_RECHECK are re-verified in 50-digit arithmetic.
 """
 
@@ -130,6 +136,16 @@ def form_value_hp(plus_values: Sequence[int], minus_values: Sequence[int]):
 # --------------------------------------------------------------------------
 
 
+# A class row has one int64 slot per kernel of the class: the kernel's rank
+# among the side's kernels, shifted by _SHIFT, or-ed with its coefficient.
+# Values are at most 2^62, so a coefficient (at most 8 parts a <= 2^31) is
+# below 2^35, and a side within budget has at most 8 * 2^22 kernels, so
+# every slot is below 2^60.  Empty slots hold _PAD, which sorts last.
+_SHIFT = 35
+_COEFFICIENT = (1 << _SHIFT) - 1
+_PAD = np.iinfo(np.int64).max
+
+
 @dataclass(frozen=True)
 class _Side:
     """One side of a form over the product of its ranges, in ravel order."""
@@ -137,44 +153,89 @@ class _Side:
     ranges: tuple[tuple[int, int], ...]
     sums: np.ndarray  # float64 sum of the square roots of each tuple
     classes: np.ndarray  # kernel-class id of each tuple
-    vectors: list[tuple]  # canonical kernel vector of each class id
+    rows: np.ndarray  # the slots of each class id, ascending, _PAD-padded
+    kernels: np.ndarray  # the side's distinct kernels, ascending; a slot's rank indexes them
 
     def tuple_at(self, flat: int) -> tuple[int, ...]:
         dims = tuple(hi - lo + 1 for lo, hi in self.ranges)
         return tuple(lo + int(i) for (lo, _), i in zip(self.ranges, np.unravel_index(flat, dims)))
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-d array, ascending."""
+    values = np.sort(values)
+    return values[np.diff(values, prepend=values[:1] - 1) != 0]
+
+
+def _number_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The id of each row of a 2-d array, ids numbering the distinct rows in
+    lexicographic order, and the distinct rows: one lexsort and a row
+    difference."""
+    order = np.lexsort(rows.T)
+    rows = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = np.cumsum(first) - 1
+    return ids, rows[first]
+
+
 def _enumerate_side(ranges: Sequence[tuple[int, int]]) -> _Side:
     """Sums and kernel classes of every tuple in the product of ranges.
 
-    Appending a value v = a**2 * h to a tuple adds a to the tuple's
-    coefficient of kernel h, so the new class depends only on the old class
-    and v: one small table per range maps (old class, value) to the new class.
+    A class is one row of slots (kernel, coefficient), kernels ascending and
+    padded to one slot per range so far.  Appending a value v = a**2 * h to a
+    tuple adds a to the coefficient of kernel h in its row, or inserts the
+    slot (h, a), so the new class depends only on the old class and v.  Per
+    range, the rows of every (old class, value) pair are formed at once and
+    numbered by _number_rows, which gives the table (old class, value) ->
+    new class.
     """
+    forms = [[kernel_decompose(v) for v in range(lo, hi + 1)] for lo, hi in ranges]
+    kernels = _distinct(np.array([kf.h for f in forms for kf in f], dtype=np.int64))
     sums = np.zeros(1, dtype=np.float64)
     classes = np.zeros(1, dtype=np.int64)
-    vectors: list[tuple] = [()]
-    for lo, hi in ranges:
+    rows = np.zeros((1, 0), dtype=np.int64)
+    for (lo, hi), f in zip(ranges, forms):
         roots = np.sqrt(np.arange(lo, hi + 1, dtype=np.float64))
         sums = (sums[:, None] + roots[None, :]).ravel()
-        forms = [kernel_decompose(v) for v in range(lo, hi + 1)]
-        index: dict[tuple, int] = {}
-        table = np.empty((len(vectors), len(forms)), dtype=np.int64)
-        for c, vector in enumerate(vectors):
-            for k, kf in enumerate(forms):
-                acc = dict(vector)
-                acc[kf.h] = acc.get(kf.h, 0) + kf.a
-                table[c, k] = index.setdefault(tuple(sorted(acc.items())), len(index))
-        classes = table[classes].ravel()
-        vectors = list(index)
-    return _Side(tuple(ranges), sums, classes, vectors)
+        rank = np.searchsorted(kernels, np.array([kf.h for kf in f], dtype=np.int64))
+        a = np.array([kf.a for kf in f], dtype=np.int64)
+        n, width = rows.shape
+        pairs = np.empty((n, len(f), width + 1), dtype=np.int64)
+        pairs[:, :, :width] = rows[:, None]
+        same = (pairs[:, :, :width] >> _SHIFT) == rank[:, None]  # at most one slot
+        pairs[:, :, :width] += same * a[:, None]
+        pairs[:, :, width] = np.where(same.any(axis=2), _PAD, rank << _SHIFT | a)
+        pairs.sort(axis=2)
+        table, rows = _number_rows(pairs.reshape(-1, width + 1))
+        classes = table.reshape(n, len(f))[classes].ravel()
+    return _Side(tuple(ranges), sums, classes, rows, kernels)
+
+
+def _partners(plus: _Side, minus: _Side) -> np.ndarray:
+    """The plus class with the same kernel coefficients as each minus class
+    (-1 for none): both sides' rows, re-ranked over the kernels of both and
+    padded to a common width, numbered together in one sorted join."""
+    kernels = _distinct(np.concatenate([plus.kernels, minus.kernels]))
+    width = max(plus.rows.shape[1], minus.rows.shape[1])
+    both = np.full((len(plus.rows) + len(minus.rows), width), _PAD, dtype=np.int64)
+    for side, block in ((plus, both[: len(plus.rows)]), (minus, both[len(plus.rows) :])):
+        slots = side.rows
+        used = slots != _PAD
+        rank = np.searchsorted(kernels, side.kernels)[slots[used] >> _SHIFT]
+        block[:, : slots.shape[1]][used] = rank << _SHIFT | slots[used] & _COEFFICIENT
+    ids, distinct = _number_rows(both)
+    plus_class = np.full(len(distinct), -1, dtype=np.int64)
+    plus_class[ids[: len(plus.rows)]] = np.arange(len(plus.rows))
+    return plus_class[ids[len(plus.rows) :]]
 
 
 class _Box:
     """Both sides of a query box, each enumerated once.
 
     A plus and a minus tuple form an exact zero exactly when their kernel
-    vectors agree, so every minus tuple gets the plus class of its zero
+    rows agree, so every minus tuple gets the plus class of its zero
     partners (-1 for none) and zeros are found by comparing class ids.
     """
 
@@ -189,12 +250,16 @@ class _Box:
                     f"split the meet-in-the-middle ranges"
                 )
         self.plus, self.minus = (_enumerate_side(ranges) for ranges in sides)
-        index = {vector: c for c, vector in enumerate(self.plus.vectors)}
-        partner = [index.get(vector, -1) for vector in self.minus.vectors]
-        self.partner = np.array(partner, dtype=np.int64)[self.minus.classes]
+        self.partner = _partners(self.plus, self.minus)[self.minus.classes]
         self.order = np.argsort(self.plus.sums)
         self.sorted_sums = self.plus.sums[self.order]
         self.sorted_classes = self.plus.classes[self.order]
+        # the first and the last sorted position of the run of equal classes
+        # through each sorted position
+        starts = np.flatnonzero(np.diff(self.sorted_classes, prepend=-1))
+        lengths = np.diff(starts, append=self.sorted_classes.size)
+        self.run_first = np.repeat(starts, lengths)
+        self.run_last = np.repeat(starts + lengths - 1, lengths)
 
     def count(self, delta: float) -> int:
         """Pairs in the window fl(M - delta) < P < fl(M + delta) that are not
@@ -218,14 +283,16 @@ class _Box:
         return int(np.maximum(hi - lo, 0).sum()) - zeros
 
     def _walk(self, pos: np.ndarray, step: int) -> np.ndarray:
-        """Step each minus tuple's sorted position past its zero partners."""
-        pos = pos.copy()
-        active = np.arange(pos.size)
-        while active.size:
-            active = active[(pos[active] >= 0) & (pos[active] < self.sorted_sums.size)]
-            active = active[self.sorted_classes[pos[active]] == self.partner[active]]
-            pos[active] += step
-        return pos
+        """Move each minus tuple's sorted position past its zero partners.
+
+        The zero partners met from pos in the direction of step are the run
+        of equal classes through pos when that class is the minus tuple's
+        partner, so one lookup of the run's end moves past all of them.
+        """
+        at = np.clip(pos, 0, self.sorted_sums.size - 1)
+        zero = (pos == at) & (self.sorted_classes[at] == self.partner)
+        end = self.run_last if step > 0 else self.run_first
+        return np.where(zero, end[at] + step, pos)
 
     def min_gap(self) -> tuple[float, tuple[tuple[int, ...], tuple[int, ...]] | None]:
         """Smallest nonzero |form| over the box, with a witness.
@@ -243,7 +310,11 @@ class _Box:
         inside = (pos >= 0) & (pos < self.sorted_sums.size)
         pos, mi = pos[inside], mi[inside]
         gaps = np.abs(self.sorted_sums[pos] - m[mi])
-        pi = self.order[pos]
+        # the loop below stops at the latest at the smallest gap that needs
+        # no recheck, so only the candidates up to it are sorted
+        cut = np.min(gaps, where=gaps >= NEAR_ZERO_RECHECK, initial=math.inf)
+        keep = np.flatnonzero(gaps <= cut)
+        gaps, pi, mi = gaps[keep], self.order[pos[keep]], mi[keep]
 
         best = math.inf
         witness = None

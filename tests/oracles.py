@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 
-from divisorlab.arith import factor_table
+from divisorlab.arith import factor_table, kernel_decompose
 from divisorlab.divisor import build_divisor_table, delta_unit
 from divisorlab.moments import GL8_NODES, GL8_WEIGHTS, _int_powers, _newton_roots
 
@@ -19,6 +19,30 @@ def d_trial_division(n: int) -> int:
         if n % d == 0:
             count += 1 if d * d == n else 2
     return count
+
+
+def enumerate_side_dict(ranges) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
+    """relations._enumerate_side with one Python dict per (class, value) pair:
+    the float64 sums, the class id of each tuple (numbered in order of first
+    appearance) and the canonical ((kernel, coefficient), ...) vector of each
+    class id.  The reference for the engine's class rows."""
+    sums = np.zeros(1, dtype=np.float64)
+    classes = np.zeros(1, dtype=np.int64)
+    vectors: list[tuple] = [()]
+    for lo, hi in ranges:
+        roots = np.sqrt(np.arange(lo, hi + 1, dtype=np.float64))
+        sums = (sums[:, None] + roots[None, :]).ravel()
+        forms = [kernel_decompose(v) for v in range(lo, hi + 1)]
+        index: dict[tuple, int] = {}
+        table = np.empty((len(vectors), len(forms)), dtype=np.int64)
+        for c, vector in enumerate(vectors):
+            for k, kf in enumerate(forms):
+                acc = dict(vector)
+                acc[kf.h] = acc.get(kf.h, 0) + kf.a
+                table[c, k] = index.setdefault(tuple(sorted(acc.items())), len(index))
+        classes = table[classes].ravel()
+        vectors = list(index)
+    return sums, classes, vectors
 
 
 def relation_product_fold(p: int, q: int, Y: int) -> np.ndarray:

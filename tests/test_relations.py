@@ -4,10 +4,12 @@ import random
 import tracemalloc
 from functools import lru_cache
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from oracles import enumerate_side_dict
 
-from divisorlab import arith
+from divisorlab import arith, relations
 from divisorlab.relations import (
     DEFAULT_SPF_BOUND,
     NEAR_ZERO_RECHECK,
@@ -348,3 +350,78 @@ def test_count_memory_stays_near_side_size():
         tracemalloc.stop()
     assert rc.count == 12 ** 8 - 433272
     assert peak < 8e6
+
+
+def _label_map(ids, oracle_ids):
+    """The map from engine class ids to oracle class ids, checked to be a
+    bijection, so that both group the tuples into the same classes."""
+    pairs = set(zip(ids.tolist(), oracle_ids.tolist()))
+    assert len(pairs) == len(set(ids.tolist())) == len(set(oracle_ids.tolist()))
+    return dict(pairs)
+
+
+@st.composite
+def _class_boxes(draw):
+    sig = RelationSignature(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    width = 5 if sig.arity <= 4 else 2
+    box = []
+    for _ in range(sig.arity):
+        lo = draw(st.integers(1, 16))
+        box.append((lo, lo + draw(st.integers(0, width))))
+    return sig, tuple(box)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_class_boxes())
+@example((RelationSignature(2, 2), ((DEFAULT_SPF_BOUND - 2, DEFAULT_SPF_BOUND + 2), (1, 4),
+                                    (1, 4), (DEFAULT_SPF_BOUND - 1, DEFAULT_SPF_BOUND + 2))))
+@example((RelationSignature(2, 2), ((2 ** 40 - 2, 2 ** 40 + 2), (1, 4),
+                                    (1, 4), (2 ** 40 - 1, 2 ** 40 + 1))))
+def test_class_rows_match_dict_oracle(sig_box):
+    # the array engine groups tuples into the oracle's classes, each class row
+    # holds the oracle's kernel vector, and minus classes get the same partners
+    sig, box = sig_box
+    engine = relations._Box(RelationQuery(sig, box, 0.0))
+    sides = (engine.plus, engine.minus)
+    oracle = [enumerate_side_dict(box[: sig.plus]), enumerate_side_dict(box[sig.plus:])]
+    maps = []
+    for side, (sums, classes, vectors) in zip(sides, oracle):
+        assert np.array_equal(side.sums, sums)
+        label = _label_map(side.classes, classes)
+        assert len(side.rows) == len(vectors)
+        for c, row in enumerate(side.rows):
+            slots = row[row != relations._PAD]
+            kernels = side.kernels[slots >> relations._SHIFT]
+            assert list(zip(kernels.tolist(), (slots & relations._COEFFICIENT).tolist())) \
+                == list(vectors[label[c]])
+        maps.append(label)
+    index = {vector: c for c, vector in enumerate(oracle[0][2])}
+    want = [index.get(oracle[1][2][c], -1) for c in oracle[1][1]]
+    assert [maps[0][c] if c >= 0 else -1 for c in engine.partner.tolist()] == want
+
+
+def test_benchmark_relation_results_are_pinned():
+    # the benchmark's min-gap jobs and two of its count boxes, at the values
+    # of the dict-based engine that the row arrays replaced
+    assert min_gap(RelationSignature(2, 2), 100) == (
+        1.5331405656127117e-07, ((33, 74), (28, 82)), 1.5331405656127117)
+    assert min_gap(RelationSignature(4, 4), 12) == (
+        4.822873254539672e-06, ((2, 4, 12, 12), (5, 6, 8, 8)), 1.626728115341578e+63)
+    box = tuple((5, 68) for _ in range(4))
+    assert near_solution_count(RelationQuery(RelationSignature(2, 2), box, 0.03)).count == 110780
+    box = tuple((9, 16) for _ in range(8))
+    assert near_solution_count(RelationQuery(RelationSignature(4, 4), box, 0.02)).count == 339888
+
+
+def test_min_gap_memory_stays_near_side_size():
+    # (4,4) over [1,20]^8: 160,000 tuples a side and 7,769 classes; no
+    # (classes x values x width) table grows past the side's own arrays
+    min_gap(RelationSignature(4, 4), 4)
+    tracemalloc.start()
+    try:
+        gap = min_gap(RelationSignature(4, 4), 20)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gap == 1.712411314969131e-07
+    assert peak < 32e6
