@@ -22,9 +22,14 @@ TWO_GAMMA_MINUS_ONE = 2.0 * EULER_GAMMA - 1.0
 # value is 9.9e-18 off, which alone moves Delta(2e12) by 2e-5.
 _TWO_GAMMA_MINUS_ONE_LD = np.longdouble("0.1544313298030657212130241801648048620844")
 
-# Default segmented-sieve block: 2**22 integers keeps the working set in cache
-# at 1e8..1e9 scale.
-DEFAULT_BLOCK = 1 << 22
+# Default segmented-sieve block of the moment stream.  Its int32 d(n) and
+# int64 D(m) arrays, 6 MiB per thread, set the stream's peak memory: on 2
+# threads the profile [1,2,3,4,8], [35/4, 267/27] to 4.02e6 peaked at 112 MB
+# RSS with 2**22, 68 MB with 2**19 and 56 MB with 2**18.  The reused chunk
+# workspaces keep small blocks free of page faults, but 2**18 took 7% more
+# wall time and 4% more CPU than 2**19 (bench stream pairs, 2 vCPUs): each
+# block runs an O(sqrt(x)) Python loop in the sieve.
+DEFAULT_BLOCK = 1 << 19
 
 # Largest argument accepted anywhere; beyond this int64 intermediates in the
 # sieve could overflow and memory budgets are unrealistic anyway.
@@ -168,7 +173,7 @@ def hyperbola_D_many(xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def delta_unit(m, D, u) -> np.ndarray:
+def delta_unit(m, D, u, out=None, work=None) -> np.ndarray:
     """Delta(m + u) on the smooth branch D - x*log(x) - (2*gamma - 1)*x of
     one unit interval, as a float64 array; m, D and u broadcast, and m or u
     is an array.
@@ -176,21 +181,30 @@ def delta_unit(m, D, u) -> np.ndarray:
     D = D(floor(m)) and m + u stays in that interval, so for an integer m,
     u = 1 gives the left limit at m + 1; m need not be an integer.  x = m + u
     is built here and overwritten, so beside the result the call holds one
-    array of their shape.  When any x exceeds 2**40 the whole evaluation is
-    in long double, with D exact from its integer value and 2*gamma - 1 to 40
+    array of their shape.  out and work, when given, are float64 arrays of
+    that shape: Delta is written into out, which is returned, and x into
+    work, so the float64 evaluation allocates no array of that shape.
+
+    When max(m) + max(u) exceeds 2**40 the whole evaluation is in long
+    double, with D exact from its integer value and 2*gamma - 1 to 40
     digits: in float64 Delta ~ x**(1/4) would drown in the cancellation of
-    x*log(x) against D.
+    x*log(x) against D.  Rounding is monotone, so when m and u broadcast as
+    an outer sum (every m with every u) that is exactly when some x exceeds
+    2**40; elementwise it may also happen when none does.
     """
-    x = np.add(m, u)
-    c = TWO_GAMMA_MINUS_ONE
-    if x.max(initial=0.0) > 2.0 ** 40:
+    if np.max(m, initial=0.0) + np.max(u, initial=0.0) > 2.0 ** 40:
         x = np.add(m, u, dtype=np.longdouble)
-        c = _TWO_GAMMA_MINUS_ONE_LD
-    delta = np.log(x)
+        delta, c = np.log(x), _TWO_GAMMA_MINUS_ONE_LD
+    else:
+        x = np.add(m, u, out=work)
+        delta, c = np.log(x, out=out), TWO_GAMMA_MINUS_ONE
     delta *= x
-    np.subtract(np.asarray(D, dtype=x.dtype), delta, out=delta)
+    np.subtract(D, delta, out=delta)  # D is cast exactly, a buffer at a time
     x *= c
     delta -= x
+    if out is not None and delta is not out:
+        out[...] = delta
+        return out
     return delta.astype(np.float64, copy=False)
 
 

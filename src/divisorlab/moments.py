@@ -3,20 +3,23 @@
 On each unit interval [m, m+1) the integrand Delta(x) = D(m) - x*log(x)
 - (2*gamma - 1)*x is analytic (the only non-smoothness of Delta is the jump at
 integers), so fixed-order Gauss-Legendre per interval is essentially exact.
-Integration streams over sieve blocks; blocks are independent (each seeds its
-divisor prefix from an O(sqrt x) hyperbola evaluation) and partial sums are
-combined in block order for bit-reproducibility at any thread count.
+Integration runs on one grid of chunks: every _CHUNK unit intervals from lo,
+split only at the checkpoints and abs_limit.  Sieve blocks group adjacent
+chunks (each block seeds its divisor prefix from an O(sqrt x) hyperbola
+evaluation) and are the tasks run in parallel; each checkpoint's value is one
+math.fsum over all chunk partials before it.  So the values are bit-identical
+at every block size and thread count.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
-import operator
+import threading
 import warnings
 from dataclasses import dataclass
-from functools import reduce
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,6 +36,9 @@ WINDOW_EXPONENT_MARGIN = 0.01
 # a chunk's arrays stay cache-sized; 2**13..2**15 timed best of 2**12..2**16
 # on 2 vCPUs, under either node layout
 _CHUNK = 1 << 14
+
+# u at the two ends of every unit interval, for the sign-crossing test
+_ENDS = np.array([[0.0], [1.0]])
 
 
 @dataclass(frozen=True)
@@ -73,15 +79,45 @@ def _newton_roots(D: np.ndarray, m: np.ndarray) -> np.ndarray:
     return x
 
 
-def _int_powers(d: np.ndarray, ks: Sequence[int]) -> dict[int, np.ndarray]:
-    """{k: d**k} for integers k >= 1 from one binary-powering chain: the
-    squares d, d**2, d**4, d**8, ... are formed once and each d**k is the
-    product of the squares of its binary digits, lowest first."""
+class _Workspace:
+    """The (node x interval) float64 arrays of one thread, reused from chunk
+    to chunk and from block to block.  Fresh 1 MiB temporaries per chunk cost
+    more in page faults than their arithmetic once the blocks are small.
+
+    array(i, rows, n) is the i-th buffer as a C-contiguous (rows, n) array,
+    for rows <= 8 and n <= size; line holds size values."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self.line = np.empty(size)
+        self._buffers: list[np.ndarray] = []
+
+    def array(self, i: int, rows: int, n: int) -> np.ndarray:
+        while len(self._buffers) <= i:
+            self._buffers.append(np.empty(len(GL8_NODES) * self.size))
+        return self._buffers[i][: rows * n].reshape(rows, n)
+
+
+def _int_powers(
+    d: np.ndarray,
+    ks: Sequence[int],
+    buffer: Callable[[int], np.ndarray],
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(k, d**k) for each integer k >= 1 in ks, from one binary-powering
+    chain: the squares d, d**2, d**4, d**8, ... are formed once and each d**k
+    is the product of the squares of its binary digits, lowest first.
+
+    buffer(i) is the i-th free array of d's shape.  The chain writes only
+    into those, so each power it yields may be overwritten by the next."""
     squares = [d]
     while 1 << len(squares) <= max(ks, default=1):
-        squares.append(squares[-1] * squares[-1])
-    return {k: reduce(operator.mul, [sq for j, sq in enumerate(squares) if k >> j & 1])
-            for k in ks}
+        squares.append(np.multiply(squares[-1], squares[-1], out=buffer(len(squares) - 1)))
+    for k in ks:
+        digits = [sq for j, sq in enumerate(squares) if k >> j & 1]
+        power = digits[0]
+        for sq in digits[1:]:
+            power = np.multiply(power, sq, out=buffer(len(squares) - 1))
+        yield k, power
 
 
 def _chunk_integrals(
@@ -89,72 +125,77 @@ def _chunk_integrals(
     m: np.ndarray,
     powers: Sequence[int],
     abs_powers: Sequence[float],
+    ws: _Workspace,
 ) -> dict:
     """Integrals of Delta**k and |Delta|**A over the unit intervals [m, m+1)
-    with D(m) = Dm; its temporaries are freed when it returns.
+    with D(m) = Dm.  Its (node x interval) arrays lie in ws; only the long
+    double evaluation past 2**40 allocates its own.
 
     Node values are laid out (node, interval): each of the 8 nodes is one
     contiguous row of m.size intervals, so every ufunc runs an inner loop
     m.size long, not 8 long as in an (interval, node) layout.
     """
-    delta = delta_unit(m, Dm, GL8_NODES[:, None])
-    out = {("pow", k): _node_sum(pw) for k, pw in _int_powers(delta, powers).items()}
+    shape = (len(GL8_NODES), m.size)
+    delta = delta_unit(m, Dm, GL8_NODES[:, None], out=ws.array(0, *shape),
+                       work=ws.array(1, *shape))
+    out = {("pow", k): _node_sum(pw, ws.line)
+           for k, pw in _int_powers(delta, powers, lambda i: ws.array(1 + i, *shape))}
     if not abs_powers:
         return out
-    absd = np.abs(delta)
+    absd = np.abs(delta, out=delta)
     # intervals where the smooth branch crosses zero: endpoint signs differ
-    ends = delta_unit(m, Dm, np.array([[0.0], [1.0]]))
+    ends = delta_unit(m, Dm, _ENDS, out=ws.array(1, 2, m.size), work=ws.array(2, 2, m.size))
     idx = np.nonzero((ends[0] > 0.0) & (ends[1] < 0.0))[0]
     if idx.size:
         roots = _newton_roots(Dm[idx], m[idx])
         left_w = roots - m[idx]
         d_l = np.abs(delta_unit(m[idx], Dm[idx], left_w * GL8_NODES[:, None]))
         d_r = np.abs(delta_unit(roots, Dm[idx], (1.0 - left_w) * GL8_NODES[:, None]))
+    pw = ws.array(1, *shape)
     for a in abs_powers:
-        pw = absd ** a
-        total = _node_sum(pw)
+        total = _node_sum(np.power(absd, a, out=pw), ws.line)
         if idx.size:
-            total += (_node_sum(left_w * d_l ** a) + _node_sum((1.0 - left_w) * d_r ** a)
-                      - _node_sum(pw[:, idx]))
+            total += (_node_sum(left_w * d_l ** a, ws.line)
+                      + _node_sum((1.0 - left_w) * d_r ** a, ws.line)
+                      - _node_sum(pw[:, idx], ws.line))
         out[("abs", a)] = total
     return out
 
 
-def _node_sum(pw: np.ndarray) -> float:
+def _node_sum(pw: np.ndarray, line: np.ndarray) -> float:
     """Gauss-Legendre sum of a (node, interval) array over all its intervals:
-    the weighted node sum of each interval, then the pairwise sum of those."""
-    return float((GL8_WEIGHTS @ pw).sum())
+    the weighted node sum of each interval, written into line, then the
+    pairwise sum of those."""
+    return float(np.matmul(GL8_WEIGHTS, pw, out=line[: pw.shape[1]]).sum())
 
 
 def _block_integrals(
-    start: int,
-    stop: int,
+    chunks: Sequence[tuple[int, int]],
     powers: Sequence[int],
     abs_powers: Sequence[float],
-) -> dict:
-    """Partial integrals of Delta**k and |Delta|**A over [start, stop).
+    abs_limit: int | None,
+    ws: _Workspace,
+) -> list[dict]:
+    """Integrals of Delta**k and |Delta|**A over each chunk [a, b) of a run
+    of adjacent chunks, from one sieve over the run; the |Delta|**A ones only
+    for the chunks below abs_limit (None: every chunk).
 
-    The block is integrated in chunks of _CHUNK unit intervals, and the chunk
-    partials of each integral are added by math.fsum.  Integer powers come
-    from _int_powers, so no libm pow sees the signed values of Delta (glibc
-    pow is an order of magnitude slower on a negative base).  Every product
-    of that chain rounds once and the exponents of those roundings add up to
-    k - 1, so at each node, with u = 2**-53,
+    Integer powers come from _int_powers, so no libm pow sees the signed
+    values of Delta (glibc pow is an order of magnitude slower on a negative
+    base).  Every product of that chain rounds once and the exponents of
+    those roundings add up to k - 1, so at each node, with u = 2**-53,
 
         |chain(d, k) - d**k| <= gamma_{k-1} * |d|**k,
         gamma_n = n*u / (1 - n*u),
 
     for the float64 value d of Delta there (d**1 is d itself).  The absolute
-    powers keep np.abs(Delta)**A: pow on a non-negative base is fast.
+    powers keep pow on np.abs(Delta): pow on a non-negative base is fast.
     """
+    start, stop = chunks[0][0], chunks[-1][1]
     D = prefix_block(start, stop)
-    parts: dict = {}
-    for off in range(0, stop - start, _CHUNK):
-        m = np.arange(start + off, start + min(off + _CHUNK, stop - start), dtype=np.float64)
-        chunk = _chunk_integrals(D[off : off + m.size], m, powers, abs_powers)
-        for key, value in chunk.items():
-            parts.setdefault(key, []).append(value)
-    return {key: math.fsum(p) for key, p in parts.items()}
+    return [_chunk_integrals(D[a - start : b - start], np.arange(a, b, dtype=np.float64), powers,
+                             abs_powers if abs_limit is None or a < abs_limit else (), ws)
+            for a, b in chunks]
 
 
 def moment_profile(
@@ -171,7 +212,8 @@ def moment_profile(
     One streaming pass covers all checkpoints; abs_limit, when set, stops the
     accumulation of the |Delta|**A integrals at that integer, a checkpoint or
     not (they are only needed at smaller scales and fractional powers are the
-    expensive part).
+    expensive part).  block is the number of unit intervals one sieve and
+    one task cover, in whole chunks; neither it nor threads changes a value.
 
     Returns {checkpoint: {("pow", k) | ("abs", A): integral}}.  Each k must
     be an integer >= 1, each A finite and > 0, and abs_limit an integer.
@@ -189,22 +231,29 @@ def moment_profile(
         raise ValueError("checkpoints must exceed lo")
     hi = checkpoints[-1]
     cuts = [abs_limit] if abs_limit is not None and lo < abs_limit < hi else []
-    bounds = sorted(set(list(range(lo, hi, block)) + checkpoints + cuts + [hi]))
-    spans = [(a, b) for a, b in zip(bounds, bounds[1:])]
+    bounds = sorted(set(range(lo, hi, _CHUNK)).union(checkpoints, cuts))
+    chunks = list(zip(bounds, bounds[1:]))
+    # a block groups the chunks that start in it, for one sieve
+    blocks = [list(run) for _, run in itertools.groupby(chunks, lambda c: (c[0] - lo) // block)]
+    local = threading.local()
 
-    def task(span):
-        a, b = span
-        use_abs = abs_powers if (abs_limit is None or a < abs_limit) else ()
-        return _block_integrals(a, b, powers, use_abs)
+    def task(run):
+        if not hasattr(local, "ws"):
+            local.ws = _Workspace(min(_CHUNK, hi - lo))
+        return _block_integrals(run, powers, abs_powers, abs_limit, local.ws)
 
-    partials = ordered_map(task, spans, threads=threads)
+    partials = itertools.chain.from_iterable(ordered_map(task, blocks, threads=threads))
 
     keys = list(dict.fromkeys([("pow", k) for k in powers] + [("abs", a) for a in abs_powers]))
-    cp = set(checkpoints)
-    # each checkpoint adds all block partials up to it by math.fsum, the rule
-    # _block_integrals uses for its chunk partials
-    return {b: {key: math.fsum(part.get(key, 0.0) for part in partials[: i + 1]) for key in keys}
-            for i, (_, b) in enumerate(spans) if b in cp}
+    terms: dict = {key: [] for key in keys}
+    cp, out = set(checkpoints), {}
+    # each checkpoint adds all chunk partials before it by one math.fsum
+    for (_, b), part in zip(chunks, partials):
+        for key, value in part.items():
+            terms[key].append(value)
+        if b in cp:
+            out[b] = {key: math.fsum(terms[key]) for key in keys}
+    return out
 
 
 # k -> the exponent a of the k-th moment main term c * X**a, for k <= 4

@@ -1,13 +1,20 @@
 """Independent oracles shared by several test modules."""
 
 import math
+import operator
+from functools import reduce
 
 import mpmath
 import numpy as np
 
 from divisorlab.arith import factor_table, kernel_decompose
-from divisorlab.divisor import build_divisor_table, delta_unit
-from divisorlab.moments import GL8_NODES, GL8_WEIGHTS, _int_powers, _newton_roots
+from divisorlab.divisor import (
+    _TWO_GAMMA_MINUS_ONE_LD,
+    TWO_GAMMA_MINUS_ONE,
+    build_divisor_table,
+    delta_unit,
+)
+from divisorlab.moments import GL8_NODES, GL8_WEIGHTS, _ENDS, _newton_roots
 
 
 def d_trial_division(n: int) -> int:
@@ -108,16 +115,64 @@ def relation_product_mpmath(p: int, q: int, Y: int, dps: int = 30) -> list[list]
         return F
 
 
+def delta_in_precision(m, D, u, dtype) -> np.ndarray:
+    """Delta(m + u) with every step in dtype (np.float64 or np.longdouble),
+    in the order of divisor.delta_unit's two branches, as float64: the
+    reference for the precision delta_unit chooses."""
+    c = _TWO_GAMMA_MINUS_ONE_LD if dtype is np.longdouble else TWO_GAMMA_MINUS_ONE
+    x = np.add(m, u, dtype=dtype)
+    return (np.asarray(D, dtype=dtype) - x * np.log(x) - x * c).astype(np.float64)
+
+
+def int_powers_allocating(d, ks) -> dict:
+    """{k: d**k} from moments._int_powers' binary-powering chain with a fresh
+    array for every product: the reference for the chain that writes into
+    given arrays."""
+    squares = [d]
+    while 1 << len(squares) <= max(ks, default=1):
+        squares.append(squares[-1] * squares[-1])
+    return {k: reduce(operator.mul, [sq for j, sq in enumerate(squares) if k >> j & 1])
+            for k in ks}
+
+
+def chunk_integrals_allocating(Dm, m, powers, abs_powers) -> dict:
+    """moments._chunk_integrals with a fresh array for every node value,
+    power, |Delta|**A and node sum, and delta_unit without out=: the
+    reference the workspace kernel equals bit for bit."""
+    delta = delta_unit(m, Dm, GL8_NODES[:, None])
+    out = {("pow", k): float((GL8_WEIGHTS @ pw).sum())
+           for k, pw in int_powers_allocating(delta, powers).items()}
+    if not abs_powers:
+        return out
+    absd = np.abs(delta)
+    ends = delta_unit(m, Dm, _ENDS)
+    idx = np.nonzero((ends[0] > 0.0) & (ends[1] < 0.0))[0]
+    if idx.size:
+        roots = _newton_roots(Dm[idx], m[idx])
+        left_w = roots - m[idx]
+        d_l = np.abs(delta_unit(m[idx], Dm[idx], left_w * GL8_NODES[:, None]))
+        d_r = np.abs(delta_unit(roots, Dm[idx], (1.0 - left_w) * GL8_NODES[:, None]))
+    for a in abs_powers:
+        pw = absd ** a
+        total = float((GL8_WEIGHTS @ pw).sum())
+        if idx.size:
+            total += (float((GL8_WEIGHTS @ (left_w * d_l ** a)).sum())
+                      + float((GL8_WEIGHTS @ ((1.0 - left_w) * d_r ** a)).sum())
+                      - float((GL8_WEIGHTS @ pw[:, idx]).sum()))
+        out[("abs", a)] = total
+    return out
+
+
 def chunk_integrals_interval_major(Dm, m, powers, abs_powers) -> dict:
     """moments._chunk_integrals with node values laid out (interval, node):
     the reference its node values and integrals are compared against."""
     delta = delta_unit(m[:, None], Dm[:, None], GL8_NODES)
     out = {("pow", k): float((pw @ GL8_WEIGHTS).sum())
-           for k, pw in _int_powers(delta, powers).items()}
+           for k, pw in int_powers_allocating(delta, powers).items()}
     if not abs_powers:
         return out
     absd = np.abs(delta)
-    ends = delta_unit(m, Dm, np.array([[0.0], [1.0]]))
+    ends = delta_unit(m, Dm, _ENDS)
     idx = np.nonzero((ends[0] > 0.0) & (ends[1] < 0.0))[0]
     if idx.size:
         roots = _newton_roots(Dm[idx], m[idx])

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -76,7 +77,7 @@ def test_int_powers_within_chain_error_bound():
     # _block_integrals docstring, plus the long double reference's own error
     d = np.random.default_rng(7).standard_normal(1 << 14) * 30.0
     ks = list(range(1, 17))
-    got = _int_powers(d, ks)
+    got = {k: pw.copy() for k, pw in _int_powers(d, ks, lambda i: np.empty_like(d))}
     for k in ks:
         want = np.power(d.astype(np.longdouble), k)
         err = np.abs(got[k].astype(np.longdouble) - want)
@@ -95,6 +96,10 @@ def _chunk(start, n):
     return prefix_block(start, start + n), np.arange(start, start + n, dtype=np.float64)
 
 
+def _chunk_integrals(D, m, powers, abs_powers):
+    return moments._chunk_integrals(D, m, powers, abs_powers, moments._Workspace(m.size))
+
+
 def _abs_sums(D, m, key):
     """GL8 sum of |Delta|**e over the chunk: the scale of the rounding errors
     of any order in which the integral of Delta**e or |Delta|**e is summed."""
@@ -110,13 +115,14 @@ def test_node_major_layout_has_the_interval_major_node_values(monkeypatch, start
     calls = {"new": [], "old": []}
 
     def recording(side):
-        def call(*args):
-            calls[side].append(delta_unit(*args))
-            return calls[side][-1]
+        def call(*args, **kwargs):
+            value = delta_unit(*args, **kwargs)
+            calls[side].append(value.copy())  # the kernel reuses its arrays
+            return value
         return call
 
     monkeypatch.setattr(moments, "delta_unit", recording("new"))
-    moments._chunk_integrals(D, m, _LAYOUT_POWERS, _LAYOUT_ABS)
+    _chunk_integrals(D, m, _LAYOUT_POWERS, _LAYOUT_ABS)
     monkeypatch.setattr(oracles, "delta_unit", recording("old"))
     monkeypatch.setattr(moments, "delta_unit", recording("old"))
     oracles.chunk_integrals_interval_major(D, m, _LAYOUT_POWERS, _LAYOUT_ABS)
@@ -131,7 +137,7 @@ def test_node_major_integrals_within_few_ulp_of_interval_major(start, n):
     # same node values and power chain, so only the order of the node sums
     # differs; 1.6 u of the absolute sums was the worst seen
     D, m = _chunk(start, n)
-    got = moments._chunk_integrals(D, m, _LAYOUT_POWERS, _LAYOUT_ABS)
+    got = _chunk_integrals(D, m, _LAYOUT_POWERS, _LAYOUT_ABS)
     want = oracles.chunk_integrals_interval_major(D, m, _LAYOUT_POWERS, _LAYOUT_ABS)
     assert got.keys() == want.keys()
     for key in got:
@@ -141,12 +147,65 @@ def test_node_major_integrals_within_few_ulp_of_interval_major(start, n):
 def test_node_major_block_within_few_ulp_of_interval_major(monkeypatch):
     # a block of four chunks, with sign crossings in each
     start, stop = 100_000, 100_000 + 4 * moments._CHUNK
-    got = moments._block_integrals(start, stop, _LAYOUT_POWERS, _LAYOUT_ABS)
-    monkeypatch.setattr(moments, "_chunk_integrals", oracles.chunk_integrals_interval_major)
-    want = moments._block_integrals(start, stop, _LAYOUT_POWERS, _LAYOUT_ABS)
+    chunks = [(a, a + moments._CHUNK) for a in range(start, stop, moments._CHUNK)]
+
+    def block(chunk_integrals):
+        monkeypatch.setattr(moments, "_chunk_integrals", chunk_integrals)
+        parts = moments._block_integrals(chunks, _LAYOUT_POWERS, _LAYOUT_ABS, None,
+                                         moments._Workspace(moments._CHUNK))
+        return {key: math.fsum(part[key] for part in parts) for key in parts[0]}
+
+    got = block(moments._chunk_integrals)
+    want = block(lambda D, m, powers, abs_powers, ws:
+                 oracles.chunk_integrals_interval_major(D, m, powers, abs_powers))
     D, m = _chunk(start, stop - start)
     for key in got:
         assert abs(got[key] - want[key]) <= 8 * U * _abs_sums(D, m, key), key
+
+
+@pytest.mark.parametrize("start, n", _LAYOUT_CHUNKS)
+def test_workspace_kernel_bit_identical_to_allocating(start, n):
+    # node values, crossing ends and integrals from reused buffers, which an
+    # earlier chunk of another length has filled, equal those of fresh
+    # arrays bit for bit; A = 0.5 and 2 are where `absd ** A` would take
+    # numpy's sqrt and square in place of pow
+    D, m = _chunk(start, n)
+    ws = moments._Workspace(moments._CHUNK)
+    moments._chunk_integrals(*_chunk(777_777, 5000), _LAYOUT_POWERS, _LAYOUT_ABS, ws)
+    for u in (GL8_NODES[:, None], moments._ENDS):
+        out = ws.array(0, len(u), n)
+        got = delta_unit(m, D, u, out=out, work=ws.array(1, len(u), n))
+        assert got is out and np.array_equal(got, delta_unit(m, D, u))
+    abs_powers = _LAYOUT_ABS + [0.5, 2.0]
+    got = moments._chunk_integrals(D, m, _LAYOUT_POWERS, abs_powers, ws)
+    assert got == oracles.chunk_integrals_allocating(D, m, _LAYOUT_POWERS, abs_powers)
+
+
+_TWO_40 = 2.0 ** 40
+_ULP_BELOW = 2.0 ** -13  # spacing of float64 in [2**39, 2**40)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an 80-bit long double")
+@pytest.mark.parametrize("m, u", [
+    ([_TWO_40 - 2, _TWO_40 - 1], GL8_NODES[:, None]),
+    ([_TWO_40 - 2, _TWO_40 - 1], [[0.0], [1.0]]),  # x reaches 2**40, not beyond
+    ([_TWO_40 - 1], [[0.0], [np.nextafter(1.0, 2.0)]]),  # m + u rounds to 2**40
+    ([_TWO_40 - _ULP_BELOW], [[0.0], [_ULP_BELOW / 2]]),  # a tie, to even: 2**40
+    ([_TWO_40 - _ULP_BELOW], [[0.0], [2 * _ULP_BELOW]]),  # a tie, to even: 2**40
+    ([_TWO_40 - _ULP_BELOW], [[0.0], [3 * _ULP_BELOW]]),  # rounds above 2**40
+    ([_TWO_40], [[0.0], [_ULP_BELOW]]),
+    ([_TWO_40, _TWO_40 + 1], GL8_NODES[:, None]),
+])
+def test_delta_unit_precision_decided_as_from_x(m, u):
+    # delta_unit picks long double from max(m) + max(u) without forming x;
+    # for an outer sum that is the decision from the largest x = m + u
+    m, u = np.array(m), np.array(u)
+    D = np.array([hyperbola_D(int(v)) for v in m])
+    extended = np.add(m, u).max() > _TWO_40
+    want = oracles.delta_in_precision(m, D, u, np.longdouble if extended else np.float64)
+    other = oracles.delta_in_precision(m, D, u, np.float64 if extended else np.longdouble)
+    assert not np.array_equal(want, other)  # the two precisions tell apart here
+    assert np.array_equal(delta_unit(m, D, u), want)
 
 
 @pytest.mark.parametrize("A", [1.0, 3.5, 35.0 / 4.0])
@@ -170,6 +229,26 @@ def test_profile_additive_over_checkpoints():
         prof[1000][("pow", 2)], rel=1e-12)
 
 
+def test_profile_bit_identical_across_blocks_and_threads():
+    # the chunk grid runs from lo and splits at the checkpoints and at an
+    # abs_limit between them; blocks group from one of its 12 chunks to all
+    # of them, with sign crossings in every chunk
+    kw = dict(powers=[1, 2, 3, 4, 8], abs_powers=[35.0 / 4.0],
+              checkpoints=[10 ** 4, 70_001, 2 ** 17 + 12_345], abs_limit=100_001)
+    want = moment_profile(**kw, block=2 ** 22)
+    runs = [(block, threads) for block in [3000] + [2 ** e for e in range(16, 23)]
+            for threads in (1, 2)]
+    interval = sys.getswitchinterval()
+    # and more threads than cores, switching often, over 12 one-chunk tasks:
+    # a workspace that two threads shared would mix their chunks
+    sys.setswitchinterval(1e-5)
+    try:
+        for block, threads in runs + [(3000, 4)]:
+            assert moment_profile(**kw, block=block, threads=threads) == want, (block, threads)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_profile_thread_count_does_not_change_values():
     a = moment_profile([2, 8], [1.5], [20000], block=1024, threads=1)
     b = moment_profile([2, 8], [1.5], [20000], block=1024, threads=4)
@@ -187,18 +266,36 @@ def test_profile_threads_bit_identical_over_multichunk_blocks():
 def test_block_integrals_working_set(monkeypatch):
     # one 2**20-interval block with the powers of the stream profile: beyond
     # the block's int64 D array (made before tracing starts) the chunk loop
-    # holds a few (node x interval) arrays, 5.5 MiB measured
+    # holds the 5 (node x interval) arrays of its workspace and the split
+    # halves of the sign crossings, 7.5 MiB measured
     start, stop = 2, 2 + (1 << 20)
     D = prefix_block(start, stop)
     monkeypatch.setattr(moments, "prefix_block", lambda a, b: D)
+    chunks = [(a, a + moments._CHUNK) for a in range(start, stop, moments._CHUNK)]
     chunk_array = moments._CHUNK * len(moments.GL8_NODES) * 8
     tracemalloc.start()
     try:
-        moments._block_integrals(start, stop, [1, 2, 3, 4, 8], [35.0 / 4.0, 267.0 / 27.0])
+        moments._block_integrals(chunks, [1, 2, 3, 4, 8], [35.0 / 4.0, 267.0 / 27.0], None,
+                                 moments._Workspace(moments._CHUNK))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 8 * chunk_array, peak
+
+
+def test_stream_profile_traced_peak():
+    # the stream's profile on 1 thread to 2**21: one block's d(n) and D(m),
+    # 6 MiB, the workspace of 5 chunk arrays and the split-half temporaries
+    # of the crossings; 15.2 MiB measured, against 20.9 MiB with the former
+    # 2**22 blocks and fresh arrays per chunk
+    tracemalloc.start()
+    try:
+        moment_profile([1, 2, 3, 4, 8], [35.0 / 4.0, 267.0 / 27.0],
+                       [10 ** 4, 10 ** 5, 10 ** 6, 2 ** 21], abs_limit=10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 18 * 2 ** 20, peak
 
 
 @pytest.mark.parametrize("powers", [[0], [-2], [2.0], [1.5], [2, 0]])
