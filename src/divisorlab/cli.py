@@ -84,8 +84,10 @@ def code_version_hash() -> str:
 
 
 def _environment() -> dict:
-    """Interpreter, library versions, CPU count and thread settings of this
-    process: what a manifest needs to explain a timing without a rerun."""
+    """Interpreter, library versions, CPU count, thread and heap settings of
+    this process: what a manifest needs to explain a timing without a rerun.
+    The glibc heap settings decide how often the moment kernel's fresh chunk
+    arrays fault in new pages."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -93,6 +95,8 @@ def _environment() -> dict:
         "cpu_count": os.cpu_count(),
         "thread_env": {name: os.environ.get(name) for name in
                        ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "DIVISORLAB_THREADS")},
+        "heap_env": {name: os.environ.get(name) for name in
+                     ("MALLOC_ARENA_MAX", "MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")},
     }
 
 

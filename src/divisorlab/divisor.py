@@ -24,11 +24,12 @@ _TWO_GAMMA_MINUS_ONE_LD = np.longdouble("0.1544313298030657212130241801648048620
 
 # Default segmented-sieve block of the moment stream.  Its int32 d(n) and
 # int64 D(m) arrays, 6 MiB per thread, set the stream's peak memory: on 2
-# threads the profile [1,2,3,4,8], [35/4, 267/27] to 4.02e6 peaked at 112 MB
-# RSS with 2**22, 68 MB with 2**19 and 56 MB with 2**18.  The reused chunk
-# workspaces keep small blocks free of page faults, but 2**18 took 7% more
-# wall time and 4% more CPU than 2**19 (bench stream pairs, 2 vCPUs): each
-# block runs an O(sqrt(x)) Python loop in the sieve.
+# threads the profile [1,2,3,4,8], [35/4, 267/27] to 4.02e6 peaked at 111 MB
+# RSS with 2**22, 57-59 MB with 2**19 and 52-53 MB with 2**18.  But 2**18
+# took 70k-143k minor page faults against 10k-14k with 2**19 (2 vCPUs): next
+# to the smaller block arrays, glibc's heap gives the moment kernel's fresh
+# 1 MiB chunk arrays new pages chunk after chunk.  Each block also runs an
+# O(sqrt(x)) Python loop in the sieve.
 DEFAULT_BLOCK = 1 << 19
 
 # Largest argument accepted anywhere; beyond this int64 intermediates in the
@@ -173,7 +174,7 @@ def hyperbola_D_many(xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def delta_unit(m, D, u, out=None, work=None) -> np.ndarray:
+def delta_unit(m, D, u) -> np.ndarray:
     """Delta(m + u) on the smooth branch D - x*log(x) - (2*gamma - 1)*x of
     one unit interval, as a float64 array; m, D and u broadcast, and m or u
     is an array.
@@ -181,9 +182,7 @@ def delta_unit(m, D, u, out=None, work=None) -> np.ndarray:
     D = D(floor(m)) and m + u stays in that interval, so for an integer m,
     u = 1 gives the left limit at m + 1; m need not be an integer.  x = m + u
     is built here and overwritten, so beside the result the call holds one
-    array of their shape.  out and work, when given, are float64 arrays of
-    that shape: Delta is written into out, which is returned, and x into
-    work, so the float64 evaluation allocates no array of that shape.
+    array of their shape.
 
     When max(m) + max(u) exceeds 2**40 the whole evaluation is in long
     double, with D exact from its integer value and 2*gamma - 1 to 40
@@ -193,18 +192,14 @@ def delta_unit(m, D, u, out=None, work=None) -> np.ndarray:
     2**40; elementwise it may also happen when none does.
     """
     if np.max(m, initial=0.0) + np.max(u, initial=0.0) > 2.0 ** 40:
-        x = np.add(m, u, dtype=np.longdouble)
-        delta, c = np.log(x), _TWO_GAMMA_MINUS_ONE_LD
+        x, c = np.add(m, u, dtype=np.longdouble), _TWO_GAMMA_MINUS_ONE_LD
     else:
-        x = np.add(m, u, out=work)
-        delta, c = np.log(x, out=out), TWO_GAMMA_MINUS_ONE
+        x, c = np.add(m, u), TWO_GAMMA_MINUS_ONE
+    delta = np.log(x)
     delta *= x
     np.subtract(D, delta, out=delta)  # D is cast exactly, a buffer at a time
     x *= c
     delta -= x
-    if out is not None and delta is not out:
-        out[...] = delta
-        return out
     return delta.astype(np.float64, copy=False)
 
 

@@ -13,13 +13,14 @@ at every block size and thread count.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
-import threading
+import operator
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -79,45 +80,18 @@ def _newton_roots(D: np.ndarray, m: np.ndarray) -> np.ndarray:
     return x
 
 
-class _Workspace:
-    """The (node x interval) float64 arrays of one thread, reused from chunk
-    to chunk and from block to block.  Fresh 1 MiB temporaries per chunk cost
-    more in page faults than their arithmetic once the blocks are small.
-
-    array(i, rows, n) is the i-th buffer as a C-contiguous (rows, n) array,
-    for rows <= 8 and n <= size; line holds size values."""
-
-    def __init__(self, size: int):
-        self.size = size
-        self.line = np.empty(size)
-        self._buffers: list[np.ndarray] = []
-
-    def array(self, i: int, rows: int, n: int) -> np.ndarray:
-        while len(self._buffers) <= i:
-            self._buffers.append(np.empty(len(GL8_NODES) * self.size))
-        return self._buffers[i][: rows * n].reshape(rows, n)
-
-
-def _int_powers(
-    d: np.ndarray,
-    ks: Sequence[int],
-    buffer: Callable[[int], np.ndarray],
-) -> Iterator[tuple[int, np.ndarray]]:
+def _int_powers(d: np.ndarray, ks: Sequence[int]) -> Iterator[tuple[int, np.ndarray]]:
     """(k, d**k) for each integer k >= 1 in ks, from one binary-powering
     chain: the squares d, d**2, d**4, d**8, ... are formed once and each d**k
-    is the product of the squares of its binary digits, lowest first.
-
-    buffer(i) is the i-th free array of d's shape.  The chain writes only
-    into those, so each power it yields may be overwritten by the next."""
+    is the product of the squares of its binary digits, lowest first.  A
+    power is formed when it is asked for, so a caller that drops each one
+    holds the squares and a single product."""
     squares = [d]
     while 1 << len(squares) <= max(ks, default=1):
-        squares.append(np.multiply(squares[-1], squares[-1], out=buffer(len(squares) - 1)))
+        squares.append(squares[-1] * squares[-1])
     for k in ks:
         digits = [sq for j, sq in enumerate(squares) if k >> j & 1]
-        power = digits[0]
-        for sq in digits[1:]:
-            power = np.multiply(power, sq, out=buffer(len(squares) - 1))
-        yield k, power
+        yield k, functools.reduce(operator.mul, digits)
 
 
 def _chunk_integrals(
@@ -125,48 +99,41 @@ def _chunk_integrals(
     m: np.ndarray,
     powers: Sequence[int],
     abs_powers: Sequence[float],
-    ws: _Workspace,
 ) -> dict:
     """Integrals of Delta**k and |Delta|**A over the unit intervals [m, m+1)
-    with D(m) = Dm.  Its (node x interval) arrays lie in ws; only the long
-    double evaluation past 2**40 allocates its own.
+    with D(m) = Dm; its temporaries are freed when it returns.
 
     Node values are laid out (node, interval): each of the 8 nodes is one
     contiguous row of m.size intervals, so every ufunc runs an inner loop
     m.size long, not 8 long as in an (interval, node) layout.
     """
-    shape = (len(GL8_NODES), m.size)
-    delta = delta_unit(m, Dm, GL8_NODES[:, None], out=ws.array(0, *shape),
-                       work=ws.array(1, *shape))
-    out = {("pow", k): _node_sum(pw, ws.line)
-           for k, pw in _int_powers(delta, powers, lambda i: ws.array(1 + i, *shape))}
+    delta = delta_unit(m, Dm, GL8_NODES[:, None])
+    out = {("pow", k): _node_sum(pw) for k, pw in _int_powers(delta, powers)}
     if not abs_powers:
         return out
-    absd = np.abs(delta, out=delta)
+    absd = np.abs(delta)
     # intervals where the smooth branch crosses zero: endpoint signs differ
-    ends = delta_unit(m, Dm, _ENDS, out=ws.array(1, 2, m.size), work=ws.array(2, 2, m.size))
+    ends = delta_unit(m, Dm, _ENDS)
     idx = np.nonzero((ends[0] > 0.0) & (ends[1] < 0.0))[0]
     if idx.size:
         roots = _newton_roots(Dm[idx], m[idx])
         left_w = roots - m[idx]
         d_l = np.abs(delta_unit(m[idx], Dm[idx], left_w * GL8_NODES[:, None]))
         d_r = np.abs(delta_unit(roots, Dm[idx], (1.0 - left_w) * GL8_NODES[:, None]))
-    pw = ws.array(1, *shape)
     for a in abs_powers:
-        total = _node_sum(np.power(absd, a, out=pw), ws.line)
+        pw = np.power(absd, a)
+        total = _node_sum(pw)
         if idx.size:
-            total += (_node_sum(left_w * d_l ** a, ws.line)
-                      + _node_sum((1.0 - left_w) * d_r ** a, ws.line)
-                      - _node_sum(pw[:, idx], ws.line))
+            total += (_node_sum(left_w * d_l ** a) + _node_sum((1.0 - left_w) * d_r ** a)
+                      - _node_sum(pw[:, idx]))
         out[("abs", a)] = total
     return out
 
 
-def _node_sum(pw: np.ndarray, line: np.ndarray) -> float:
+def _node_sum(pw: np.ndarray) -> float:
     """Gauss-Legendre sum of a (node, interval) array over all its intervals:
-    the weighted node sum of each interval, written into line, then the
-    pairwise sum of those."""
-    return float(np.matmul(GL8_WEIGHTS, pw, out=line[: pw.shape[1]]).sum())
+    the weighted node sum of each interval, then the pairwise sum of those."""
+    return float((GL8_WEIGHTS @ pw).sum())
 
 
 def _block_integrals(
@@ -174,7 +141,6 @@ def _block_integrals(
     powers: Sequence[int],
     abs_powers: Sequence[float],
     abs_limit: int | None,
-    ws: _Workspace,
 ) -> list[dict]:
     """Integrals of Delta**k and |Delta|**A over each chunk [a, b) of a run
     of adjacent chunks, from one sieve over the run; the |Delta|**A ones only
@@ -194,7 +160,7 @@ def _block_integrals(
     start, stop = chunks[0][0], chunks[-1][1]
     D = prefix_block(start, stop)
     return [_chunk_integrals(D[a - start : b - start], np.arange(a, b, dtype=np.float64), powers,
-                             abs_powers if abs_limit is None or a < abs_limit else (), ws)
+                             abs_powers if abs_limit is None or a < abs_limit else ())
             for a, b in chunks]
 
 
@@ -216,7 +182,8 @@ def moment_profile(
     one task cover, in whole chunks; neither it nor threads changes a value.
 
     Returns {checkpoint: {("pow", k) | ("abs", A): integral}}.  Each k must
-    be an integer >= 1, each A finite and > 0, and abs_limit an integer.
+    be an integer >= 1, each A finite and > 0, and lo, the checkpoints and
+    abs_limit integers.
     """
     for k in powers:
         if not isinstance(k, numbers.Integral) or k < 1:
@@ -226,6 +193,9 @@ def moment_profile(
             raise ValueError(f"abs_powers must be finite and > 0, got {a!r}")
     if abs_limit is not None and not isinstance(abs_limit, numbers.Integral):
         raise ValueError(f"abs_limit must be an integer or None, got {abs_limit!r}")
+    if not all(isinstance(v, numbers.Integral) for v in [lo, *checkpoints]):
+        raise ValueError(f"lo and the checkpoints must be integers, got lo={lo!r}, "
+                         f"checkpoints={checkpoints!r}")
     checkpoints = sorted(set(int(c) for c in checkpoints))
     if not checkpoints or checkpoints[0] <= lo:
         raise ValueError("checkpoints must exceed lo")
@@ -235,13 +205,8 @@ def moment_profile(
     chunks = list(zip(bounds, bounds[1:]))
     # a block groups the chunks that start in it, for one sieve
     blocks = [list(run) for _, run in itertools.groupby(chunks, lambda c: (c[0] - lo) // block)]
-    local = threading.local()
-
-    def task(run):
-        if not hasattr(local, "ws"):
-            local.ws = _Workspace(min(_CHUNK, hi - lo))
-        return _block_integrals(run, powers, abs_powers, abs_limit, local.ws)
-
+    task = functools.partial(_block_integrals, powers=powers, abs_powers=abs_powers,
+                             abs_limit=abs_limit)
     partials = itertools.chain.from_iterable(ordered_map(task, blocks, threads=threads))
 
     keys = list(dict.fromkeys([("pow", k) for k in powers] + [("abs", a) for a in abs_powers]))

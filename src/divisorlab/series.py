@@ -24,6 +24,7 @@ number of kernels, not with the number itself (see _relation_product).
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -223,6 +224,8 @@ def estimate_constant(name: str, Y: int | None = None) -> ConstantEstimate:
         raise ValueError(f"unknown constant {name!r}; choose from {', '.join(DEFAULT_CUTOFFS)}")
     if Y is None:
         Y = DEFAULT_CUTOFFS[name]
+    if not isinstance(Y, numbers.Integral) or isinstance(Y, bool):
+        raise ValueError(f"cutoff must be an integer, got {Y!r}")
     if Y < 1:
         raise ValueError("cutoff must be >= 1")
     if Y > MAX_CONSTANT_CUTOFF:

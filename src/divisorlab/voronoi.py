@@ -27,6 +27,7 @@ the unit roundoff of np.longdouble (2**-64 on x86-64 Linux).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -57,6 +58,13 @@ class ResidualSample:
     x: float
     Y: int
     value: float
+
+
+def _check_cutoff(Y) -> None:
+    """Refuse a cutoff Y that is not an integer (bool included), before it
+    reaches a sieve or an arange."""
+    if not isinstance(Y, numbers.Integral) or isinstance(Y, bool):
+        raise ValueError(f"Y must be an integer, got {Y!r}")
 
 
 @lru_cache(maxsize=8)
@@ -94,8 +102,9 @@ def truncated_sum_many(xs: np.ndarray, Y: int) -> np.ndarray:
     order depends only on Y, so a point's value does not depend on the other
     points or on the chunking.  Points past PHASE_DOUBLE_LIMIT (x * Y above
     it) form their phases in extended precision.  Every point must be finite
-    and >= 1, and Y >= 0.
+    and >= 1, and Y an integer >= 0.
     """
+    _check_cutoff(Y)
     xs = np.asarray(xs, dtype=np.float64)
     if not (np.isfinite(xs).all() and (xs >= 1).all()):
         raise ValueError("points must be finite and >= 1")
@@ -144,6 +153,7 @@ def bessel_tail_term(x: float, n: int) -> float:
 def bessel_partial_sum(x: float, Y: int) -> float:
     """Partial Bessel-form sum over n <= Y, the exactly rounded sum of the
     bessel_tail_term values; cross-check for the cosine form."""
+    _check_cutoff(Y)
     if not (math.isfinite(x) and x >= 1 and Y >= 0):
         raise ValueError(f"need finite x >= 1 and Y >= 0; got x={x}, Y={Y}")
     if Y == 0:
@@ -154,6 +164,7 @@ def bessel_partial_sum(x: float, Y: int) -> float:
 
 def residual_at(x: float, Y: int) -> ResidualSample:
     """Delta(x) - (pi sqrt 2)**(-1) Sigma_Y(x) at one point."""
+    _check_cutoff(Y)
     D = hyperbola_D(math.floor(x))
     delta = delta_of(float(x), D)
     return ResidualSample(x=float(x), Y=Y,
@@ -174,6 +185,7 @@ def residual_mean_square(X: float, H: float, Y: int, sample_count: int) -> float
 
     Sampling is stratified and deterministic, so repeated runs agree exactly.
     """
+    _check_cutoff(Y)
     if not (math.isfinite(X) and math.isfinite(H) and X >= 2 and H > 0 and Y >= 1):
         raise ValueError(f"need finite X >= 2 and H > 0, and Y >= 1; got X={X}, H={H}, Y={Y}")
     xs = stratified_midpoints(X, H, sample_count)

@@ -1,8 +1,6 @@
 """Independent oracles shared by several test modules."""
 
 import math
-import operator
-from functools import reduce
 
 import mpmath
 import numpy as np
@@ -14,7 +12,7 @@ from divisorlab.divisor import (
     build_divisor_table,
     delta_unit,
 )
-from divisorlab.moments import GL8_NODES, GL8_WEIGHTS, _ENDS, _newton_roots
+from divisorlab.moments import GL8_NODES, GL8_WEIGHTS, _ENDS, _int_powers, _newton_roots
 
 
 def d_trial_division(n: int) -> int:
@@ -124,51 +122,12 @@ def delta_in_precision(m, D, u, dtype) -> np.ndarray:
     return (np.asarray(D, dtype=dtype) - x * np.log(x) - x * c).astype(np.float64)
 
 
-def int_powers_allocating(d, ks) -> dict:
-    """{k: d**k} from moments._int_powers' binary-powering chain with a fresh
-    array for every product: the reference for the chain that writes into
-    given arrays."""
-    squares = [d]
-    while 1 << len(squares) <= max(ks, default=1):
-        squares.append(squares[-1] * squares[-1])
-    return {k: reduce(operator.mul, [sq for j, sq in enumerate(squares) if k >> j & 1])
-            for k in ks}
-
-
-def chunk_integrals_allocating(Dm, m, powers, abs_powers) -> dict:
-    """moments._chunk_integrals with a fresh array for every node value,
-    power, |Delta|**A and node sum, and delta_unit without out=: the
-    reference the workspace kernel equals bit for bit."""
-    delta = delta_unit(m, Dm, GL8_NODES[:, None])
-    out = {("pow", k): float((GL8_WEIGHTS @ pw).sum())
-           for k, pw in int_powers_allocating(delta, powers).items()}
-    if not abs_powers:
-        return out
-    absd = np.abs(delta)
-    ends = delta_unit(m, Dm, _ENDS)
-    idx = np.nonzero((ends[0] > 0.0) & (ends[1] < 0.0))[0]
-    if idx.size:
-        roots = _newton_roots(Dm[idx], m[idx])
-        left_w = roots - m[idx]
-        d_l = np.abs(delta_unit(m[idx], Dm[idx], left_w * GL8_NODES[:, None]))
-        d_r = np.abs(delta_unit(roots, Dm[idx], (1.0 - left_w) * GL8_NODES[:, None]))
-    for a in abs_powers:
-        pw = absd ** a
-        total = float((GL8_WEIGHTS @ pw).sum())
-        if idx.size:
-            total += (float((GL8_WEIGHTS @ (left_w * d_l ** a)).sum())
-                      + float((GL8_WEIGHTS @ ((1.0 - left_w) * d_r ** a)).sum())
-                      - float((GL8_WEIGHTS @ pw[:, idx]).sum()))
-        out[("abs", a)] = total
-    return out
-
-
 def chunk_integrals_interval_major(Dm, m, powers, abs_powers) -> dict:
-    """moments._chunk_integrals with node values laid out (interval, node):
-    the reference its node values and integrals are compared against."""
+    """moments._chunk_integrals with node values laid out (interval, node)
+    and the same power chain: the reference its node values and integrals
+    are compared against."""
     delta = delta_unit(m[:, None], Dm[:, None], GL8_NODES)
-    out = {("pow", k): float((pw @ GL8_WEIGHTS).sum())
-           for k, pw in int_powers_allocating(delta, powers).items()}
+    out = {("pow", k): float((pw @ GL8_WEIGHTS).sum()) for k, pw in _int_powers(delta, powers)}
     if not abs_powers:
         return out
     absd = np.abs(delta)

@@ -42,10 +42,12 @@ def test_delta_subcommand(tmp_path, capsys):
     assert "delta.csv" in manifest["output_checksums"]
     assert manifest["config"]["x"] == 100.0
     env = manifest["env"]
-    assert set(env) == {"python", "numpy", "mpmath", "cpu_count", "thread_env"}
+    assert set(env) == {"python", "numpy", "mpmath", "cpu_count", "thread_env", "heap_env"}
     assert env["numpy"] == np.__version__ and env["mpmath"] == mpmath.__version__
     assert env["cpu_count"] == os.cpu_count()
     assert set(env["thread_env"]) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "DIVISORLAB_THREADS"}
+    assert set(env["heap_env"]) == {"MALLOC_ARENA_MAX", "MALLOC_MMAP_THRESHOLD_",
+                                    "MALLOC_TRIM_THRESHOLD_"}
 
 
 def test_sieve_subcommand(tmp_path):

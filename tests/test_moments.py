@@ -77,7 +77,7 @@ def test_int_powers_within_chain_error_bound():
     # _block_integrals docstring, plus the long double reference's own error
     d = np.random.default_rng(7).standard_normal(1 << 14) * 30.0
     ks = list(range(1, 17))
-    got = {k: pw.copy() for k, pw in _int_powers(d, ks, lambda i: np.empty_like(d))}
+    got = dict(_int_powers(d, ks))
     for k in ks:
         want = np.power(d.astype(np.longdouble), k)
         err = np.abs(got[k].astype(np.longdouble) - want)
@@ -94,10 +94,6 @@ _LAYOUT_CHUNKS = [(1000, 1 << 14), (500_000, 1 << 14), (2 * 10 ** 12 + 10 ** 5, 
 
 def _chunk(start, n):
     return prefix_block(start, start + n), np.arange(start, start + n, dtype=np.float64)
-
-
-def _chunk_integrals(D, m, powers, abs_powers):
-    return moments._chunk_integrals(D, m, powers, abs_powers, moments._Workspace(m.size))
 
 
 def _abs_sums(D, m, key):
@@ -117,12 +113,12 @@ def test_node_major_layout_has_the_interval_major_node_values(monkeypatch, start
     def recording(side):
         def call(*args, **kwargs):
             value = delta_unit(*args, **kwargs)
-            calls[side].append(value.copy())  # the kernel reuses its arrays
+            calls[side].append(value)
             return value
         return call
 
     monkeypatch.setattr(moments, "delta_unit", recording("new"))
-    _chunk_integrals(D, m, _LAYOUT_POWERS, _LAYOUT_ABS)
+    moments._chunk_integrals(D, m, _LAYOUT_POWERS, _LAYOUT_ABS)
     monkeypatch.setattr(oracles, "delta_unit", recording("old"))
     monkeypatch.setattr(moments, "delta_unit", recording("old"))
     oracles.chunk_integrals_interval_major(D, m, _LAYOUT_POWERS, _LAYOUT_ABS)
@@ -137,7 +133,7 @@ def test_node_major_integrals_within_few_ulp_of_interval_major(start, n):
     # same node values and power chain, so only the order of the node sums
     # differs; 1.6 u of the absolute sums was the worst seen
     D, m = _chunk(start, n)
-    got = _chunk_integrals(D, m, _LAYOUT_POWERS, _LAYOUT_ABS)
+    got = moments._chunk_integrals(D, m, _LAYOUT_POWERS, _LAYOUT_ABS)
     want = oracles.chunk_integrals_interval_major(D, m, _LAYOUT_POWERS, _LAYOUT_ABS)
     assert got.keys() == want.keys()
     for key in got:
@@ -151,34 +147,14 @@ def test_node_major_block_within_few_ulp_of_interval_major(monkeypatch):
 
     def block(chunk_integrals):
         monkeypatch.setattr(moments, "_chunk_integrals", chunk_integrals)
-        parts = moments._block_integrals(chunks, _LAYOUT_POWERS, _LAYOUT_ABS, None,
-                                         moments._Workspace(moments._CHUNK))
+        parts = moments._block_integrals(chunks, _LAYOUT_POWERS, _LAYOUT_ABS, None)
         return {key: math.fsum(part[key] for part in parts) for key in parts[0]}
 
     got = block(moments._chunk_integrals)
-    want = block(lambda D, m, powers, abs_powers, ws:
-                 oracles.chunk_integrals_interval_major(D, m, powers, abs_powers))
+    want = block(oracles.chunk_integrals_interval_major)
     D, m = _chunk(start, stop - start)
     for key in got:
         assert abs(got[key] - want[key]) <= 8 * U * _abs_sums(D, m, key), key
-
-
-@pytest.mark.parametrize("start, n", _LAYOUT_CHUNKS)
-def test_workspace_kernel_bit_identical_to_allocating(start, n):
-    # node values, crossing ends and integrals from reused buffers, which an
-    # earlier chunk of another length has filled, equal those of fresh
-    # arrays bit for bit; A = 0.5 and 2 are where `absd ** A` would take
-    # numpy's sqrt and square in place of pow
-    D, m = _chunk(start, n)
-    ws = moments._Workspace(moments._CHUNK)
-    moments._chunk_integrals(*_chunk(777_777, 5000), _LAYOUT_POWERS, _LAYOUT_ABS, ws)
-    for u in (GL8_NODES[:, None], moments._ENDS):
-        out = ws.array(0, len(u), n)
-        got = delta_unit(m, D, u, out=out, work=ws.array(1, len(u), n))
-        assert got is out and np.array_equal(got, delta_unit(m, D, u))
-    abs_powers = _LAYOUT_ABS + [0.5, 2.0]
-    got = moments._chunk_integrals(D, m, _LAYOUT_POWERS, abs_powers, ws)
-    assert got == oracles.chunk_integrals_allocating(D, m, _LAYOUT_POWERS, abs_powers)
 
 
 _TWO_40 = 2.0 ** 40
@@ -239,8 +215,7 @@ def test_profile_bit_identical_across_blocks_and_threads():
     runs = [(block, threads) for block in [3000] + [2 ** e for e in range(16, 23)]
             for threads in (1, 2)]
     interval = sys.getswitchinterval()
-    # and more threads than cores, switching often, over 12 one-chunk tasks:
-    # a workspace that two threads shared would mix their chunks
+    # and more threads than cores, switching often, over 12 one-chunk tasks
     sys.setswitchinterval(1e-5)
     try:
         for block, threads in runs + [(3000, 4)]:
@@ -266,8 +241,9 @@ def test_profile_threads_bit_identical_over_multichunk_blocks():
 def test_block_integrals_working_set(monkeypatch):
     # one 2**20-interval block with the powers of the stream profile: beyond
     # the block's int64 D array (made before tracing starts) the chunk loop
-    # holds the 5 (node x interval) arrays of its workspace and the split
-    # halves of the sign crossings, 7.5 MiB measured
+    # holds one chunk's node values, its squares up to Delta**8 and one
+    # product of them, 5.5 chunk arrays measured; they are freed before the
+    # next chunk, so the bound holds at any block length
     start, stop = 2, 2 + (1 << 20)
     D = prefix_block(start, stop)
     monkeypatch.setattr(moments, "prefix_block", lambda a, b: D)
@@ -275,19 +251,17 @@ def test_block_integrals_working_set(monkeypatch):
     chunk_array = moments._CHUNK * len(moments.GL8_NODES) * 8
     tracemalloc.start()
     try:
-        moments._block_integrals(chunks, [1, 2, 3, 4, 8], [35.0 / 4.0, 267.0 / 27.0], None,
-                                 moments._Workspace(moments._CHUNK))
+        moments._block_integrals(chunks, [1, 2, 3, 4, 8], [35.0 / 4.0, 267.0 / 27.0], None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * chunk_array, peak
+    assert peak <= 6.4 * chunk_array, peak
 
 
 def test_stream_profile_traced_peak():
     # the stream's profile on 1 thread to 2**21: one block's d(n) and D(m),
-    # 6 MiB, the workspace of 5 chunk arrays and the split-half temporaries
-    # of the crossings; 15.2 MiB measured, against 20.9 MiB with the former
-    # 2**22 blocks and fresh arrays per chunk
+    # 6 MiB, and the chunk arrays of test_block_integrals_working_set;
+    # 10.1 MiB measured
     tracemalloc.start()
     try:
         moment_profile([1, 2, 3, 4, 8], [35.0 / 4.0, 267.0 / 27.0],
@@ -295,7 +269,7 @@ def test_stream_profile_traced_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 18 * 2 ** 20, peak
+    assert peak <= 11.5 * 2 ** 20, peak
 
 
 @pytest.mark.parametrize("powers", [[0], [-2], [2.0], [1.5], [2, 0]])
@@ -329,6 +303,13 @@ def test_profile_abs_limit_between_checkpoints(block):
     prof = moment_profile([], [1.5], [4000], block=block, abs_limit=1500)
     frozen = moment_profile([], [1.5], [1500], block=block)
     assert prof[4000][("abs", 1.5)] == frozen[1500][("abs", 1.5)]
+
+
+@pytest.mark.parametrize("checkpoints, lo", [([100.7], 2), ([100, 200.5], 2), ([100], 1.5),
+                                             ([np.float64(100)], 2)])
+def test_profile_rejects_fractional_checkpoints_and_lo(checkpoints, lo):
+    with pytest.raises(ValueError, match="lo and the checkpoints must be integers"):
+        moment_profile([2], [], checkpoints, lo=lo)
 
 
 def test_profile_rejects_non_integer_abs_limit():

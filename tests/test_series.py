@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.fft import next_fast_len
 
-from divisorlab import series
+from divisorlab import series, voronoi
 from divisorlab.acceptance import AcceptanceContext
 from divisorlab.divisor import build_divisor_table
 from divisorlab.relations import BudgetExceededError, form_is_zero
@@ -233,6 +233,27 @@ def test_cutoff_validation():
             estimate_constant(name, 0)
     with pytest.raises(BudgetExceededError):
         estimate_constant("C1", (1 << 20) + 1)
+
+
+_NON_INTEGER_CUTOFFS = {
+    "estimate-float": lambda: estimate_constant("C2", 1e3),
+    "estimate-bool": lambda: estimate_constant("C2", True),
+    "partial-C1": lambda: partial_C1(64.0),
+    "partial-C7-numpy": lambda: partial_C7(np.float64(16)),
+    "main-term": lambda: main_term_coefficient(4, 256.0),
+    # the Voronoi sums' Y is a cutoff of the same kind
+    "truncated-sum": lambda: voronoi.truncated_sum(100.5, 10.0),
+    "truncated-sum-many-bool": lambda: voronoi.truncated_sum_many(np.array([100.5]), True),
+    "residual-at": lambda: voronoi.residual_at(100.5, 10.0),
+    "residual-mean-square": lambda: voronoi.residual_mean_square(1e4, 1e3, 10.5, 16),
+    "bessel-partial-sum": lambda: voronoi.bessel_partial_sum(100.5, 10.0),
+}
+
+
+@pytest.mark.parametrize("case", list(_NON_INTEGER_CUTOFFS))
+def test_non_integer_cutoff_refused(case):
+    with pytest.raises(ValueError, match="must be an integer"):
+        _NON_INTEGER_CUTOFFS[case]()
 
 
 def test_partial_sums_memoized_per_cutoff(monkeypatch):
