@@ -11,26 +11,24 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from mpmath import libmp
 
 # Euler-Mascheroni constant, 30 significant digits, rounded to double.
 EULER_GAMMA = 0.577215664901532860606512090082
 
-# Coefficient of the linear term in the main-term approximation of D(x).
-TWO_GAMMA_MINUS_ONE = 2.0 * EULER_GAMMA - 1.0
+# The anchors of Delta and delta_of form f(x) = x*log(x) + (2*gamma - 1)*x
+# with mpmath's low-level functions, which take their precision as an
+# argument and so are safe in threads, at _PREC bits: f stays below 2**58 up
+# to MAX_SIEVE_ARGUMENT, so its fraction keeps 78 bits.
+_PREC = 136
+_TWO_GAMMA_MINUS_ONE = libmp.from_str("0.154431329803065721213024180164804862084318672", _PREC)
 
-# The same to 40 digits for the long double path of delta_unit: the float64
-# value is 9.9e-18 off, which alone moves Delta(2e12) by 2e-5.
-_TWO_GAMMA_MINUS_ONE_LD = np.longdouble("0.1544313298030657212130241801648048620844")
-
-# Default segmented-sieve block of the moment stream.  Its int32 d(n) and
-# int64 D(m) arrays, 6 MiB per thread, set the stream's peak memory: on 2
-# threads the profile [1,2,3,4,8], [35/4, 267/27] to 4.02e6 peaked at 111 MB
-# RSS with 2**22, 57-59 MB with 2**19 and 52-53 MB with 2**18.  But 2**18
-# took 70k-143k minor page faults against 10k-14k with 2**19 (2 vCPUs): next
-# to the smaller block arrays, glibc's heap gives the moment kernel's fresh
-# 1 MiB chunk arrays new pages chunk after chunk.  Each block also runs an
-# O(sqrt(x)) Python loop in the sieve.
-DEFAULT_BLOCK = 1 << 19
+# One anchor m0 serves at most min(m0, ANCHOR_SPAN) unit intervals from m0
+# (see anchor_grid and unit_branch), and a chunk of the moment kernel is the
+# run of one anchor: each of its (node x interval) float64 arrays is 1 MiB
+# and its arrays stay cache-sized; 2**13..2**15 timed best of 2**12..2**16 on
+# 2 vCPUs.
+ANCHOR_SPAN = 1 << 14
 
 # Largest argument accepted anywhere; beyond this int64 intermediates in the
 # sieve could overflow and memory budgets are unrealistic anyway.
@@ -174,38 +172,110 @@ def hyperbola_D_many(xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def delta_unit(m, D, u) -> np.ndarray:
-    """Delta(m + u) on the smooth branch D - x*log(x) - (2*gamma - 1)*x of
-    one unit interval, as a float64 array; m, D and u broadcast, and m or u
-    is an array.
+def _log_term(x) -> tuple:
+    """(K, f) for the exact mpmath value x >= 1: K = log(x) + 2*gamma - 1 and
+    f(x) = x*K, to _PREC bits."""
+    K = libmp.mpf_add(libmp.mpf_log(x, _PREC), _TWO_GAMMA_MINUS_ONE, _PREC)
+    return K, libmp.mpf_mul(x, K, _PREC)
 
-    D = D(floor(m)) and m + u stays in that interval, so for an integer m,
-    u = 1 gives the left limit at m + 1; m need not be an integer.  x = m + u
-    is built here and overwritten, so beside the result the call holds one
-    array of their shape.
 
-    When max(m) + max(u) exceeds 2**40 the whole evaluation is in long
-    double, with D exact from its integer value and 2*gamma - 1 to 40
-    digits: in float64 Delta ~ x**(1/4) would drown in the cancellation of
-    x*log(x) against D.  Rounding is monotone, so when m and u broadcast as
-    an outer sum (every m with every u) that is exactly when some x exceeds
-    2**40; elementwise it may also happen when none does.
+def _to_float(x) -> float:
+    return libmp.to_float(x, rnd=libmp.round_nearest)
+
+
+def _degree(c: float) -> int:
+    """Smallest degree K >= 2 of the Taylor polynomial of Delta about c whose
+    first dropped term, 2**-(K+1) / ((K+1) K c**K) at |x - c| = 1/2, is below
+    2**-56 * max(1, c**(1/4)), a sixteenth of an ulp of Delta ~ x**(1/4):
+    29 at c = 1.5, 5 at 1e3, 3 at 1e6 and 2 from 6e6 on."""
+    tol = 2.0 ** -56 * max(1.0, c ** 0.25)
+    K = 2
+    while 0.5 ** (K + 1) / ((K + 1) * K * c ** K) >= tol:
+        K += 1
+    return K
+
+
+def anchor_grid(lo: int, hi: int) -> list[int]:
+    """The anchors of the unit intervals [lo, hi), for integers 1 <= lo < hi:
+    lo, 2*lo, 4*lo, ... below lo + ANCHOR_SPAN, then every ANCHOR_SPAN from
+    lo.  Each anchor m0 serves the intervals up to the next one, at most
+    min(m0, ANCHOR_SPAN) of them, as unit_branch asks.  The grid depends on
+    lo alone, so no value depends on where a caller cuts its range."""
+    first = min(hi, lo + ANCHOR_SPAN)
+    return [lo << k for k in range(((first - 1) // lo).bit_length())] + list(
+        range(lo + ANCHOR_SPAN, hi, ANCHOR_SPAN))
+
+
+def unit_branch(m0: int, j: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Taylor coefficients of the smooth branch D - f(x) of Delta about the
+    midpoint c = m0 + j + 1/2 of each unit interval [m0 + j, m0 + j + 1),
+    for the integer m0 >= 1, an integer array j in [0, min(m0, ANCHOR_SPAN))
+    and D = D(m0 + j): a (K + 1, len(j)) float64 array whose row k
+    multiplies (x - c)**k, of the degree K = _degree(m0 + 1/2).  delta_unit
+    evaluates it.
+
+    With f(x) = x*log(x) + (2*gamma - 1)*x and h = j + 1/2,
+
+        f(c) = f(m0) + h*K0 + c*L,   K0 = log(m0) + 2*gamma - 1,   L = log1p(h/m0),
+
+    where f(m0) = N0 + r0 (N0 an integer) and K0 = K_head + K_tail come from
+    one anchor to _PREC bits.  K_head has 26 bits (Dekker's split), so
+    (D - N0) - h*K_head is exact.  What is left of the cancellation of D
+    against f(c) is the rounding of c*L ~ h: with h < 2**14 and L < log(2),
+    about h * 2**-53 from log1p and half an ulp of c*L, 5.5e-12 at most.
+    Row 1 is -(log(c) + 2*gamma) and row k >= 2 is
+    (-1)**(k+1) / (k (k-1) c**(k-1)).
     """
-    if np.max(m, initial=0.0) + np.max(u, initial=0.0) > 2.0 ** 40:
-        x, c = np.add(m, u, dtype=np.longdouble), _TWO_GAMMA_MINUS_ONE_LD
-    else:
-        x, c = np.add(m, u), TWO_GAMMA_MINUS_ONE
-    delta = np.log(x)
-    delta *= x
-    np.subtract(D, delta, out=delta)  # D is cast exactly, a buffer at a time
-    x *= c
-    delta -= x
-    return delta.astype(np.float64, copy=False)
+    K0, f0 = _log_term(libmp.from_int(int(m0)))
+    N0 = libmp.to_int(f0, libmp.round_floor)
+    k0 = _to_float(K0)
+    mant, exp = math.frexp(k0)
+    k_head = math.ldexp(math.floor(mant * 2 ** 26), exp - 26)
+    k_tail = _to_float(libmp.mpf_sub(K0, libmp.from_float(k_head), _PREC))
+    r0 = _to_float(libmp.mpf_sub(f0, libmp.from_int(N0), _PREC))
+    K = _degree(m0 + 0.5)
+    h = j + 0.5
+    c = h + m0  # exact: a half-integer below 2**52
+    coef = np.empty((K + 1, len(j)))
+    L = np.log1p(np.divide(h, m0, out=coef[1]), out=coef[1])  # log(c / m0)
+    g = np.subtract(D, N0, out=coef[0], casting="unsafe")  # exact, far below 2**53
+    lin = np.multiply.outer((k_head, k_tail), h)
+    g -= lin[0]  # exact
+    g -= np.multiply(c, L, out=lin[0])
+    lin[1] += r0
+    g -= lin[1]
+    np.subtract(-k0 - 1.0, L, out=coef[1])
+    ic = np.divide(1.0, c, out=c)
+    np.multiply(ic, -0.5, out=coef[2])
+    for k in range(3, K + 1):  # row k is row k-1 times -(k-2)/(k c)
+        np.multiply(coef[k - 1], ic, out=coef[k])
+        coef[k] *= -(k - 2) / k
+    return coef
+
+
+def delta_unit(coef: np.ndarray, u) -> np.ndarray:
+    """Delta(m + u) on the smooth branch of each unit interval [m, m+1) of the
+    coefficients coef of unit_branch (its last axis), for u in [0, 1] that
+    broadcasts against that axis; u = 1 gives the left limit at m + 1.
+
+    Horner's rule in v = u - 1/2 allocates one array of the result's shape
+    and takes no log.  The rows of any polynomial in v may stand for coef:
+    for k * coef[k], k >= 1, it gives the slope.
+    """
+    v = np.subtract(u, 0.5)
+    p = v * coef[-1]
+    for row in coef[-2:0:-1]:
+        p += row
+        p *= v
+    p += coef[0]
+    return p
 
 
 def delta_of(x: float, D: int) -> float:
-    """Delta(x) given the exact D(floor(x)): delta_unit at one point."""
-    return float(delta_unit(np.array([x]), D, 0.0)[0])
+    """Delta(x) given the exact D(floor(x)), from f(x) to _PREC bits: the
+    float64 nearest Delta(x) up to the rounding of that f."""
+    f = _log_term(libmp.from_float(float(x)))[1]
+    return _to_float(libmp.mpf_sub(libmp.from_int(int(D)), f, _PREC))
 
 
 def delta_at(x: float) -> DeltaSample:

@@ -3,8 +3,10 @@
 On each unit interval [m, m+1) the integrand Delta(x) = D(m) - x*log(x)
 - (2*gamma - 1)*x is analytic (the only non-smoothness of Delta is the jump at
 integers), so fixed-order Gauss-Legendre per interval is essentially exact.
-Integration runs on one grid of chunks: every _CHUNK unit intervals from lo,
-split only at the checkpoints and abs_limit.  Sieve blocks group adjacent
+Integration runs on one grid of chunks, divisor.anchor_grid from lo (every
+ANCHOR_SPAN unit intervals, doubling below lo + ANCHOR_SPAN), split only at
+the checkpoints and abs_limit; each chunk evaluates Delta from the anchor at
+or below it.  Sieve blocks group adjacent
 chunks (each block seeds its divisor prefix from an O(sqrt x) hyperbola
 evaluation) and are the tasks run in parallel; each checkpoint's value is one
 math.fsum over all chunk partials before it.  So the values are bit-identical
@@ -13,6 +15,7 @@ at every block size and thread count.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -24,7 +27,12 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .divisor import DEFAULT_BLOCK, EULER_GAMMA, delta_unit, prefix_block
+from .divisor import (
+    anchor_grid,
+    delta_unit,
+    prefix_block,
+    unit_branch,
+)
 from .parallel import ordered_map
 
 _nodes, _weights = np.polynomial.legendre.leggauss(8)
@@ -33,10 +41,15 @@ GL8_WEIGHTS = 0.5 * _weights
 
 WINDOW_EXPONENT_MARGIN = 0.01
 
-# unit intervals per chunk: each (node x interval) float64 array is 1 MiB and
-# a chunk's arrays stay cache-sized; 2**13..2**15 timed best of 2**12..2**16
-# on 2 vCPUs, under either node layout
-_CHUNK = 1 << 14
+# Sieve block of the moment stream, in unit intervals.  Its int32 d(n) and
+# int64 D(m) arrays, 6 MiB per thread, set the stream's peak memory: on 2
+# threads the profile [1,2,3,4,8], [35/4, 267/27] to 4.02e6 peaked at 111 MB
+# RSS with 2**22, 57-59 MB with 2**19 and 52-53 MB with 2**18.  But 2**18
+# took 70k-143k minor page faults against 10k-14k with 2**19 (2 vCPUs): next
+# to the smaller block arrays, glibc's heap gives the moment kernel's fresh
+# 1 MiB chunk arrays new pages chunk after chunk.  Each block also runs an
+# O(sqrt(x)) Python loop in the sieve.
+DEFAULT_BLOCK = 1 << 19
 
 # u at the two ends of every unit interval, for the sign-crossing test
 _ENDS = np.array([[0.0], [1.0]])
@@ -68,16 +81,26 @@ class WindowSpec:
         return self.X ** (7.0 / 32.0 + WINDOW_EXPONENT_MARGIN) <= self.H <= self.X
 
 
-def _newton_roots(D: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Zeros of the smooth branch of Delta inside [m, m+1); the branch is
-    strictly decreasing there, so at most one zero exists and Newton from the
-    midpoint converges in a handful of steps."""
-    x = m + 0.5
+def _newton_roots(coef: np.ndarray) -> np.ndarray:
+    """u in [0, 1] of the zero of the smooth branch of Delta on each unit
+    interval of the unit_branch coefficients coef; the branch is strictly
+    decreasing there, so at most one zero exists, and Newton on its Taylor
+    polynomial from the midpoint converges quadratically: once every step
+    is below 2**-26 the next would be below 2**-52, and it stops (after 2
+    steps past 1e3, at most 6).  The polynomial and its slope are evaluated
+    side by side, as one (2, intervals) delta_unit call per step."""
+    both = np.zeros((len(coef), 2, coef.shape[1]))
+    both[:, 0] = coef
+    both[:-1, 1] = coef[1:] * np.arange(1, len(coef))[:, None]
+    u = np.full(coef.shape[1], 0.5)
     for _ in range(6):
-        g = delta_unit(m, D, x - m)
-        x = x + g / (np.log(x) + 2.0 * EULER_GAMMA)
-        np.clip(x, m, m + 1.0, out=x)
-    return x
+        value, slope = delta_unit(both, u)
+        step = np.divide(value, slope, out=value)
+        u -= step
+        np.clip(u, 0.0, 1.0, out=u)
+        if np.abs(step).max(initial=0.0) < 2.0 ** -26:
+            break
+    return u
 
 
 def _int_powers(d: np.ndarray, ks: Sequence[int]) -> Iterator[tuple[int, np.ndarray]]:
@@ -95,31 +118,30 @@ def _int_powers(d: np.ndarray, ks: Sequence[int]) -> Iterator[tuple[int, np.ndar
 
 
 def _chunk_integrals(
-    Dm: np.ndarray,
-    m: np.ndarray,
+    coef: np.ndarray,
     powers: Sequence[int],
     abs_powers: Sequence[float],
 ) -> dict:
-    """Integrals of Delta**k and |Delta|**A over the unit intervals [m, m+1)
-    with D(m) = Dm; its temporaries are freed when it returns.
+    """Integrals of Delta**k and |Delta|**A over the unit intervals of the
+    unit_branch coefficients coef; its temporaries are freed when it returns.
 
     Node values are laid out (node, interval): each of the 8 nodes is one
-    contiguous row of m.size intervals, so every ufunc runs an inner loop
-    m.size long, not 8 long as in an (interval, node) layout.
+    contiguous row of coef.shape[1] intervals, so every ufunc runs an inner
+    loop that long, not 8 long as in an (interval, node) layout.
     """
-    delta = delta_unit(m, Dm, GL8_NODES[:, None])
+    delta = delta_unit(coef, GL8_NODES[:, None])
     out = {("pow", k): _node_sum(pw) for k, pw in _int_powers(delta, powers)}
     if not abs_powers:
         return out
     absd = np.abs(delta)
     # intervals where the smooth branch crosses zero: endpoint signs differ
-    ends = delta_unit(m, Dm, _ENDS)
+    ends = delta_unit(coef, _ENDS)
     idx = np.nonzero((ends[0] > 0.0) & (ends[1] < 0.0))[0]
     if idx.size:
-        roots = _newton_roots(Dm[idx], m[idx])
-        left_w = roots - m[idx]
-        d_l = np.abs(delta_unit(m[idx], Dm[idx], left_w * GL8_NODES[:, None]))
-        d_r = np.abs(delta_unit(roots, Dm[idx], (1.0 - left_w) * GL8_NODES[:, None]))
+        crossing = coef[:, idx]
+        left_w = _newton_roots(crossing)
+        d_l = np.abs(delta_unit(crossing, left_w * GL8_NODES[:, None]))
+        d_r = np.abs(delta_unit(crossing, left_w + (1.0 - left_w) * GL8_NODES[:, None]))
     for a in abs_powers:
         pw = np.power(absd, a)
         total = _node_sum(pw)
@@ -137,14 +159,16 @@ def _node_sum(pw: np.ndarray) -> float:
 
 
 def _block_integrals(
-    chunks: Sequence[tuple[int, int]],
+    chunks: Sequence[tuple[int, int, int]],
     powers: Sequence[int],
     abs_powers: Sequence[float],
     abs_limit: int | None,
 ) -> list[dict]:
     """Integrals of Delta**k and |Delta|**A over each chunk [a, b) of a run
-    of adjacent chunks, from one sieve over the run; the |Delta|**A ones only
-    for the chunks below abs_limit (None: every chunk).
+    of adjacent chunks (a, b, anchor), from one sieve over the run; the
+    |Delta|**A ones only for the chunks below abs_limit (None: every chunk).
+    The anchor is the point of the anchor grid at or below a, so the node
+    values do not depend on where blocks, checkpoints or abs_limit cut it.
 
     Integer powers come from _int_powers, so no libm pow sees the signed
     values of Delta (glibc pow is an order of magnitude slower on a negative
@@ -159,9 +183,12 @@ def _block_integrals(
     """
     start, stop = chunks[0][0], chunks[-1][1]
     D = prefix_block(start, stop)
-    return [_chunk_integrals(D[a - start : b - start], np.arange(a, b, dtype=np.float64), powers,
-                             abs_powers if abs_limit is None or a < abs_limit else ())
-            for a, b in chunks]
+    out = []
+    for a, b, m0 in chunks:
+        coef = unit_branch(m0, np.arange(a - m0, b - m0), D[a - start : b - start])
+        out.append(_chunk_integrals(coef, powers,
+                                    abs_powers if abs_limit is None or a < abs_limit else ()))
+    return out
 
 
 def moment_profile(
@@ -170,7 +197,6 @@ def moment_profile(
     checkpoints: Sequence[int],
     lo: int = 2,
     threads: int = 1,
-    block: int = DEFAULT_BLOCK,
     abs_limit: int | None = None,
 ) -> dict[int, dict]:
     """Integrals of Delta**k and |Delta|**A from lo to each checkpoint.
@@ -178,12 +204,12 @@ def moment_profile(
     One streaming pass covers all checkpoints; abs_limit, when set, stops the
     accumulation of the |Delta|**A integrals at that integer, a checkpoint or
     not (they are only needed at smaller scales and fractional powers are the
-    expensive part).  block is the number of unit intervals one sieve and
-    one task cover, in whole chunks; neither it nor threads changes a value.
+    expensive part).  A sieve and a task cover DEFAULT_BLOCK unit intervals,
+    in whole chunks; neither that nor threads changes a value.
 
     Returns {checkpoint: {("pow", k) | ("abs", A): integral}}.  Each k must
-    be an integer >= 1, each A finite and > 0, and lo, the checkpoints and
-    abs_limit integers.
+    be an integer >= 1, each A finite and > 0, and lo >= 1, the checkpoints
+    and abs_limit integers.
     """
     for k in powers:
         if not isinstance(k, numbers.Integral) or k < 1:
@@ -196,15 +222,19 @@ def moment_profile(
     if not all(isinstance(v, numbers.Integral) for v in [lo, *checkpoints]):
         raise ValueError(f"lo and the checkpoints must be integers, got lo={lo!r}, "
                          f"checkpoints={checkpoints!r}")
+    if lo < 1:
+        raise ValueError(f"lo must be >= 1, got {lo!r}")
     checkpoints = sorted(set(int(c) for c in checkpoints))
     if not checkpoints or checkpoints[0] <= lo:
         raise ValueError("checkpoints must exceed lo")
     hi = checkpoints[-1]
     cuts = [abs_limit] if abs_limit is not None and lo < abs_limit < hi else []
-    bounds = sorted(set(range(lo, hi, _CHUNK)).union(checkpoints, cuts))
-    chunks = list(zip(bounds, bounds[1:]))
+    grid = anchor_grid(lo, hi)
+    bounds = sorted(set(grid).union(checkpoints, cuts))
+    chunks = [(a, b, grid[bisect.bisect_right(grid, a) - 1]) for a, b in zip(bounds, bounds[1:])]
     # a block groups the chunks that start in it, for one sieve
-    blocks = [list(run) for _, run in itertools.groupby(chunks, lambda c: (c[0] - lo) // block)]
+    blocks = [list(run) for _, run in
+              itertools.groupby(chunks, lambda c: (c[0] - lo) // DEFAULT_BLOCK)]
     task = functools.partial(_block_integrals, powers=powers, abs_powers=abs_powers,
                              abs_limit=abs_limit)
     partials = itertools.chain.from_iterable(ordered_map(task, blocks, threads=threads))
@@ -213,7 +243,7 @@ def moment_profile(
     terms: dict = {key: [] for key in keys}
     cp, out = set(checkpoints), {}
     # each checkpoint adds all chunk partials before it by one math.fsum
-    for (_, b), part in zip(chunks, partials):
+    for (_, b, _), part in zip(chunks, partials):
         for key, value in part.items():
             terms[key].append(value)
         if b in cp:
@@ -267,11 +297,11 @@ def moment(
         raise ValueError("k must be in 1..8")
     if not (math.isfinite(X) and X >= 3):  # whole unit intervals from 2 to int(X)
         raise ValueError(f"X must be finite and >= 3, got {X}")
-    prof = moment_profile([k], [], [int(X)], threads=threads)
-    integral = prof[int(X)][("pow", k)]
     # the main term at int(X), kept in X's type: an integer X keeps its exact
-    # powers (float(X)**3 and X**3 can round apart above 2**53)
+    # powers (float(X)**3 and X**3 can round apart above 2**53); formed first,
+    # so a bad constants_Y is refused before the integral runs
     main = moment_main_term(k, X - X % 1, constants_Y)
+    integral = moment_profile([k], [], [int(X)], threads=threads)[int(X)][("pow", k)]
     rel = (integral - main) / main if main != 0.0 else math.nan
     return MomentResult(exponent=float(k), lo=2.0, hi=float(int(X)), integral=integral,
                         main_term=main, relative_deviation=rel)
@@ -306,6 +336,8 @@ def window_moment(
     outside the proved range is allowed.
     """
     lo, hi = int(spec.X), int(spec.X + spec.H)
+    if lo < 1:
+        raise ValueError(f"window must start at X >= 1, got X={spec.X}")
     if hi <= lo:
         raise ValueError(f"window holds no whole unit interval: need int(X+H) > int(X), "
                          f"got X={spec.X}, H={spec.H}")
@@ -314,9 +346,8 @@ def window_moment(
             f"window H={spec.H} outside [X^(7/32+{WINDOW_EXPONENT_MARGIN}), X]; proceeding",
             stacklevel=2,
         )
-    prof = moment_profile([k], [], [hi], lo=lo, threads=threads)
-    integral = prof[hi][("pow", k)]
-    main = window_main_term(k, lo, hi, constants_Y)
+    main = window_main_term(k, lo, hi, constants_Y)  # refuses a bad constants_Y first
+    integral = moment_profile([k], [], [hi], lo=lo, threads=threads)[hi][("pow", k)]
     rel = (integral - main) / main if main != 0.0 else math.nan
     return MomentResult(exponent=float(k), lo=float(lo), hi=float(hi),
                         integral=integral, main_term=main, relative_deviation=rel)

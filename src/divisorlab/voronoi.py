@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import bessel
-from .divisor import build_divisor_table, delta_of, delta_unit, hyperbola_D, hyperbola_D_many
+from .divisor import build_divisor_table, delta_of, hyperbola_D, hyperbola_D_many
 
 INV_PI_SQRT2 = 1.0 / (math.pi * math.sqrt(2.0))
 
@@ -189,8 +189,8 @@ def residual_mean_square(X: float, H: float, Y: int, sample_count: int) -> float
     if not (math.isfinite(X) and math.isfinite(H) and X >= 2 and H > 0 and Y >= 1):
         raise ValueError(f"need finite X >= 2 and H > 0, and Y >= 1; got X={X}, H={H}, Y={Y}")
     xs = stratified_midpoints(X, H, sample_count)
-    m = np.floor(xs)
-    deltas = delta_unit(m, hyperbola_D_many(m.astype(np.int64)), xs - m)
+    D = hyperbola_D_many(np.floor(xs).astype(np.int64))
+    deltas = np.array([delta_of(float(x), int(d)) for x, d in zip(xs, D)])
     sigma = truncated_sum_many(xs, Y)
     r = deltas - INV_PI_SQRT2 * sigma
     return float(np.mean(r * r))

@@ -6,13 +6,14 @@ import mpmath
 import numpy as np
 
 from divisorlab.arith import factor_table, kernel_decompose
-from divisorlab.divisor import (
-    _TWO_GAMMA_MINUS_ONE_LD,
-    TWO_GAMMA_MINUS_ONE,
-    build_divisor_table,
-    delta_unit,
+from divisorlab.divisor import build_divisor_table, delta_unit
+from divisorlab.moments import (
+    _ENDS,
+    GL8_NODES,
+    GL8_WEIGHTS,
+    _int_powers,
+    _newton_roots,
 )
-from divisorlab.moments import GL8_NODES, GL8_WEIGHTS, _ENDS, _int_powers, _newton_roots
 
 
 def d_trial_division(n: int) -> int:
@@ -113,32 +114,30 @@ def relation_product_mpmath(p: int, q: int, Y: int, dps: int = 30) -> list[list]
         return F
 
 
-def delta_in_precision(m, D, u, dtype) -> np.ndarray:
-    """Delta(m + u) with every step in dtype (np.float64 or np.longdouble),
-    in the order of divisor.delta_unit's two branches, as float64: the
-    reference for the precision delta_unit chooses."""
-    c = _TWO_GAMMA_MINUS_ONE_LD if dtype is np.longdouble else TWO_GAMMA_MINUS_ONE
-    x = np.add(m, u, dtype=dtype)
-    return (np.asarray(D, dtype=dtype) - x * np.log(x) - x * c).astype(np.float64)
+def delta_mp(m: int, D: int, u) -> mpmath.mpf:
+    """The smooth branch D - x log x - (2 gamma - 1) x of Delta at x = m + u,
+    at 50 digits, for the float u."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(int(m)) + mpmath.mpf(float(u))
+        return int(D) - x * mpmath.log(x) - (2 * mpmath.euler - 1) * x
 
 
-def chunk_integrals_interval_major(Dm, m, powers, abs_powers) -> dict:
+def chunk_integrals_interval_major(coef, powers, abs_powers) -> dict:
     """moments._chunk_integrals with node values laid out (interval, node)
-    and the same power chain: the reference its node values and integrals
-    are compared against."""
-    delta = delta_unit(m[:, None], Dm[:, None], GL8_NODES)
+    and the same evaluator and power chain: the reference its node values
+    and integrals are compared against."""
+    delta = delta_unit(coef[:, :, None], GL8_NODES)
     out = {("pow", k): float((pw @ GL8_WEIGHTS).sum()) for k, pw in _int_powers(delta, powers)}
     if not abs_powers:
         return out
     absd = np.abs(delta)
-    ends = delta_unit(m, Dm, _ENDS)
+    ends = delta_unit(coef, _ENDS)
     idx = np.nonzero((ends[0] > 0.0) & (ends[1] < 0.0))[0]
     if idx.size:
-        roots = _newton_roots(Dm[idx], m[idx])
-        left_w = roots - m[idx]
-        d_l = np.abs(delta_unit(m[idx, None], Dm[idx, None], left_w[:, None] * GL8_NODES))
-        d_r = np.abs(delta_unit(roots[:, None], Dm[idx, None],
-                                (1.0 - left_w)[:, None] * GL8_NODES))
+        crossing = coef[:, idx, None]
+        left_w = _newton_roots(coef[:, idx])
+        d_l = np.abs(delta_unit(crossing, left_w[:, None] * GL8_NODES))
+        d_r = np.abs(delta_unit(crossing, left_w[:, None] + (1.0 - left_w)[:, None] * GL8_NODES))
     for a in abs_powers:
         per_interval = absd ** a @ GL8_WEIGHTS
         total = float(per_interval.sum())

@@ -8,18 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divisorlab.divisor import (
-    DEFAULT_BLOCK,
+    ANCHOR_SPAN,
     MAX_SIEVE_ARGUMENT,
     RangeOverflowError,
+    anchor_grid,
     build_divisor_table,
     delta_at,
-    delta_of,
     delta_unit,
     hyperbola_D,
     hyperbola_D_many,
     prefix_block,
+    unit_branch,
 )
-from oracles import d_trial_division
+from oracles import d_trial_division, delta_mp
 
 # d(1..12) by hand
 D_SMALL = [1, 2, 2, 3, 2, 4, 2, 4, 3, 4, 2, 6]
@@ -117,42 +118,75 @@ def test_hyperbola_many_refuses_beyond_max_argument():
         hyperbola_D_many(np.array([5, MAX_SIEVE_ARGUMENT + 1], dtype=np.int64))
 
 
+# node values of the anchored evaluator against 50-digit mpmath, absolute
+NODE_BOUND = 3e-11
+
+
 def test_delta_unit_broadcasts_and_left_limit():
-    m = np.array([4.0, 10.0, 1000.0])
-    D = np.array([hyperbola_D(4), hyperbola_D(10), hyperbola_D(1000)])
+    m0, j = 4, np.array([0, 1, 3])
+    D = np.array([hyperbola_D(m0 + int(k)) for k in j])
+    coef = unit_branch(m0, j, D)
     u = np.array([0.0, 0.25, 1.0])
-    got = delta_unit(m[:, None], D[:, None], u)
+    got = delta_unit(coef[:, :, None], u)
     assert got.shape == (3, 3) and got.dtype == np.float64
-    for i, mi in enumerate(m):
-        for j, uj in enumerate(u):
-            assert got[i, j] == delta_of(mi + uj, int(D[i]))
+    for i, k in enumerate(j):
+        for n, un in enumerate(u):
+            assert abs(got[i, n] - float(delta_mp(m0 + k, D[i], un))) <= NODE_BOUND
     # u = 1 is the left limit at m + 1: Delta(m + 1) less the jump d(m + 1)
     assert got[0, 2] == pytest.approx(delta_at(5.0).delta - d_trial_division(5), abs=1e-12)
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an 80-bit long double")
+@pytest.mark.parametrize("lo, hi, want", [
+    (1, 40000, [1 << k for k in range(15)] + [16385, 32769]),
+    (2, 10, [2, 4, 8]),
+    (3, 4, [3]),
+    (8192, 30000, [8192, 16384, 24576]),
+    (10 ** 6, 10 ** 6 + 40000, [10 ** 6, 10 ** 6 + 16384, 10 ** 6 + 32768]),
+])
+def test_anchor_grid(lo, hi, want):
+    grid = anchor_grid(lo, hi)
+    assert grid == want
+    # each anchor serves at most min(m0, ANCHOR_SPAN) intervals
+    for m0, nxt in zip(grid, grid[1:] + [hi]):
+        assert nxt - m0 <= min(m0, ANCHOR_SPAN)
+
+
+def test_unit_branch_degree_follows_the_anchor():
+    # the first dropped Taylor term stays below 2**-56 * max(1, c**(1/4))
+    degrees = {m0: len(unit_branch(m0, np.array([0]), np.array([hyperbola_D(m0)]))) - 1
+               for m0 in (1, 1000, 10 ** 6, 10 ** 10)}
+    assert degrees == {1: 29, 1000: 5, 10 ** 6: 3, 10 ** 10: 2}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, MAX_SIEVE_ARGUMENT - ANCHOR_SPAN), st.integers(0, ANCHOR_SPAN - 1),
+       st.floats(0.0, 1.0), st.integers(-4096, 4096))
+def test_anchored_node_within_bound_of_mpmath(m0, j, u, offset):
+    # D need not be D(m) for the evaluator: any integer near x log x gives a
+    # branch value of the size of Delta, without an O(sqrt(x)) sieve
+    j = j % min(m0, ANCHOR_SPAN)
+    f_mid = -delta_mp(m0 + j, 0, 0.5)  # x log x + (2 gamma - 1) x at the midpoint
+    D = int(mpmath.floor(f_mid)) + offset
+    coef = unit_branch(m0, np.array([j]), np.array([D], dtype=np.int64))
+    got = float(delta_unit(coef, u)[0])
+    assert abs(got - float(delta_mp(m0 + j, D, u))) <= NODE_BOUND
+
+
+@pytest.mark.parametrize("x, bound", [(1.5, 1e-15), (1e12 + 0.25, 1e-9), (2.0 ** 51 + 0.5, 1e-8)])
+def test_delta_at_matches_mpmath(x, bound):
+    # delta_at takes x log x to 136 bits: 1.08e-3 and 2.5e-3 off at the
+    # last two points through the former float64 and long double paths
+    s = delta_at(x)
+    assert abs(s.delta - float(delta_mp(math.floor(x), s.D, x - math.floor(x)))) <= bound
+
+
 @pytest.mark.parametrize("x", [2.0 ** 40 + 12345.5, 2e12 + 0.3, 3e14 + 0.75])
 def test_delta_at_above_2_40_matches_mpmath(x):
-    # long double x*log(x) rounds to u_ld*x*log(x); the float64 constant
-    # 2*gamma - 1 alone was 9.9e-18 off, 3e-3 in Delta at 3e14
+    # no precision switch at 2**40: within a few ulp of Delta here, where
+    # long double was held to 4 * 2**-64 * x log x (2.2e-3 at 3e14)
     s = delta_at(x)
-    with mpmath.workdps(50):
-        X = mpmath.mpf(x)
-        exact = float(s.D - X * mpmath.log(X) - (2 * mpmath.euler - 1) * X)
-    assert abs(s.delta - exact) <= 4 * 2.0 ** -64 * x * math.log(x)
-
-
-@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an 80-bit long double")
-def test_delta_unit_extended_when_any_point_exceeds_2_40():
-    # the point below 2**40 is evaluated in long double with its neighbour
-    m = np.array([2.0 ** 40 - 1000.0, 2.0 ** 40 + 1000.0])
-    D = np.array([hyperbola_D(int(v)) for v in m])
-    got = delta_unit(m, D, 0.5)
-    with mpmath.workdps(50):
-        X = mpmath.mpf(m[0] + 0.5)
-        exact = float(int(D[0]) - X * mpmath.log(X) - (2 * mpmath.euler - 1) * X)
-    assert got[1] == delta_of(m[1] + 0.5, int(D[1]))
-    assert abs(got[0] - exact) <= 4 * 2.0 ** -64 * m[0] * math.log(m[0])
+    exact = float(delta_mp(math.floor(x), s.D, x - math.floor(x)))
+    assert abs(s.delta - exact) <= 4 * np.spacing(abs(exact))
 
 
 def test_delta_at_100():
@@ -175,22 +209,10 @@ def test_delta_jump_at_integers():
     assert after.delta - before.delta == pytest.approx(3.0, abs=1e-6)
 
 
-def test_delta_of_extended_precision_branch():
-    # above 2**40 the long-double path must agree with exact integer math
-    x = float((1 << 40) + 17)
-    D = 10 ** 13
-    coarse = D - x * math.log(x) - (2 * 0.5772156649015329 - 1) * x
-    assert delta_of(x, D) == pytest.approx(coarse, rel=1e-9)
-
-
 def test_prefix_block_seeding():
     direct = np.cumsum(build_divisor_table(1, 3000), dtype=np.int64)
     blk = prefix_block(1001, 3001)
     assert np.array_equal(blk, direct[1000:3000])
-
-
-def test_default_block_is_power_of_two():
-    assert DEFAULT_BLOCK & (DEFAULT_BLOCK - 1) == 0
 
 
 @settings(max_examples=60, deadline=None)

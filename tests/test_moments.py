@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 from divisorlab import moments, series
-from divisorlab.divisor import delta_unit, hyperbola_D, prefix_block
+from divisorlab.arith import BudgetExceededError
+from divisorlab.divisor import (
+    ANCHOR_SPAN,
+    anchor_grid,
+    delta_unit,
+    hyperbola_D,
+    prefix_block,
+    unit_branch,
+)
 from divisorlab.moments import (
     GL8_NODES,
     GL8_WEIGHTS,
@@ -61,14 +69,41 @@ def test_unit_interval_quadrature_matches_mpmath(k):
         assert prof[m + 1][("pow", k)] == pytest.approx(want, rel=1e-12)
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an 80-bit long double")
 @pytest.mark.parametrize("m, bound", [(2 * 10 ** 12, 2e-9), (10 ** 14, 1e-7)])
 def test_unit_interval_above_2_40_matches_mpmath(m, bound):
-    # past 2**40 Delta is formed in long double, where the rounding of
-    # x*log(x), u_ld*x*log(x), is 3e-6 at 2e12 and 2e-4 at 1e14 (6.4e-11 and
-    # 1.0e-8 measured); float64 nodes and constant gave 1.3e-7 and 1.6e-5
+    # the bounds are those of the former long double path (6.4e-11 and
+    # 1.0e-8 measured); the anchored evaluator, with no precision switch, is
+    # within 1e-15 here, and test_anchored_chunk_matches_mpmath holds it to
+    # 1e-11 relative per interval
     got = moment_profile([2], [], [m + 1], lo=m)[m + 1][("pow", 2)]
     assert got == pytest.approx(_oracle_unit_interval(m, power=2), rel=bound)
+
+
+# chunk starts of the anchored evaluator's accuracy test: the first anchors
+# of a profile from 1 or 2, where x/m0 is largest, through 2**51
+_ANCHOR_STARTS = [1, 2, 10 ** 3, 10 ** 4, 10 ** 6, 10 ** 10, 10 ** 12, 2 * 10 ** 12, 10 ** 14,
+                  2 ** 51]
+
+
+@pytest.mark.parametrize("m0", _ANCHOR_STARTS)
+def test_anchored_chunk_matches_mpmath(m0):
+    # 15 intervals across the 2**14 from m0, each evaluated from its anchor
+    # on the profile's grid: every GL8 node within 3e-11 of 50-digit mpmath
+    # (4.1e-12 the worst of 300 intervals per m0), and each interval's GL8
+    # sums of Delta**2 and Delta**8 within 1e-11 relative of the same sums
+    # of the mpmath values (1.9e-12)
+    n = ANCHOR_SPAN
+    D = prefix_block(m0, m0 + n)
+    grid = anchor_grid(m0, m0 + n)
+    for j in np.linspace(0, n - 1, 15).astype(int):
+        anchor = grid[np.searchsorted(grid, m0 + j, "right") - 1]
+        coef = unit_branch(anchor, np.array([m0 + j - anchor]), D[j : j + 1])
+        got = delta_unit(coef, GL8_NODES)
+        want = [oracles.delta_mp(m0 + j, D[j], u) for u in GL8_NODES]
+        assert max(abs(g - float(w)) for g, w in zip(got, want)) <= 3e-11, j
+        for k in (2, 8):
+            exact = mpmath.fsum(float(w) * v ** k for w, v in zip(GL8_WEIGHTS, want))
+            assert abs(float(GL8_WEIGHTS @ got ** k) - exact) <= 1e-11 * exact, (j, k)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an 80-bit long double")
@@ -88,18 +123,20 @@ def test_int_powers_within_chain_error_bound():
 
 _LAYOUT_POWERS = [1, 2, 3, 4, 8]
 _LAYOUT_ABS = [1.5, 35.0 / 4.0, 267.0 / 27.0]
-# chunks with sign crossings: two below 2**40 and one in long double above it
-_LAYOUT_CHUNKS = [(1000, 1 << 14), (500_000, 1 << 14), (2 * 10 ** 12 + 10 ** 5, 1 << 12)]
+# chunks with sign crossings: the first anchors of a profile from 2 and
+# 1000, one of degree 3 and one past 2**40
+_LAYOUT_CHUNKS = [(2, 2), (1000, 1000), (500_000, 1 << 14), (2 * 10 ** 12 + 10 ** 5, 1 << 12)]
 
 
 def _chunk(start, n):
-    return prefix_block(start, start + n), np.arange(start, start + n, dtype=np.float64)
+    """unit_branch of the n intervals from the anchor start."""
+    return unit_branch(start, np.arange(n), prefix_block(start, start + n))
 
 
-def _abs_sums(D, m, key):
+def _abs_sums(coef, key):
     """GL8 sum of |Delta|**e over the chunk: the scale of the rounding errors
     of any order in which the integral of Delta**e or |Delta|**e is summed."""
-    d = np.abs(delta_unit(m, D, GL8_NODES[:, None]))
+    d = np.abs(delta_unit(coef, GL8_NODES[:, None]))
     return float(GL8_WEIGHTS @ (d ** key[1]).sum(axis=1))
 
 
@@ -107,7 +144,7 @@ def _abs_sums(D, m, key):
 def test_node_major_layout_has_the_interval_major_node_values(monkeypatch, start, n):
     # every Delta array the kernel forms (nodes, crossing ends, Newton steps,
     # split halves) is the reference's, bit for bit, transposed where 2-D
-    D, m = _chunk(start, n)
+    coef = _chunk(start, n)
     calls = {"new": [], "old": []}
 
     def recording(side):
@@ -118,32 +155,32 @@ def test_node_major_layout_has_the_interval_major_node_values(monkeypatch, start
         return call
 
     monkeypatch.setattr(moments, "delta_unit", recording("new"))
-    moments._chunk_integrals(D, m, _LAYOUT_POWERS, _LAYOUT_ABS)
+    moments._chunk_integrals(coef, _LAYOUT_POWERS, _LAYOUT_ABS)
     monkeypatch.setattr(oracles, "delta_unit", recording("old"))
     monkeypatch.setattr(moments, "delta_unit", recording("old"))
-    oracles.chunk_integrals_interval_major(D, m, _LAYOUT_POWERS, _LAYOUT_ABS)
-    assert len(calls["new"]) == len(calls["old"]) > 3  # sign crossings present
+    oracles.chunk_integrals_interval_major(coef, _LAYOUT_POWERS, _LAYOUT_ABS)
+    assert len(calls["new"]) == len(calls["old"]) > 4  # sign crossings present
     assert calls["new"][0].shape == (len(GL8_NODES), n)
     for new, old in zip(calls["new"], calls["old"]):
-        assert np.array_equal(new, old if new.shape == old.shape else old.T)
+        assert np.array_equal(new, old if new.shape == old.shape else np.swapaxes(old, -1, -2))
 
 
 @pytest.mark.parametrize("start, n", _LAYOUT_CHUNKS)
 def test_node_major_integrals_within_few_ulp_of_interval_major(start, n):
     # same node values and power chain, so only the order of the node sums
     # differs; 1.6 u of the absolute sums was the worst seen
-    D, m = _chunk(start, n)
-    got = moments._chunk_integrals(D, m, _LAYOUT_POWERS, _LAYOUT_ABS)
-    want = oracles.chunk_integrals_interval_major(D, m, _LAYOUT_POWERS, _LAYOUT_ABS)
+    coef = _chunk(start, n)
+    got = moments._chunk_integrals(coef, _LAYOUT_POWERS, _LAYOUT_ABS)
+    want = oracles.chunk_integrals_interval_major(coef, _LAYOUT_POWERS, _LAYOUT_ABS)
     assert got.keys() == want.keys()
     for key in got:
-        assert abs(got[key] - want[key]) <= 8 * U * _abs_sums(D, m, key), key
+        assert abs(got[key] - want[key]) <= 8 * U * _abs_sums(coef, key), key
 
 
 def test_node_major_block_within_few_ulp_of_interval_major(monkeypatch):
     # a block of four chunks, with sign crossings in each
-    start, stop = 100_000, 100_000 + 4 * moments._CHUNK
-    chunks = [(a, a + moments._CHUNK) for a in range(start, stop, moments._CHUNK)]
+    start, stop = 100_000, 100_000 + 4 * ANCHOR_SPAN
+    chunks = [(a, a + ANCHOR_SPAN, a) for a in range(start, stop, ANCHOR_SPAN)]
 
     def block(chunk_integrals):
         monkeypatch.setattr(moments, "_chunk_integrals", chunk_integrals)
@@ -152,36 +189,47 @@ def test_node_major_block_within_few_ulp_of_interval_major(monkeypatch):
 
     got = block(moments._chunk_integrals)
     want = block(oracles.chunk_integrals_interval_major)
-    D, m = _chunk(start, stop - start)
     for key in got:
-        assert abs(got[key] - want[key]) <= 8 * U * _abs_sums(D, m, key), key
+        scale = sum(_abs_sums(_chunk(a, ANCHOR_SPAN), key) for a, _, _ in chunks)
+        assert abs(got[key] - want[key]) <= 8 * U * scale, key
 
 
-_TWO_40 = 2.0 ** 40
-_ULP_BELOW = 2.0 ** -13  # spacing of float64 in [2**39, 2**40)
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_first_unit_interval_matches_mpmath(k):
+    # [1, 2) is the hardest interval for the Taylor branch (degree 29); the
+    # GL8 quadrature itself limits the match there (6.7e-12 for k = 7)
+    got = moment_profile([k], [], [2], lo=1)[2][("pow", k)]
+    assert got == pytest.approx(_oracle_unit_interval(1, power=k), rel=1e-10)
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an 80-bit long double")
-@pytest.mark.parametrize("m, u", [
-    ([_TWO_40 - 2, _TWO_40 - 1], GL8_NODES[:, None]),
-    ([_TWO_40 - 2, _TWO_40 - 1], [[0.0], [1.0]]),  # x reaches 2**40, not beyond
-    ([_TWO_40 - 1], [[0.0], [np.nextafter(1.0, 2.0)]]),  # m + u rounds to 2**40
-    ([_TWO_40 - _ULP_BELOW], [[0.0], [_ULP_BELOW / 2]]),  # a tie, to even: 2**40
-    ([_TWO_40 - _ULP_BELOW], [[0.0], [2 * _ULP_BELOW]]),  # a tie, to even: 2**40
-    ([_TWO_40 - _ULP_BELOW], [[0.0], [3 * _ULP_BELOW]]),  # rounds above 2**40
-    ([_TWO_40], [[0.0], [_ULP_BELOW]]),
-    ([_TWO_40, _TWO_40 + 1], GL8_NODES[:, None]),
-])
-def test_delta_unit_precision_decided_as_from_x(m, u):
-    # delta_unit picks long double from max(m) + max(u) without forming x;
-    # for an outer sum that is the decision from the largest x = m + u
-    m, u = np.array(m), np.array(u)
-    D = np.array([hyperbola_D(int(v)) for v in m])
-    extended = np.add(m, u).max() > _TWO_40
-    want = oracles.delta_in_precision(m, D, u, np.longdouble if extended else np.float64)
-    other = oracles.delta_in_precision(m, D, u, np.float64 if extended else np.longdouble)
-    assert not np.array_equal(want, other)  # the two precisions tell apart here
-    assert np.array_equal(delta_unit(m, D, u), want)
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+def test_window_at_1_5_matches_mpmath(k):
+    # the window starts at int(1.5) = 1 and covers [1, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = window_moment(WindowSpec(X=1.5, H=3.0), k).integral
+    want = math.fsum(_oracle_unit_interval(m, power=k) for m in (1, 2, 3))
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_node_values_do_not_depend_on_where_a_chunk_is_split(monkeypatch):
+    # each chunk takes its anchor from the grid, not from its own start, so
+    # a checkpoint or abs_limit inside a chunk leaves every node value as is
+    nodes = []
+
+    def recording(coef, u):
+        value = delta_unit(coef, u)
+        if np.shape(u) == (len(GL8_NODES), 1):  # the nodes of every interval
+            nodes.append(value)
+        return value
+
+    monkeypatch.setattr(moments, "delta_unit", recording)
+    moment_profile([2], [1.5], [40_000])
+    whole = np.concatenate(nodes, axis=1)
+    nodes.clear()
+    moment_profile([2], [1.5], [12_345, 40_000], abs_limit=23_456)
+    assert len(nodes) > 5
+    assert np.array_equal(np.concatenate(nodes, axis=1), whole)
 
 
 @pytest.mark.parametrize("A", [1.0, 3.5, 35.0 / 4.0])
@@ -196,22 +244,28 @@ def test_abs_quadrature_with_sign_crossing(A):
     assert prof[m + 1][("abs", A)] == pytest.approx(want, rel=1e-6)
 
 
-def test_profile_additive_over_checkpoints():
-    prof = moment_profile([2], [], [500, 1000], block=128)
-    single = moment_profile([2], [], [1000], block=128)
+def test_profile_additive_over_checkpoints(monkeypatch):
+    monkeypatch.setattr(moments, "DEFAULT_BLOCK", 128)
+    prof = moment_profile([2], [], [500, 1000])
+    single = moment_profile([2], [], [1000])
     assert prof[1000][("pow", 2)] == single[1000][("pow", 2)]
-    tail = moment_profile([2], [], [1000], lo=500, block=128)
+    tail = moment_profile([2], [], [1000], lo=500)
     assert prof[500][("pow", 2)] + tail[1000][("pow", 2)] == pytest.approx(
         prof[1000][("pow", 2)], rel=1e-12)
 
 
-def test_profile_bit_identical_across_blocks_and_threads():
+def test_default_block_is_power_of_two():
+    assert moments.DEFAULT_BLOCK & (moments.DEFAULT_BLOCK - 1) == 0
+
+
+def test_profile_bit_identical_across_blocks_and_threads(monkeypatch):
     # the chunk grid runs from lo and splits at the checkpoints and at an
-    # abs_limit between them; blocks group from one of its 12 chunks to all
-    # of them, with sign crossings in every chunk
+    # abs_limit between them; blocks group from one of its chunks to all of
+    # them, with sign crossings in every chunk
     kw = dict(powers=[1, 2, 3, 4, 8], abs_powers=[35.0 / 4.0],
               checkpoints=[10 ** 4, 70_001, 2 ** 17 + 12_345], abs_limit=100_001)
-    want = moment_profile(**kw, block=2 ** 22)
+    monkeypatch.setattr(moments, "DEFAULT_BLOCK", 2 ** 22)
+    want = moment_profile(**kw)
     runs = [(block, threads) for block in [3000] + [2 ** e for e in range(16, 23)]
             for threads in (1, 2)]
     interval = sys.getswitchinterval()
@@ -219,22 +273,24 @@ def test_profile_bit_identical_across_blocks_and_threads():
     sys.setswitchinterval(1e-5)
     try:
         for block, threads in runs + [(3000, 4)]:
-            assert moment_profile(**kw, block=block, threads=threads) == want, (block, threads)
+            monkeypatch.setattr(moments, "DEFAULT_BLOCK", block)
+            assert moment_profile(**kw, threads=threads) == want, (block, threads)
     finally:
         sys.setswitchinterval(interval)
 
 
-def test_profile_thread_count_does_not_change_values():
-    a = moment_profile([2, 8], [1.5], [20000], block=1024, threads=1)
-    b = moment_profile([2, 8], [1.5], [20000], block=1024, threads=4)
+def test_profile_thread_count_does_not_change_values(monkeypatch):
+    monkeypatch.setattr(moments, "DEFAULT_BLOCK", 1024)
+    a = moment_profile([2, 8], [1.5], [20000], threads=1)
+    b = moment_profile([2, 8], [1.5], [20000], threads=4)
     assert a == b
 
 
-def test_profile_threads_bit_identical_over_multichunk_blocks():
+def test_profile_threads_bit_identical_over_multichunk_blocks(monkeypatch):
     # each block of 2**16 intervals is integrated in several chunks
-    assert moments._CHUNK < 2 ** 16
-    kw = dict(powers=[1, 2, 3, 4, 8], abs_powers=[35.0 / 4.0], checkpoints=[200000],
-              block=2 ** 16)
+    assert ANCHOR_SPAN < 2 ** 16
+    monkeypatch.setattr(moments, "DEFAULT_BLOCK", 2 ** 16)
+    kw = dict(powers=[1, 2, 3, 4, 8], abs_powers=[35.0 / 4.0], checkpoints=[200000])
     assert moment_profile(**kw, threads=1) == moment_profile(**kw, threads=2)
 
 
@@ -245,10 +301,11 @@ def test_block_integrals_working_set(monkeypatch):
     # product of them, 5.5 chunk arrays measured; they are freed before the
     # next chunk, so the bound holds at any block length
     start, stop = 2, 2 + (1 << 20)
+    grid = anchor_grid(start, stop)
     D = prefix_block(start, stop)
     monkeypatch.setattr(moments, "prefix_block", lambda a, b: D)
-    chunks = [(a, a + moments._CHUNK) for a in range(start, stop, moments._CHUNK)]
-    chunk_array = moments._CHUNK * len(moments.GL8_NODES) * 8
+    chunks = list(zip(grid, grid[1:] + [stop], grid))
+    chunk_array = ANCHOR_SPAN * len(moments.GL8_NODES) * 8
     tracemalloc.start()
     try:
         moments._block_integrals(chunks, [1, 2, 3, 4, 8], [35.0 / 4.0, 267.0 / 27.0], None)
@@ -288,20 +345,22 @@ def test_profile_repeated_power_counted_once():
     assert moment_profile([2, 2], [], [1000]) == moment_profile([2], [], [1000])
 
 
-def test_profile_abs_limit_freezes_abs_integrals():
-    prof = moment_profile([1], [1.5], [1000, 2000], block=256, abs_limit=1000)
-    full = moment_profile([1], [1.5], [1000], block=256)
+def test_profile_abs_limit_freezes_abs_integrals(monkeypatch):
+    monkeypatch.setattr(moments, "DEFAULT_BLOCK", 256)
+    prof = moment_profile([1], [1.5], [1000, 2000], abs_limit=1000)
+    full = moment_profile([1], [1.5], [1000])
     assert prof[2000][("abs", 1.5)] == prof[1000][("abs", 1.5)]
     assert prof[1000][("abs", 1.5)] == full[1000][("abs", 1.5)]
     assert prof[2000][("pow", 1)] != prof[1000][("pow", 1)]
 
 
 @pytest.mark.parametrize("block", [256, 512, 1024])
-def test_profile_abs_limit_between_checkpoints(block):
+def test_profile_abs_limit_between_checkpoints(monkeypatch, block):
     # the |Delta|**A integral freezes at abs_limit itself, not at the block
     # boundary after it
-    prof = moment_profile([], [1.5], [4000], block=block, abs_limit=1500)
-    frozen = moment_profile([], [1.5], [1500], block=block)
+    monkeypatch.setattr(moments, "DEFAULT_BLOCK", block)
+    prof = moment_profile([], [1.5], [4000], abs_limit=1500)
+    frozen = moment_profile([], [1.5], [1500])
     assert prof[4000][("abs", 1.5)] == frozen[1500][("abs", 1.5)]
 
 
@@ -360,6 +419,18 @@ def test_moment_validation():
             moment(2, X)
         with pytest.raises(ValueError, match="X must be finite and >= 3"):
             abs_moment(1.5, X)
+
+
+@pytest.mark.parametrize("Y", [10 ** 9, 0, 1e3, True])
+def test_bad_constants_Y_refused_before_the_integral(monkeypatch, Y):
+    def reached(*args, **kwargs):
+        raise AssertionError("moment_profile ran before constants_Y was checked")
+
+    monkeypatch.setattr(moments, "moment_profile", reached)
+    with pytest.raises((ValueError, BudgetExceededError)):
+        moment(4, 3e5, constants_Y=Y)
+    with pytest.raises((ValueError, BudgetExceededError)):
+        window_moment(WindowSpec(X=10 ** 6, H=10 ** 4), 4, constants_Y=Y)
 
 
 def test_abs_moment_even_integer_matches_power_moment():

@@ -228,7 +228,6 @@ def test_residual_mean_square_decreases_with_cutoff():
 
 @pytest.mark.parametrize("X, H", [(1e5, 1e4), (1e9 + 0.25, 3e3), (2.0 ** 40 + 700.0, 1500.0)])
 def test_residual_mean_square_equals_per_sample_loop(X, H):
-    # the last window lies past 2**40, where Delta is formed in long double
     Y, count = 200, 32
     xs = stratified_midpoints(X, H, count)
     deltas = np.array([delta_of(float(x), hyperbola_D(int(m)))
