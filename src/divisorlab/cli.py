@@ -34,7 +34,7 @@ from .relations import (
     min_gap,
     near_solution_count,
 )
-from .series import DEFAULT_CUTOFFS, estimate_constant
+from .series import DEFAULT_CUTOFF, SIGNATURES, estimate_constant
 from .voronoi import residual_at, truncated_sum
 
 EXIT_OK = 0
@@ -136,12 +136,12 @@ def _thread_count(text: str) -> int:
 
 
 def _parse_names(text: str) -> list[str]:
-    """'C2,C7' -> ['C2', 'C7'], each a key of DEFAULT_CUTOFFS; an argparse type."""
+    """'C2,C7' -> ['C2', 'C7'], each a key of series.SIGNATURES; an argparse type."""
     names = [name.strip() for name in text.split(",")]
     for name in names:
-        if name not in DEFAULT_CUTOFFS:
+        if name not in SIGNATURES:
             raise argparse.ArgumentTypeError(
-                f"unknown constant {name!r}; choose from {', '.join(DEFAULT_CUTOFFS)}")
+                f"unknown constant {name!r}; choose from {', '.join(SIGNATURES)}")
     return names
 
 
@@ -190,21 +190,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Y", type=int, required=True)
 
     p = sub.add_parser("constants", parents=[common], help="partial sums of C1/C2/C4/C7")
-    p.add_argument("--names", type=_parse_names, default=list(DEFAULT_CUTOFFS),
+    p.add_argument("--names", type=_parse_names, default=list(SIGNATURES),
                    help="comma separated, from C1,C2,C4,C7")
-    p.add_argument("--Y", type=int, default=256)
+    p.add_argument("--Y", type=int, default=DEFAULT_CUTOFF)
 
     p = sub.add_parser("moment", parents=[threaded], help="integral of Delta**k over [2, X]")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--X", type=float, required=True)
-    p.add_argument("--constants-Y", type=int, default=256,
+    p.add_argument("--constants-Y", type=int, default=DEFAULT_CUTOFF,
                    help="cutoff for the constant estimates feeding the main term")
 
     p = sub.add_parser("window", parents=[threaded], help="short-interval moment over [X, X+H]")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--X", type=float, required=True)
     p.add_argument("--H", type=float, required=True)
-    p.add_argument("--constants-Y", type=int, default=256)
+    p.add_argument("--constants-Y", type=int, default=DEFAULT_CUTOFF)
 
     p = sub.add_parser("expsum", parents=[common], help="exponential sum and its eighth moment")
     p.add_argument("--N", type=int, required=True)
@@ -271,10 +271,11 @@ def _mingap(args):
 def _constants(args):
     ests = [estimate_constant(name, args.Y) for name in args.names]
     results = [{"name": name, "Y": est.Y, "partial_sum": est.partial_sum,
-                "extrapolated": est.estimate, "tail_indicator": est.tail_indicator}
+                "tail_indicator": est.tail_indicator, "estimate": est.estimate,
+                "estimate_tail": est.estimate_tail}
                for name, est in zip(args.names, ests)]
     return ({"constants.json": json.dumps(results, indent=2) + "\n"},
-            "\n".join(f"{name}: partial={_fmt(est.partial_sum)} extrapolated={_fmt(est.estimate)}"
+            "\n".join(f"{name}: partial={_fmt(est.partial_sum)} estimate={_fmt(est.estimate)}"
                       for name, est in zip(args.names, ests)),
             EXIT_OK)
 

@@ -257,8 +257,8 @@ _MAIN_EXPONENTS = {1: 1, 2: 1.5, 3: 1.75, 4: 2}
 
 def moment_main_term(k: int, X: float, constants_Y: int | None = None) -> float:
     """Main term of the k-th moment over [2, X]; 0 where the theory gives none.
-    constants_Y is the cutoff of the constant estimates it uses (None: the
-    defaults of series.DEFAULT_CUTOFFS)."""
+    constants_Y is the cutoff of the constant estimates it uses (None:
+    series.DEFAULT_CUTOFF)."""
     from .series import main_term_coefficient
 
     if k in (5, 6, 7):

@@ -1,24 +1,27 @@
-"""Partial sums of the singular-series constants attached to the moment
-asymptotics of the divisor error term, and the closed-form moment coefficients.
+"""Partial sums and estimates of the singular-series constants attached to the
+moment asymptotics of the divisor error term, and the closed-form moment
+coefficients.
 
 The four constants are sums of q = prod d(v_i) * prod v_i**(-3/4) over exact
-integer solutions of a square-root relation:
+integer solutions of a square-root relation of signature (p, q):
 
-    C2: sqrt(n)+sqrt(m) = sqrt(k)+sqrt(l)                       (4 variables)
+    C1: sqrt(n)+sqrt(m) = sqrt(k)                               (2 + 1)
+    C2: sqrt(n)+sqrt(m) = sqrt(k)+sqrt(l)                       (2 + 2)
     C4: sqrt(n)+...+sqrt(s) = sqrt(t)+sqrt(j)                   (6 + 2)
     C7: sqrt(n)+sqrt(m)+sqrt(k)+sqrt(l) = sqrt(r)+...+sqrt(j)   (4 + 4)
-
-and C1 is a direct triple sum over (alpha, beta, h) with h squarefree.
 
 Solutions are never enumerated tuple by tuple here.  Writing v = a**2 * h with
 h squarefree, a relation holds exactly when the integer coefficient sums agree
 for every kernel h, so the weighted solution count factors over kernels into a
 product of one polynomial 1 + f_h(x, y) per kernel; direct 8-fold loops would
-be infeasible beyond cutoffs of about 30.  Kernels with the same a-range
-isqrt(Y/h) are handled together: their side sums are (kernels x length)
+be infeasible beyond cutoffs of about 30.  (For C1 the three variables share
+one kernel: n, m, k = alpha^2 h, beta^2 h, (alpha + beta)^2 h.)  Kernels with
+the same a-range are handled together: their side sums are (kernels x length)
 arrays, and their polynomials are multiplied as a pairwise tree, so no Python
 loop runs per kernel and the rounding of the product grows with log2 of the
 number of kernels, not with the number itself (see _relation_product).
+A partial sum and an estimate are one product over different a-ranges
+(estimate_constant).
 """
 
 from __future__ import annotations
@@ -32,24 +35,32 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .arith import BudgetExceededError, factor_table, factorize
+from .arith import BudgetExceededError, factor_table
 from .divisor import build_divisor_table
 
 MAX_CONSTANT_CUTOFF = 1 << 20
+# the most values a^2 h a completed product may hold (1.2e6 at cutoff 1e4)
+MAX_COMPLETED_VALUES = 1 << 25
+
+# the cutoff of every constant estimate when none is given
+DEFAULT_CUTOFF = 1024
+
+# constant -> the signature (p, q) of its relation
+SIGNATURES = {"C1": (2, 1), "C2": (2, 2), "C4": (6, 2), "C7": (4, 4)}
 
 
 @dataclass(frozen=True)
-class ConstantEstimate:
+class PartialSum:
     name: str  # one of C1, C2, C4, C7
     Y: int
     partial_sum: float
     tail_indicator: float  # |partial(Y) - partial(Y // 2)|
+
+
+@dataclass(frozen=True)
+class ConstantEstimate(PartialSum):
     estimate: float  # >= partial_sum; see estimate_constant
     estimate_tail: float  # |estimate(Y) - estimate(Y // 2)|
-
-
-# cutoffs of the constant estimates when none is given
-DEFAULT_CUTOFFS = {"C1": 512, "C2": 4096, "C4": 256, "C7": 256}
 
 
 @lru_cache(maxsize=16)
@@ -58,13 +69,51 @@ def _divisor_counts(bound: int) -> np.ndarray:
     return build_divisor_table(1, bound).astype(np.float64)
 
 
+def _weights(hs: np.ndarray, A: int, Y: int) -> np.ndarray:
+    """w[k, a] = d(a^2 h_k) (a^2 h_k)^(-3/4) for a = 1..A, w[k, 0] = 0, for
+    squarefree h_k <= Y and A <= Y, from tables up to Y only: with
+    c = gcd(a, h^inf) and b = a / c, b^2 and c^2 h are coprime and each
+    p | h has exponent 2 e_p(c) + 1 in c^2 h, so
+    d(a^2 h) = d(b^2) d(c^2 h) = d(b^2) d(c) d(h)."""
+    d, d_sq = _divisor_counts(Y), factor_table(Y)[2]
+    a = np.arange(1, A + 1)
+    # gcd(a, c^2) doubles the exponents of c's primes up to a's, and no
+    # exponent in a reaches A.bit_length()
+    c = np.gcd(a, hs)
+    for _ in range(A.bit_length().bit_length()):
+        c = np.gcd(a, c * c)
+    counts = d_sq[a // c - 1] * d[c - 1] * d[hs - 1]
+    v = a ** 2 * hs
+    w = np.zeros((len(hs), A + 1))
+    w[:, 1:] = counts * v.astype(np.float64) ** -0.75
+    return w
+
+
+# rows of fewer entries are convolved directly in _side_sums, longer ones by
+# rfft; the rfft is faster from about 48, but below 128 every partial sum up
+# to cutoff 16128 keeps its direct sums, and so its value, bit for bit
+_DIRECT_WIDTH = 128
+
+
 def _side_sums(w: np.ndarray, max_count: int) -> list[np.ndarray]:
     """G[i][k, s] = sum of w[k, a_1] ... w[k, a_i] over a_1 + ... + a_i = s: the
-    i-fold self-convolutions of each row of w, i = 0..max_count."""
+    i-fold self-convolutions of each row of w, i = 0..max_count.  Rows of
+    fewer than _DIRECT_WIDTH entries are convolved directly, one sliding
+    window per step; longer ones by one rfft power chain at the power of two
+    above max_count (width - 1), whose rounding is a few units of 2^-53 of
+    each G_i's largest entry, far below the dot products that read it."""
     n_rows, width = w.shape
+    G = [np.ones((n_rows, 1)), w]
+    if width >= _DIRECT_WIDTH:
+        size = 1 << (max_count * (width - 1)).bit_length()
+        W = np.fft.rfft(w, size, axis=1)
+        power = W
+        for i in range(2, max_count + 1):
+            power = power * W
+            G.append(np.fft.irfft(power, size, axis=1)[:, : i * (width - 1) + 1])
+        return G
     w_rev = w[:, ::-1]
-    G = [np.ones((n_rows, 1))]
-    for _ in range(max_count):
+    for _ in range(1, max_count):
         prev = G[-1]
         padded = np.zeros((n_rows, prev.shape[1] + 2 * (width - 1)))
         padded[:, width - 1 : width - 1 + prev.shape[1]] = prev
@@ -73,36 +122,42 @@ def _side_sums(w: np.ndarray, max_count: int) -> list[np.ndarray]:
     return G
 
 
-# most kernels whose polynomials are built and multiplied as one batch
+# most kernels, and most side-sum elements (kernels x max(p, q) x row
+# width), in one batch of _kernel_polynomials
 _KERNEL_BLOCK = 4096
+_BATCH_ELEMENTS = 1 << 18
 
 
-def _kernel_polynomials(p: int, q: int, Y: int) -> Iterator[np.ndarray]:
+def _kernel_polynomials(p: int, q: int, Y: int, reach: int) -> Iterator[np.ndarray]:
     """Batches P of 1 + f_h(x, y), P[k] the (p+1, q+1) coefficients of one
     squarefree kernel h <= Y; every kernel lies in one batch.
 
     [x^i y^j] f_h = G_i . G_j / (i! j!) for i, j >= 1, where G_i[s] is the
-    weighted count of ordered i-tuples (a_1..a_i), a <= isqrt(Y/h), with sum
-    a = s, each a weighted by d(a^2 h) (a^2 h)^(-3/4).  Kernels with the same
-    isqrt(Y/h) have tuples of the same length, so a batch of them is one set
-    of (kernels x length) arrays.  There are at most isqrt(Y) such groups
-    (34 at Y = 1e4), and a group of more than _KERNEL_BLOCK kernels is split.
+    weighted count of ordered i-tuples (a_1..a_i), a <= A_h = isqrt(reach // h),
+    with sum a = s, each a weighted by d(a^2 h) (a^2 h)^(-3/4).  A batch is
+    one set of (kernels x length) arrays: among rows shorter than
+    _DIRECT_WIDTH a run of equal A_h, among longer ones a run of equal FFT
+    length, each row zero past its own A_h.  At reach = Y there are at most
+    isqrt(Y) runs (34 at Y = 1e4).  A run of more than _KERNEL_BLOCK kernels,
+    or of more than _BATCH_ELEMENTS side-sum elements, is split.
     """
-    d = _divisor_counts(Y)
     h = np.flatnonzero(factor_table(Y)[1] == np.arange(1, Y + 1)) + 1
-    lengths = np.sqrt(Y // h).astype(np.int64)  # isqrt(Y // h): exact below 2^52
-    inv_fact = [1.0 / math.factorial(i) for i in range(max(p, q) + 1)]
-    # h ascends, so the lengths descend and each group is one run
-    ends = [*(np.flatnonzero(np.diff(lengths)) + 1).tolist(), len(h)]
+    lengths = np.sqrt(reach // h).astype(np.int64)  # isqrt(reach // h): exact below 2^52
+    count = max(p, q)
+    inv_fact = [1.0 / math.factorial(i) for i in range(count + 1)]
+    # h ascends, so the lengths, and with them the keys, descend
+    fft_bits = np.frexp((count * lengths).astype(np.float64))[1]  # log2 of the FFT length
+    keys = np.where(lengths + 1 < _DIRECT_WIDTH, lengths, _DIRECT_WIDTH + fft_bits)
+    ends = [*(np.flatnonzero(np.diff(keys)) + 1).tolist(), len(h)]
     for start, end in zip([0, *ends[:-1]], ends):
         A = int(lengths[start])
-        for lo in range(start, end, _KERNEL_BLOCK):
-            hs = h[lo : min(end, lo + _KERNEL_BLOCK), None]
-            v = np.arange(1, A + 1) ** 2 * hs
-            w = np.zeros((len(hs), A + 1))
-            w[:, 1:] = d[v - 1] * v.astype(np.float64) ** -0.75
-            G = _side_sums(w, max(p, q))
-            P = np.zeros((len(hs), p + 1, q + 1))
+        block = min(_KERNEL_BLOCK, max(1, _BATCH_ELEMENTS // (count * (A + 1))))
+        for lo in range(start, end, block):
+            hi = min(end, lo + block)
+            w = _weights(h[lo:hi, None], A, Y)
+            w[np.arange(A + 1) > lengths[lo:hi, None]] = 0.0  # a padded row's own A_h
+            G = _side_sums(w, count)
+            P = np.zeros((hi - lo, p + 1, q + 1))
             P[:, 0, 0] = 1.0
             for i in range(1, p + 1):
                 for j in range(1, q + 1):
@@ -129,15 +184,16 @@ def _tree_product(F: np.ndarray) -> np.ndarray:
     return F[0]
 
 
-def _relation_product(p: int, q: int, Y: int) -> np.ndarray:
+def _relation_product(p: int, q: int, Y: int, reach: int | None = None) -> np.ndarray:
     """F[i, j] = coefficient of x^i y^j in prod_h (1 + f_h(x, y)), i <= p,
     j <= q, over squarefree kernels h <= Y, where f_h collects the per-kernel
-    weighted pairings with i >= 1 left and j >= 1 right slots.
+    weighted pairings with i >= 1 left and j >= 1 right slots, each variable
+    a^2 h <= reach (None: Y, the partial sums' ranges).
 
     Each batch of _kernel_polynomials is multiplied out by a pairwise tree
     (_tree_product), and the batch products by one more.  Every coefficient
-    is a sum of positive terms, so each grows with Y, and its relative error
-    is at most that of its terms.  A term passes at most
+    is a sum of positive terms, so each grows with Y and with reach, and its
+    relative error is at most that of its terms.  A term passes at most
     L = ceil(log2 _KERNEL_BLOCK) + ceil(log2 batches) levels (18 at Y = 1e4,
     with 35 batches), and each level rounds it at most 1 + p q times, so the
     product adds at most (1 + p q) L units of 2^-53 to the error of the f_h
@@ -145,37 +201,31 @@ def _relation_product(p: int, q: int, Y: int) -> np.ndarray:
     an early term up to K times (K = 6083 at Y = 1e4).  Against 30-digit
     mpmath every entry was within 4e-16 relative at cutoffs 32 to 1e4.
 
-    F[1, 1] is the first cumulant sum_h [xy] f_h = sum_{n<=Y} d(n)^2 n^{-3/2}.
+    F[1, 1] is the first cumulant sum_h [xy] f_h = sum d(n)^2 n^{-3/2} over
+    n = a^2 h <= reach with h <= Y.
     """
-    return _tree_product(np.stack([_tree_product(P) for P in _kernel_polynomials(p, q, Y)]))
+    polynomials = _kernel_polynomials(p, q, Y, Y if reach is None else reach)
+    return _tree_product(np.stack([_tree_product(P) for P in polynomials]))
 
 
-_SIGNATURES = {"C2": (2, 2), "C4": (6, 2), "C7": (4, 4)}
-
-
-def partial_C1(Y: int) -> ConstantEstimate:
-    """Truncated C1: alpha, beta, h <= Y."""
-    return estimate_constant("C1", Y)
-
-
-def partial_C2(Y: int) -> ConstantEstimate:
-    """Truncated C2: signature (2, 2), all variables <= Y."""
-    return estimate_constant("C2", Y)
-
-
-def partial_C4(Y: int) -> ConstantEstimate:
-    """Truncated C4: signature (6, 2), all variables <= Y."""
-    return estimate_constant("C4", Y)
-
-
-def partial_C7(Y: int) -> ConstantEstimate:
-    """Truncated C7: signature (4, 4), all variables <= Y."""
-    return estimate_constant("C7", Y)
-
-
-# --------------------------------------------------------------------------
-# estimates of the limits
-# --------------------------------------------------------------------------
+def _cutoff(name: str, Y, completed: bool) -> int:
+    """The cutoff Y of a constant, DEFAULT_CUTOFF for None, once checked; with
+    completed, refused if its completed product would hold more than
+    MAX_COMPLETED_VALUES values (about 12/pi^2 Y^(3/2), the sum of Y/sqrt(h))."""
+    if name not in SIGNATURES:
+        raise ValueError(f"unknown constant {name!r}; choose from {', '.join(SIGNATURES)}")
+    if Y is None:
+        return DEFAULT_CUTOFF
+    if not isinstance(Y, numbers.Integral) or isinstance(Y, bool):
+        raise ValueError(f"cutoff must be an integer, got {Y!r}")
+    if Y < 1:
+        raise ValueError("cutoff must be >= 1")
+    if Y > MAX_CONSTANT_CUTOFF:
+        raise BudgetExceededError(f"cutoff {Y} exceeds enumeration budget {MAX_CONSTANT_CUTOFF}")
+    if completed and 12 / math.pi ** 2 * Y ** 1.5 > MAX_COMPLETED_VALUES:
+        raise BudgetExceededError(f"cutoff {Y}: its completed product exceeds the budget of "
+                                  f"{MAX_COMPLETED_VALUES} values")
+    return Y
 
 
 def first_cumulant_limit() -> float:
@@ -195,130 +245,74 @@ def _completed_sum(p: int, q: int, F: np.ndarray) -> float:
     return float(total) * math.factorial(p) * math.factorial(q)
 
 
-def estimate_constant(name: str, Y: int | None = None) -> ConstantEstimate:
-    """Partial sum of C1, C2, C4 or C7 up to cutoff Y, and an estimate of its
-    limit; Y=None takes DEFAULT_CUTOFFS[name].  This is the one place that
-    computes a constant: partial_<name> and the moment main terms call it.
-
-    Both are memoized per (name, cutoff) (_sums), so asking again, or at
-    twice a cutoff already asked for, costs one new sum at most.  Every term
-    of these sums is positive, so each partial sum is a lower bound of the
-    limit.
-
-    C2, C4 and C7 converge slowly, mostly through one term: the first cumulant
-    sum_{n<=Y} d(n)^2 n^{-3/2} of the kernel product (see _relation_product),
-    whose tail is of order Y^{-1/2} log^3 Y (21.65 at Y=256 against the limit
-    38.745).  Their estimate puts the closed-form limit in place of that
-    cumulant and keeps every higher cumulant at its value at Y.  Raising the
-    cumulant multiplies the product by exp(delta x y), whose coefficients are
-    non-negative, so the estimate is never below the partial sum.  Its
-    remaining error comes from the higher cumulants, whose truncation is
-    shown by estimate_tail; it has no proven sign.  For C4 that part is
-    still large at moderate cutoffs: 2.2e5 at Y=256, 1.8e6 at Y=4096 and
-    2.4e6 at Y=1e4, with estimate_tail 1.5e5, 4.9e5 and 4.7e5.
-
-    C1 has no such dominant term and converges fast (49.10 at Y=1024, 49.34 at
-    Y=1e4); its estimate is the partial sum.
-    """
-    if name not in DEFAULT_CUTOFFS:
-        raise ValueError(f"unknown constant {name!r}; choose from {', '.join(DEFAULT_CUTOFFS)}")
-    if Y is None:
-        Y = DEFAULT_CUTOFFS[name]
-    if not isinstance(Y, numbers.Integral) or isinstance(Y, bool):
-        raise ValueError(f"cutoff must be an integer, got {Y!r}")
-    if Y < 1:
-        raise ValueError("cutoff must be >= 1")
-    if Y > MAX_CONSTANT_CUTOFF:
-        raise BudgetExceededError(f"cutoff {Y} exceeds enumeration budget {MAX_CONSTANT_CUTOFF}")
-    (full, full_est), (half, half_est) = _sums(name, Y), _sums(name, Y // 2)
-    return ConstantEstimate(name, Y, full, abs(full - half), full_est, abs(full_est - half_est))
+# constant -> the product it is read from: a corner of a product is the product
+# up to that corner, term for term, so C1 and C2 share one, and C4 and C7 one
+_PRODUCTS = {"C1": (2, 2), "C2": (2, 2), "C4": (6, 4), "C7": (6, 4)}
 
 
-@lru_cache(maxsize=64)
-def _sums(name: str, y: int) -> tuple[float, float]:
-    """(partial sum, estimate) of constant name at cutoff y; (0, 0) below 1.
+@lru_cache(maxsize=256)  # (p+1) x (q+1) floats per entry
+def _product(pq: tuple[int, int], y: int, reach: int) -> np.ndarray:
+    F = _relation_product(*pq, y, reach)
+    F.flags.writeable = False  # shared by every caller of the memo
+    return F
 
-    For C2, C4 and C7 the partial sum is p! q! [x^p y^q] of the kernel
-    product (_relation_product): every kernel used must appear on both sides
-    with equal coefficient sums, since a kernel on one side only would force
-    a positive sum to vanish.
-    """
+
+def _sums(name: str, y: int, reach: int) -> tuple[float, float]:
+    """(raw, completed) p! q! [x^p y^q] of the kernel product of constant
+    name at cutoff y, each variable <= reach (y: the partial sum, y^2: the
+    estimate), and of it completed (_completed_sum); (0, 0) below 1."""
     if y < 1:
         return 0.0, 0.0
-    if name == "C1":
-        c1 = _c1_sum(y)
-        return c1, c1
-    p, q = _SIGNATURES[name]
-    F = _relation_product(p, q, y)
+    p, q = SIGNATURES[name]
+    F = _product(_PRODUCTS[name], y, reach)[: p + 1, : q + 1]
     return float(F[p, q]) * math.factorial(p) * math.factorial(q), _completed_sum(p, q, F)
 
 
-# --------------------------------------------------------------------------
-# C1: direct triple sum over (alpha, beta, h)
-# --------------------------------------------------------------------------
+def _partial(name: str, Y) -> PartialSum:
+    Y = _cutoff(name, Y, completed=False)
+    full, half = _sums(name, Y, Y)[0], _sums(name, Y // 2, Y // 2)[0]
+    return PartialSum(name, Y, full, abs(full - half))
 
 
-def _next_5_smooth(n: int) -> int:
-    """The least 2**a * 3**b * 5**c >= n: a length pocketfft transforms fast,
-    and the one scipy.fft.next_fast_len(n, real=True) returns."""
-    best = 1 << (n - 1).bit_length()  # the least power of two >= n
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # the least power of two times p35 that reaches n
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
+def partial_C1(Y: int) -> PartialSum:
+    """Truncated C1: signature (2, 1), all variables <= Y."""
+    return _partial("C1", Y)
 
 
-# kernels per batched transform in _c1_sum
-_C1_BLOCK = 16
+def partial_C2(Y: int) -> PartialSum:
+    """Truncated C2: signature (2, 2), all variables <= Y."""
+    return _partial("C2", Y)
 
 
-def _c1_sum(Y: int) -> float:
-    """sum over alpha, beta, h <= Y, h squarefree, of
-    (alpha*beta*(alpha+beta))**(-3/2) * h**(-9/4) * d(alpha^2 h) d(beta^2 h) d((alpha+beta)^2 h).
+def partial_C4(Y: int) -> PartialSum:
+    """Truncated C4: signature (6, 2), all variables <= Y."""
+    return _partial("C4", Y)
 
-    Per squarefree h the alpha/beta sum is a correlation of one vector with
-    itself against the shifted d((alpha+beta)^2 h) weights, evaluated by FFT
-    convolution; the full triple loop would cost Y**2 per h.  The square is
-    read only at 2..2Y, which a transform of length 2Y + 1 holds unwrapped.
-    The kernels are transformed _C1_BLOCK rows at a time; each row of a block
-    transform is bit-identical to its own one-row transform.
+
+def partial_C7(Y: int) -> PartialSum:
+    """Truncated C7: signature (4, 4), all variables <= Y."""
+    return _partial("C7", Y)
+
+
+def estimate_constant(name: str, Y: int | None = None) -> ConstantEstimate:
+    """Partial sum of C1, C2, C4 or C7 up to cutoff Y (memoized, and a lower
+    bound of the limit), and an estimate of the limit; Y=None takes
+    DEFAULT_CUTOFF.
+
+    The estimate is the same kernel product over longer ranges, a <= Y/sqrt(h)
+    for every squarefree h <= Y, where the higher cumulants converge fast,
+    with the first cumulant put at its limit (_completed_sum).  That
+    multiplies the product by exp(delta x y), whose coefficients are
+    non-negative, so the estimate is at least the raw longer product, itself
+    at least partial_sum (for C1, signature (2, 1), it is the raw product).
+    Its error has no proven sign; estimate_tail shows it: at Y = 1e4 the
+    estimates are 49.3339, 3206.27, 4.0767e6 and 9.5679e7, with
+    estimate_tail 0.040, 0.10, 1.05e4 and 5.2e4.
     """
-    n2 = 2 * Y
-    _, kernels, d_sq = factor_table(n2)
-    d_sq = d_sq.astype(np.float64)  # d(s^2), s = 1..2Y
-    s_pows = np.arange(1, n2 + 1, dtype=np.float64) ** -1.5
-
-    size = _next_5_smooth(n2 + 1)
-    squarefree = (np.flatnonzero(kernels[:Y] == np.arange(1, Y + 1)) + 1).tolist()
-    total = 0.0
-    for lo in range(0, len(squarefree), _C1_BLOCK):
-        block = squarefree[lo : lo + _C1_BLOCK]
-        # dvec[k, s-1] = d(s^2 h_k): relative to d(s^2), a prime p | h turns
-        # the local factor (2e+1) into (2e+2); applied incrementally per power.
-        dvec = np.tile(d_sq, (len(block), 1))
-        for row, h in zip(dvec, block):
-            for p, _ in factorize(h):  # h squarefree: each exponent is 1
-                prev = 2.0
-                row *= 2.0
-                e, pe = 1, p
-                while pe <= n2:
-                    ratio = (2 * e + 2) / (2 * e + 1)
-                    row[pe - 1 :: pe] *= ratio / prev
-                    prev = ratio
-                    e += 1
-                    pe *= p
-        a_vec = np.zeros((len(block), size))
-        a_vec[:, 1 : Y + 1] = s_pows[:Y] * dvec[:, :Y]
-        conv = np.fft.irfft(np.fft.rfft(a_vec, axis=1) ** 2, size, axis=1)
-        for row, h, c in zip(dvec, block, conv):
-            inner = float(np.dot(c[2 : n2 + 1], s_pows[1:] * row[1:]))  # s = 2..2Y
-            total += h ** -2.25 * inner
-    return total
+    Y = _cutoff(name, Y, completed=True)
+    part = _partial(name, Y)
+    full, half = _sums(name, Y, Y * Y)[1], _sums(name, Y // 2, (Y // 2) ** 2)[1]
+    return ConstantEstimate(name, Y, part.partial_sum, part.tail_indicator, full, abs(full - half))
 
 
 # --------------------------------------------------------------------------
@@ -330,9 +324,9 @@ def extrapolate_sqrt(points: list[tuple[int, float]]) -> float:
     """Least-squares fit of value ~ a + b * Y**(-1/2); returns a.
 
     The fit leaves out the log^3 Y factor that the tails of C2, C4 and C7
-    carry (see estimate_constant), so for those partial sums the intercept
-    is not their limit: over Y in {64, 128, 256} it gives C7 = 1.6e7, below
-    partial_C7(16384) = 5.7e7.  The constant estimates use estimate_constant.
+    carry, so for those partial sums the intercept is not their limit: over
+    Y in {64, 128, 256} it gives C7 = 1.6e7, below partial_C7(16384) = 5.7e7.
+    The constant estimates use estimate_constant.
     """
     if len(points) < 2:
         raise ValueError("need at least two cutoffs to extrapolate")
@@ -348,8 +342,8 @@ def main_term_coefficient(k: int, constants_Y: int | None = None) -> float:
     k=1: X/4.  k=2: zeta(3/2)^4 / (6 pi^2 zeta(3)) * X^(3/2).
     k=3: 3 C1 / (28 pi^3) * X^(7/4).  k=4: 3 C2 / (64 pi^4) * X^2.
     k=8: (35 C7 - 28 C4) / (2048 pi^8) * integral of x^2.
-    Only the constants of k are estimated, at cutoff constants_Y (None: the
-    DEFAULT_CUTOFFS of each).
+    Only the constants of k are estimated, at cutoff constants_Y alone
+    (None: DEFAULT_CUTOFF); see estimate_constant.
     """
     if k not in (1, 2, 3, 4, 8):
         raise ValueError(f"no closed-form main term for k={k}")
@@ -359,7 +353,8 @@ def main_term_coefficient(k: int, constants_Y: int | None = None) -> float:
         return first_cumulant_limit() / (6 * math.pi ** 2)
 
     def c(name: str) -> float:
-        return estimate_constant(name, constants_Y).estimate
+        Y = _cutoff(name, constants_Y, completed=True)
+        return _sums(name, Y, Y * Y)[1]
 
     if k == 3:
         return 3 * c("C1") / (28 * math.pi ** 3)

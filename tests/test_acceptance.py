@@ -53,16 +53,16 @@ def test_criterion_04_second_moment(ctx):
 
 def test_criterion_05_third_fourth_moments(ctx):
     # Known genuine failure, k=3 only: at X = 1e7 the third moment still sits
-    # ~29% below its asymptote (dev 0.459 -> 0.287; the deficit fits
-    # 1.43 X^-0.1 at all four checkpoints).  C1 has converged (49.34 at
+    # ~29% below its asymptote (dev 0.459 -> 0.286; the deficit fits
+    # 1.43 X^-0.1 at all four checkpoints).  C1 has converged (49.334 at
     # cutoff 1e4) and a larger C1 would widen the gap.  The k=4 half passes
-    # (dev 0.060 -> 0.0055) with the completed C2 estimate 3177.2.
+    # (dev 0.069 -> 0.0145) with the completed C2 estimate 3206.27.
     _run(acceptance.criterion_5, ctx)
 
 
 def test_criterion_06_eighth_moment(ctx):
-    # Uses the completed C4/C7 estimates at cutoff 1e4 (2.40e6, 8.74e7),
-    # each at least its partial sum: ratio 0.789 -> 0.926.
+    # Uses the completed C4/C7 estimates at cutoff 1e4 (4.077e6, 9.568e7),
+    # each at least its partial sum: ratio 0.730 -> 0.857.
     _run(acceptance.criterion_6, ctx)
 
 

@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from divisorlab import series
+from divisorlab import moment, series
 from divisorlab.cli import _fmt, _read_config, build_parser, main
 from divisorlab.divisor import hyperbola_D
 from oracles import d_trial_division
@@ -94,13 +94,18 @@ def test_mingap_subcommand(tmp_path):
     assert len(vals["witness"].split()) == 4
 
 
-def test_constants_subcommand(tmp_path):
+def test_constants_subcommand(tmp_path, capsys):
     rc = main(["constants", "--names", "C2,C7", "--Y", "64", "--out", str(tmp_path)])
     assert rc == 0
     data = json.loads((tmp_path / "constants.json").read_text())
     assert [d["name"] for d in data] == ["C2", "C7"]
-    assert all(d["partial_sum"] > 0 for d in data)
+    assert all(set(d) == {"name", "Y", "partial_sum", "tail_indicator", "estimate",
+                          "estimate_tail"} for d in data)
+    assert all(d["estimate"] >= d["partial_sum"] > 0 for d in data)
     assert all(d["Y"] == 64 for d in data)
+    summary = capsys.readouterr().out
+    assert "C7: partial=" in summary and " estimate=" in summary
+    assert "extrapolated" not in summary
 
 
 def test_constants_unknown_name_exit_code(tmp_path, capsys):
@@ -113,13 +118,22 @@ def test_constants_unknown_name_exit_code(tmp_path, capsys):
 
 def test_window_k2_estimates_no_constant(tmp_path, monkeypatch):
     asked = []
-    monkeypatch.setattr(series, "estimate_constant", lambda *a: asked.append(a))
+    monkeypatch.setattr(series, "_sums", lambda *a: asked.append(a))
     rc = main(["window", "--k", "2", "--X", "1e6", "--H", "5000", "--out", str(tmp_path)])
     assert rc == 0
     assert asked == []
     header, row = (tmp_path / "window.csv").read_text().splitlines()
     vals = dict(zip(header.split(","), row.split(",")))
-    assert (vals["lo"], vals["hi"], vals["constants_cutoff_Y"]) == ("1000000", "1005000", "256")
+    assert (vals["lo"], vals["hi"], vals["constants_cutoff_Y"]) == ("1000000", "1005000", "1024")
+
+
+def test_moment_subcommand_main_term_is_the_library_default(tmp_path):
+    rc = main(["moment", "--k", "4", "--X", "20000", "--out", str(tmp_path)])
+    assert rc == 0
+    header, row = (tmp_path / "moment.csv").read_text().splitlines()
+    vals = dict(zip(header.split(","), row.split(",")))
+    assert vals["main_term"] == _fmt(moment(4, 20000.0).main_term)
+    assert vals["constants_cutoff_Y"] == str(series.DEFAULT_CUTOFF)
 
 
 def test_moment_subcommand(tmp_path):

@@ -394,14 +394,16 @@ def test_moment_main_terms():
                                       (5, []), (8, ["C7", "C4"])])
 def test_main_term_asks_only_for_its_constants(monkeypatch, k, names):
     asked = []
+    sums = series._sums
 
-    def recording(name, Y=None):
-        asked.append((name, Y))
-        return estimate_constant(name, 16)
+    def recording(name, Y, reach):
+        asked.append((name, Y, reach))
+        return sums(name, 16, 256)
 
-    monkeypatch.setattr(series, "estimate_constant", recording)
+    monkeypatch.setattr(series, "_sums", recording)
     moment_main_term(k, 100.0)
-    assert asked == [(name, None) for name in names]
+    Y = series.DEFAULT_CUTOFF
+    assert asked == [(name, Y, Y * Y) for name in names]
 
 
 def test_moment_validation():

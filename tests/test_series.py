@@ -1,20 +1,21 @@
 import itertools
 import math
+from decimal import Decimal
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.fft import next_fast_len
 
 from divisorlab import series, voronoi
 from divisorlab.acceptance import AcceptanceContext
 from divisorlab.divisor import build_divisor_table
 from divisorlab.relations import BudgetExceededError, form_is_zero
 from divisorlab.series import (
-    DEFAULT_CUTOFFS,
-    _next_5_smooth,
+    DEFAULT_CUTOFF,
+    SIGNATURES,
     _relation_product,
+    _side_sums,
     estimate_constant,
     extrapolate_sqrt,
     first_cumulant_limit,
@@ -77,30 +78,19 @@ def test_c4_matches_brute_force_small():
 
 
 def test_c1_first_term():
-    # alpha = beta = h = 1 contributes 2**(-3/2) * d(1) d(1) d(4) = 3/2**1.5
-    assert partial_C1(1).partial_sum == pytest.approx(3.0 * 2 ** -1.5, rel=1e-14)
+    # the first solution is sqrt(1) + sqrt(1) = sqrt(4), weight
+    # d(1) d(1) d(4) 4**(-3/4) = 3/2**1.5
+    assert [partial_C1(Y).partial_sum for Y in (1, 2, 3)] == [0.0, 0.0, 0.0]
+    assert partial_C1(4).partial_sum == pytest.approx(3.0 * 2 ** -1.5, rel=1e-14)
 
 
-@pytest.mark.parametrize("Y", [10, 15, 16])  # transform lengths around 2Y + 1 = 21, 31, 33
+@pytest.mark.parametrize("Y", [10, 15, 16])
 def test_c1_matches_brute_force(Y):
-    d = build_divisor_table(1, 4 * Y ** 3)
-    total = 0.0
-    for h in range(1, Y + 1):
-        if any(h % (p * p) == 0 for p in range(2, h + 1)):
-            continue
-        for a in range(1, Y + 1):
-            for b in range(1, Y + 1):
-                total += (
-                    (a * b * (a + b)) ** -1.5 * h ** -2.25
-                    * int(d[a * a * h - 1]) * int(d[b * b * h - 1])
-                    * int(d[(a + b) ** 2 * h - 1])
-                )
-    assert partial_C1(Y).partial_sum == pytest.approx(total, rel=1e-12)
+    assert partial_C1(Y).partial_sum == pytest.approx(_brute_relation_sum(2, 1, Y), rel=1e-12)
 
 
 def test_c1_pinned_at_2000():
-    # each row of a batched transform is bit-identical to its own transform
-    assert partial_C1(2000).partial_sum == 49.22557238019381
+    assert partial_C1(2000).partial_sum == 39.9385624336745
 
 
 def test_partial_sums_monotone_in_cutoff():
@@ -159,10 +149,10 @@ def test_coefficient_identity_forms():
 
 
 def test_default_constants_positive():
-    assert DEFAULT_CUTOFFS == {"C1": 512, "C2": 4096, "C4": 256, "C7": 256}
-    for name, Y in DEFAULT_CUTOFFS.items():
+    assert DEFAULT_CUTOFF == 1024
+    for name in SIGNATURES:
         est = estimate_constant(name)
-        assert est == estimate_constant(name, Y)
+        assert est == estimate_constant(name, DEFAULT_CUTOFF)
         assert est.estimate >= est.partial_sum > 0
 
 
@@ -197,6 +187,65 @@ def test_relation_product_rounding_against_mpmath(p, q, Y):
         assert abs(mpmath.mpf(float(_relation_product(p, q, Y)[p, q])) / exact - 1) <= 1e-15
 
 
+@pytest.mark.parametrize("p, q", [(2, 1), (6, 2), (4, 4)])
+def test_long_row_side_sums_match_convolve_and_mpmath(monkeypatch, p, q):
+    monkeypatch.setattr(series, "_DIRECT_WIDTH", 2)  # every row onto the rfft path
+    count = max(p, q)
+    w = series._weights(np.array([[1], [2], [6]]), 40, 64)
+    G = _side_sums(w, count)
+    conv = [np.ones((3, 1)), w]
+    with mpmath.workdps(30):
+        row = [mpmath.mpf(float(x)) for x in w[0]]
+        exact = [[mpmath.mpf(1)], row]
+        for i in range(2, count + 1):
+            conv.append(np.stack([np.convolve(g, r) for g, r in zip(conv[-1], w)]))
+            prev = exact[-1]
+            exact.append([mpmath.fsum(prev[s - a] * row[a] for a in range(len(row))
+                                      if 0 <= s - a < len(prev))
+                          for s in range(len(prev) + len(row) - 1)])
+        for i in range(count + 1):
+            # the transform's rounding is absolute: units of 2^-53 of the largest entry
+            np.testing.assert_allclose(G[i], conv[i], rtol=0, atol=2e-15 * conv[i].max())
+            top = max(exact[i])
+            assert max(abs(mpmath.mpf(float(g)) - e) for g, e in zip(G[i][0], exact[i])) <= 2e-15 * top
+        # the entries F[p - m, q - m] an estimate reads
+        F, ref = _relation_product(p, q, 64), relation_product_mpmath(p, q, 64)
+        for m in range(min(p, q)):
+            assert abs(mpmath.mpf(float(F[p - m, q - m])) / ref[p - m][q - m] - 1) <= 1e-14
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 300), st.sampled_from(list(SIGNATURES)))
+def test_partial_at_most_completed_product_at_most_estimate(Y, name):
+    raw, est = series._sums(name, Y, Y * Y)
+    assert series._sums(name, Y, Y)[0] <= raw <= est
+
+
+@pytest.mark.parametrize("Y, table", [
+    (1024, {"C1": "48.939", "C2": "3204.72", "C4": "3.937e6", "C7": "9.505e7"}),
+    (10_000, {"C1": "49.3339", "C2": "3206.27", "C4": "4.0767e6", "C7": "9.5679e7"}),
+])
+def test_estimates_at_1024_and_1e4(Y, table):
+    for name, shown in table.items():
+        half_unit = 0.5 * 10.0 ** Decimal(shown).as_tuple().exponent
+        assert estimate_constant(name, Y).estimate == pytest.approx(float(shown), abs=half_unit)
+    # the raw product over h <= 16000, a <= 16384 / sqrt(h) is 3.934e6, a lower bound
+    assert estimate_constant("C4", Y).estimate >= 3.93e6
+
+
+def test_estimate_budget_refused_before_any_product(monkeypatch):
+    def reached(*args):
+        raise AssertionError("a kernel product was built")
+
+    monkeypatch.setattr(series, "_relation_product", reached)
+    Y = 1 << 17  # about 5.8e7 values, past MAX_COMPLETED_VALUES
+    assert Y <= series.MAX_CONSTANT_CUTOFF
+    with pytest.raises(BudgetExceededError):
+        estimate_constant("C2", Y)
+    with pytest.raises(BudgetExceededError):
+        main_term_coefficient(4, Y)
+
+
 def test_first_cumulant_limit_closed_form():
     with mpmath.workdps(30):
         exact = mpmath.zeta(1.5) ** 4 / mpmath.zeta(3)
@@ -214,9 +263,10 @@ def test_estimate_at_least_partial_sum(name, partial, Y):
     assert est.estimate >= est.partial_sum
 
 
-def test_estimate_c1_is_partial_sum():
+def test_estimate_c1_at_least_partial_sum():
     est = estimate_constant("C1", 32)
-    assert est.estimate == est.partial_sum == partial_C1(32).partial_sum
+    assert est.partial_sum == partial_C1(32).partial_sum
+    assert est.estimate >= est.partial_sum
     with pytest.raises(ValueError):
         estimate_constant("C3", 32)
 
@@ -228,7 +278,7 @@ def test_quick_acceptance_c7_above_larger_partial_sum():
 
 
 def test_cutoff_validation():
-    for name in DEFAULT_CUTOFFS:
+    for name in SIGNATURES:
         with pytest.raises(ValueError):
             estimate_constant(name, 0)
     with pytest.raises(BudgetExceededError):
@@ -260,18 +310,14 @@ def test_partial_sums_memoized_per_cutoff(monkeypatch):
     # C4 at 64 needs the sums at 64 and 32; at 128 only the one at 128 is new
     calls = []
 
-    def counting(p, q, Y):
+    def counting(p, q, Y, reach):
         calls.append(Y)
-        return _relation_product(p, q, Y)
+        return _relation_product(p, q, Y, reach)
 
-    series._sums.cache_clear()
+    series._product.cache_clear()
     monkeypatch.setattr(series, "_relation_product", counting)
     first = partial_C4(64)
     second = partial_C4(128)
     assert calls == [64, 32, 128]
     assert second.tail_indicator == second.partial_sum - first.partial_sum
 
-
-def test_next_5_smooth_is_scipy_fast_len():
-    # _c1_sum's transform length, hence C1, as when scipy chose it
-    assert all(_next_5_smooth(n) == next_fast_len(n, real=True) for n in range(1, 100_001))
