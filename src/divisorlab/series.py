@@ -101,7 +101,8 @@ def _side_sums(w: np.ndarray, max_count: int) -> list[np.ndarray]:
     fewer than _DIRECT_WIDTH entries are convolved directly, one sliding
     window per step; longer ones by one rfft power chain at the power of two
     above max_count (width - 1), whose rounding is a few units of 2^-53 of
-    each G_i's largest entry, far below the dot products that read it."""
+    each G_i's largest entry, far below the dot products that read it.  Each
+    G_i is copied out of its transform, which would otherwise stay alive."""
     n_rows, width = w.shape
     G = [np.ones((n_rows, 1)), w]
     if width >= _DIRECT_WIDTH:
@@ -110,7 +111,7 @@ def _side_sums(w: np.ndarray, max_count: int) -> list[np.ndarray]:
         power = W
         for i in range(2, max_count + 1):
             power = power * W
-            G.append(np.fft.irfft(power, size, axis=1)[:, : i * (width - 1) + 1])
+            G.append(np.fft.irfft(power, size, axis=1)[:, : i * (width - 1) + 1].copy())
         return G
     w_rev = w[:, ::-1]
     for _ in range(1, max_count):

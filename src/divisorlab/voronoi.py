@@ -19,9 +19,10 @@ the bound of numpy's pairwise row sum, and from the exact Sigma_Y(x) by at most
 
     x**(1/4) * W_Y * (phi + (30 + log2 Y) * u),
 
-where phi bounds the error of one phase: 16 pi u sqrt(x Y) while n*x stays
-below PHASE_DOUBLE_LIMIT, and 4 pi u + 16 pi u_ld sqrt(x Y) past it, with u_ld
-the unit roundoff of np.longdouble (2**-64 on x86-64 Linux).
+where phi = 2 pi u (3 + 2**-21 sqrt(x Y)) bounds one phase's error.  Over 2 pi
+the phase is t - rint(t) - 1/8, exact for every x, with t = 2 head_x head_n
+(26-bit heads of sqrt(x), sqrt(n): _split_sqrt), plus cross terms of at most
+c = 2**-25 * 2 sqrt(n x), so np.cos sees arguments within 2 pi (5/8 + c) of 0.
 """
 
 from __future__ import annotations
@@ -38,12 +39,9 @@ from .divisor import build_divisor_table, delta_of, hyperbola_D, hyperbola_D_man
 
 INV_PI_SQRT2 = 1.0 / (math.pi * math.sqrt(2.0))
 
-# beyond this product n*x the phase 4*pi*sqrt(n*x) is formed in extended
-# precision; an error above a fraction of 2*pi would scramble the residual
-PHASE_DOUBLE_LIMIT = float(1 << 40)
-
-# (point, term) pairs per chunk of truncated_sum_many; bounds the working set
-_CHUNK_ELEMENTS = 1 << 20
+# (point, term) pairs per chunk of truncated_sum_many, at most max(this, Y) in
+# each of its two arrays; 2^15 keeps the kernel's passes over them in cache
+_CHUNK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -67,42 +65,48 @@ def _check_cutoff(Y) -> None:
         raise ValueError(f"Y must be an integer, got {Y!r}")
 
 
+def _split_sqrt(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(root, head, rest): sqrt(a) rounded, its Veltkamp head of at most 26
+    bits, and rest = (a - head**2) / (root + head), a - head**2 exact."""
+    root = np.sqrt(a)
+    c = root * 134217729.0  # 2^27 + 1
+    head = c - (c - root)
+    return root, head, (a - head * head) / (root + head)
+
+
 @lru_cache(maxsize=8)
-def _weights(Y: int) -> tuple[np.ndarray, np.ndarray]:
-    """(n array, d(n) * n**(-3/4)) for n = 1..Y."""
+def _weights(Y: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(_split_sqrt(n), d(n) * n**(-3/4)) for n = 1..Y, flattened."""
     n = np.arange(1, Y + 1, dtype=np.float64)
     d = build_divisor_table(1, Y).astype(np.float64)
-    return n, d * n ** -0.75
+    return (*_split_sqrt(n), d * n ** -0.75)
 
 
-def _cosine_sums(xs: np.ndarray, n: np.ndarray, w: np.ndarray, extended: bool) -> np.ndarray:
-    """sum_n w_n cos(4 pi sqrt(n x) - pi/4) for each x in xs, over one
-    (points x terms) array; the products n*x and the reduction mod 2 pi are
-    in extended precision when `extended`."""
-    if extended:
-        ph = np.multiply.outer(xs.astype(np.longdouble), n.astype(np.longdouble))
-        np.sqrt(ph, out=ph)
-        ph *= 4.0 * np.pi
-        np.mod(ph, 2 * np.pi, out=ph)  # reduce while still extended
-        ph = ph.astype(np.float64)
-    else:
-        ph = np.multiply.outer(xs, n)
-        np.sqrt(ph, out=ph)
-        ph *= 4.0 * math.pi
-    ph -= 0.25 * math.pi
+def _cosine_sums(xs: np.ndarray, Y: int) -> np.ndarray:
+    """x**(1/4) sum_n w_n cos(2 pi (2 sqrt(n x) - 1/8)) for each x in xs, over
+    one (points x terms) phase array and one scratch array."""
+    root, head, rest, w = _weights(Y)
+    _, head_x, rest_x = _split_sqrt(4.0 * xs)  # twice the parts of sqrt(x), exactly
+    ph = np.multiply.outer(head_x, head)  # t, exact
+    tmp = np.rint(ph)
+    ph -= tmp
+    ph -= 0.125  # exact: t - rint(t) - 1/8
+    np.multiply.outer(head_x, rest, out=tmp)
+    ph += tmp
+    np.multiply.outer(rest_x, root, out=tmp)
+    ph += tmp
+    ph *= 2.0 * math.pi
     np.cos(ph, out=ph)
     ph *= w
-    return ph.sum(axis=1)
+    return xs ** 0.25 * ph.sum(axis=1)
 
 
 def truncated_sum_many(xs: np.ndarray, Y: int) -> np.ndarray:
     """Sigma_Y at many points, _CHUNK_ELEMENTS (point, term) pairs at a time.
 
-    Each row of weighted cosines is reduced by numpy's pairwise sum, whose
-    order depends only on Y, so a point's value does not depend on the other
-    points or on the chunking.  Points past PHASE_DOUBLE_LIMIT (x * Y above
-    it) form their phases in extended precision.  Every point must be finite
-    and >= 1, and Y an integer >= 0.
+    Each row of weighted cosines is reduced by numpy's pairwise sum, in an
+    order that depends only on Y, not on the other points or the chunking.
+    Every point must be finite and >= 1, and Y an integer >= 0.
     """
     _check_cutoff(Y)
     xs = np.asarray(xs, dtype=np.float64)
@@ -113,14 +117,9 @@ def truncated_sum_many(xs: np.ndarray, Y: int) -> np.ndarray:
     out = np.zeros(len(xs))
     if Y == 0:
         return out
-    n, w = _weights(Y)
     rows = max(1, _CHUNK_ELEMENTS // Y)
-    extended = xs * n[-1] > PHASE_DOUBLE_LIMIT
-    for ext in (False, True):
-        idx = np.flatnonzero(extended == ext)
-        for i in range(0, len(idx), rows):
-            chunk = idx[i : i + rows]
-            out[chunk] = xs[chunk] ** 0.25 * _cosine_sums(xs[chunk], n, w, ext)
+    for i in range(0, len(xs), rows):
+        out[i : i + rows] = _cosine_sums(xs[i : i + rows], Y)
     return out
 
 

@@ -193,6 +193,7 @@ def test_long_row_side_sums_match_convolve_and_mpmath(monkeypatch, p, q):
     count = max(p, q)
     w = series._weights(np.array([[1], [2], [6]]), 40, 64)
     G = _side_sums(w, count)
+    assert all(g.base is None for g in G[2:])  # no view pins a whole transform
     conv = [np.ones((3, 1)), w]
     with mpmath.workdps(30):
         row = [mpmath.mpf(float(x)) for x in w[0]]

@@ -10,7 +10,6 @@ from divisorlab import bessel, voronoi
 from divisorlab.divisor import build_divisor_table, delta_at, delta_of, hyperbola_D
 from divisorlab.voronoi import (
     INV_PI_SQRT2,
-    PHASE_DOUBLE_LIMIT,
     bessel_partial_sum,
     bessel_tail_term,
     residual_at,
@@ -28,11 +27,24 @@ def _divisor_weights(Y):
     return n, build_divisor_table(1, Y).astype(np.float64) * n ** -0.75
 
 
+def _split_sqrt(a):
+    """(sqrt(a), 26-bit Veltkamp head, rest), as the module docstring defines them."""
+    root = np.sqrt(a)
+    c = root * 134217729.0  # 2^27 + 1
+    head = c - (c - root)
+    return root, head, (a - head * head) / (root + head)
+
+
 def _sigma_fsum(x, Y):
-    """Sigma_Y(x) below PHASE_DOUBLE_LIMIT by exact float summation of the
-    float terms (math.fsum): the oracle for the chunked evaluator."""
+    """Sigma_Y(x) by exact float summation (math.fsum) of the float terms, each
+    formed with the kernel's operations: its heads, rests and rint reduction
+    of the phase over 2 pi.  The oracle for the chunked pairwise sum."""
     n, w = _divisor_weights(Y)
-    return x ** 0.25 * math.fsum(w * np.cos(4.0 * math.pi * np.sqrt(n * x) - 0.25 * math.pi))
+    root, head, rest = _split_sqrt(n)
+    _, head_x, rest_x = _split_sqrt(np.float64(4.0 * x))
+    t = head_x * head
+    cycles = t - np.rint(t) - 0.125 + head_x * rest + rest_x * root
+    return x ** 0.25 * math.fsum(w * np.cos(cycles * (2.0 * math.pi)))
 
 
 def _sigma_mp(x, Y):
@@ -104,8 +116,8 @@ def test_truncated_sum_first_term():
 
 
 def test_truncated_sum_many_matches_scalar():
-    # a point's value depends neither on the other points nor on the chunks;
-    # 1e12 + 0.5 takes the extended-phase path in the same call
+    # a point's value depends neither on the other points nor on the chunks,
+    # with points below and above n x = 2^40 in the same call
     xs = np.array([10.5, 99.5, 12345.5, 1e12 + 0.5])
     many = truncated_sum_many(xs, 50)
     for x, v in zip(xs, many):
@@ -126,15 +138,27 @@ def test_truncated_sum_many_within_bound_of_fsum_oracle():
             assert abs(v - _sigma_fsum(float(x), Y)) <= (22 + math.log2(Y)) * U * x ** 0.25 * W
 
 
-def test_extended_phase_against_mpmath():
-    # past PHASE_DOUBLE_LIMIT: the module docstring's bound against the exact sum
-    x, Y = 1e12 + 0.5, 2000
-    assert x * Y > PHASE_DOUBLE_LIMIT
+# below and above n x = 2^40, where the phases used to switch to long double
+_MPMATH_POINTS = [(12345.5, 1000), (100390.5, 1000), (100390.5, 16000),
+                  (9.9e9 + 0.5, 2000), (1e12 + 0.5, 2000), (2.0 ** 50 + 0.5, 200)]
+
+
+@pytest.mark.parametrize("x, Y", _MPMATH_POINTS)
+def test_truncated_sum_against_mpmath(x, Y):
+    # the module docstring's bound against the exact sum at the float x
     W = math.fsum(_divisor_weights(Y)[1])
-    u_ld = float(np.finfo(np.longdouble).eps) / 2
-    phi = 4 * math.pi * U + 16 * math.pi * u_ld * math.sqrt(x * Y)
+    phi = 2 * math.pi * U * (3 + 2.0 ** -21 * math.sqrt(x * Y))
     err = abs(truncated_sum(x, Y).value - _sigma_mp(x, Y))
     assert err <= x ** 0.25 * W * (phi + (30 + math.log2(Y)) * U)
+
+
+@pytest.mark.parametrize("chunk", [1 << 10, 1 << 15, 1 << 20])
+def test_truncated_sum_many_independent_of_chunk(monkeypatch, chunk):
+    # points below and above n x = 2^40, in chunks of 1, 16 and all 40 rows
+    xs = np.concatenate([[10.5, 12345.5, 1e12 + 0.5], stratified_midpoints(1e5, 1e5, 37)])
+    monkeypatch.setattr(voronoi, "_CHUNK_ELEMENTS", chunk)
+    want = [truncated_sum(float(x), 2000).value for x in xs]
+    assert np.array_equal(truncated_sum_many(xs, 2000), want)
 
 
 def test_truncated_sum_many_working_set():
