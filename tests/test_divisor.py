@@ -228,6 +228,8 @@ def test_divisor_table_matches_slice_oracle(window):
     (1, 1 << 16),            # every divisor below the slice/scatter split
     (10 ** 8, 1 << 20),      # split n/128 = 8192 below sqrt(hi) = 10052
     (10 ** 9 - 7, 1 << 16),  # split 512, scatter chunks with several hits per d
+    (10 ** 10 + 12345, 1 << 14),  # chunks from several hits per d through one
+                                  # straddling the window length to one hit at most
 ])
 def test_divisor_table_matches_slice_oracle_wide(lo, width):
     assert np.array_equal(build_divisor_table(lo, lo + width),
@@ -240,6 +242,24 @@ def test_divisor_table_sums_to_hyperbola_at_max_argument():
     assert total == hyperbola_D(MAX_SIEVE_ARGUMENT) - hyperbola_D(lo - 1)
 
 
+# d(n) from known factorizations: 10**12 = 2**12 5**12, and
+# 2**52 - 1 = 3 * 5 * 53 * 157 * 1613 * 2731 * 8191
+PLANTED = [(10 ** 12, 169), ((1 << 52) - 1, 128), (1 << 52, 53)]
+
+
+@pytest.mark.parametrize("n, d_n", PLANTED)
+def test_divisor_table_planted_factorization_alone(n, d_n):
+    assert build_divisor_table(n, n).tolist() == [d_n]
+
+
+@pytest.mark.parametrize("lo", [10 ** 12 - (1 << 15), MAX_SIEVE_ARGUMENT - (1 << 16) + 1])
+def test_divisor_table_planted_factorizations_in_a_window(lo):
+    # a 2**16 window, where all but the smallest divisors have one multiple at most
+    table = build_divisor_table(lo, lo + (1 << 16) - 1)
+    inside = [(n, d_n) for n, d_n in PLANTED if lo <= n < lo + (1 << 16)]
+    assert inside and [int(table[n - lo]) for n, _ in inside] == [d_n for _, d_n in inside]
+
+
 def test_divisor_table_trial_division_near_1e10():
     lo = 10 ** 10 - 20
     table = build_divisor_table(lo, lo + 40)
@@ -249,7 +269,7 @@ def test_divisor_table_trial_division_near_1e10():
 
 def test_divisor_table_memory_is_bounded():
     # a 2**16 window at 1e12 scatters 1e6 divisors in chunks; the
-    # temporaries must not grow with sqrt(hi) (about 3 MB here, 7.8 MB with
+    # temporaries must not grow with sqrt(hi) (about 2.1 MB here, 7.8 MB with
     # chunks of 2**20 divisors)
     tracemalloc.start()
     try:
