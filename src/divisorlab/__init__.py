@@ -13,7 +13,7 @@ from .divisor import (
     delta_of,
     hyperbola_D,
 )
-from .moments import MomentResult, WindowSpec, abs_moment, moment, moment_profile, window_moment
+from .moments import MomentResult, WindowSpec, moment, moment_profile, window_moment
 from .relations import (
     BudgetExceededError,
     RelationCount,
@@ -49,7 +49,6 @@ __all__ = [
     "RelationQuery",
     "RelationSignature",
     "WindowSpec",
-    "abs_moment",
     "build_divisor_table",
     "delta_at",
     "delta_of",

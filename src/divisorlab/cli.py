@@ -24,7 +24,7 @@ import mpmath
 import numpy as np
 
 from . import __version__
-from .divisor import RangeOverflowError, build_divisor_table, delta_at, hyperbola_D
+from .divisor import RangeOverflowError, delta_at, prefix_block
 from .expsum import abs_S_grid, moment8_S
 from .moments import WindowSpec, moment, window_moment
 from .relations import (
@@ -94,7 +94,7 @@ def _environment() -> dict:
         "mpmath": mpmath.__version__,
         "cpu_count": os.cpu_count(),
         "thread_env": {name: os.environ.get(name) for name in
-                       ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "DIVISORLAB_THREADS")},
+                       ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")},
         "heap_env": {name: os.environ.get(name) for name in
                      ("MALLOC_ARENA_MAX", "MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")},
     }
@@ -160,9 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", type=Path, default=None,
                         help="key=value file; explicit flags win")
     threaded = argparse.ArgumentParser(add_help=False, parents=[common])
-    # the string default is converted, and so checked, by the flag's type
-    threaded.add_argument("--threads", type=_thread_count,
-                          default=os.environ.get("DIVISORLAB_THREADS", "1"))
+    threaded.add_argument("--threads", type=_thread_count, default=1)
 
     p = sub.add_parser("sieve", parents=[common], help="exact divisor counts over a range")
     p.add_argument("--lo", type=int, required=True)
@@ -220,10 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _sieve(args):
-    d = build_divisor_table(args.lo, args.hi)
-    D = np.cumsum(d, dtype=np.int64)
-    D += hyperbola_D(args.lo - 1) if args.lo > 1 else 0
-    rows = list(zip(range(args.lo, args.hi + 1), d.tolist(), D.tolist()))
+    if not 1 <= args.lo <= args.hi:
+        raise ValueError(f"need 1 <= lo <= hi, got lo={args.lo}, hi={args.hi}")
+    # D from lo - 1 (D(0) = 0), so that one sieve gives both columns: d = diff(D)
+    D = (prefix_block(args.lo - 1, args.hi + 1) if args.lo > 1
+         else np.append(0, prefix_block(1, args.hi + 1)))
+    rows = list(zip(range(args.lo, args.hi + 1), np.diff(D).tolist(), D[1:].tolist()))
     return ({"sieve.csv": (["n", "d", "D"], rows)},
             f"wrote {args.out / 'sieve.csv'} ({len(rows)} rows)", EXIT_OK)
 

@@ -307,22 +307,6 @@ def moment(
                         main_term=main, relative_deviation=rel)
 
 
-def abs_moment(A: float, X: float, threads: int = 1) -> MomentResult:
-    """Integral of |Delta|**A over [2, int(X)].  The theory provides an upper bound
-    of order X**(1 + A/4) but no asymptotic constant, so main_term is 0."""
-    if not (math.isfinite(A) and A > 0):
-        raise ValueError(f"A must be finite and > 0, got {A}")
-    if not (math.isfinite(X) and X >= 3):
-        raise ValueError(f"X must be finite and >= 3, got {X}")
-    if A == int(A) and int(A) % 2 == 0:  # |Delta|**A is Delta**A
-        key, powers, abs_powers = ("pow", int(A)), [int(A)], []
-    else:
-        key, powers, abs_powers = ("abs", A), [], [A]
-    prof = moment_profile(powers, abs_powers, [int(X)], threads=threads)
-    return MomentResult(exponent=A, lo=2.0, hi=float(int(X)), integral=prof[int(X)][key],
-                        main_term=0.0, relative_deviation=math.nan)
-
-
 def window_moment(
     spec: WindowSpec,
     k: int,

@@ -13,10 +13,10 @@ every tuple the float64 sum P (plus side) or M (minus side) of its square
 roots and the id of its kernel class.  A side's classes are the rows of one
 int64 array, a row holding the class's (kernel, coefficient) slots in kernel
 order; each range extends every (class, value) pair at once, and one lexsort
-numbers the distinct rows.  One sorted join of both sides' rows gives each
-minus class its plus partner, and a plus and a minus tuple form an exact zero
-exactly when their classes are partners.  A pair lies in the delta window
-when the float64 predicate
+numbers the distinct rows.  A slot ranks its kernel among the kernels of the
+whole box, so one more lexsort numbers both sides' rows together, and a plus
+and a minus tuple form an exact zero exactly when their ids agree.  A pair
+lies in the delta window when the float64 predicate
 
     fl(M - delta) < P < fl(M + delta)
 
@@ -136,13 +136,13 @@ def form_value_hp(plus_values: Sequence[int], minus_values: Sequence[int]):
 # --------------------------------------------------------------------------
 
 
-# A class row has one int64 slot per kernel of the class: the kernel's rank
-# among the side's kernels, shifted by _SHIFT, or-ed with its coefficient.
-# Values are at most 2^62, so a coefficient (at most 8 parts a <= 2^31) is
-# below 2^35, and a side within budget has at most 8 * 2^22 kernels, so
-# every slot is below 2^60.  Empty slots hold _PAD, which sorts last.
+# A class row has one int64 slot per kernel of the class: the kernel's rank,
+# its first position among the sorted kernels of the box's values, shifted
+# by _SHIFT, or-ed with its coefficient.  Values are at most 2^62, so a
+# coefficient (at most 8 parts a <= 2^31) is below 2^35, and a box within
+# budget has at most 8 * 2^22 values, so every slot is below 2^60.  Empty
+# slots hold _PAD, which sorts last.
 _SHIFT = 35
-_COEFFICIENT = (1 << _SHIFT) - 1
 _PAD = np.iinfo(np.int64).max
 
 
@@ -154,17 +154,10 @@ class _Side:
     sums: np.ndarray  # float64 sum of the square roots of each tuple
     classes: np.ndarray  # kernel-class id of each tuple
     rows: np.ndarray  # the slots of each class id, ascending, _PAD-padded
-    kernels: np.ndarray  # the side's distinct kernels, ascending; a slot's rank indexes them
 
     def tuple_at(self, flat: int) -> tuple[int, ...]:
         dims = tuple(hi - lo + 1 for lo, hi in self.ranges)
         return tuple(lo + int(i) for (lo, _), i in zip(self.ranges, np.unravel_index(flat, dims)))
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values of a 1-d array, ascending."""
-    values = np.sort(values)
-    return values[np.diff(values, prepend=values[:1] - 1) != 0]
 
 
 def _number_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -180,8 +173,11 @@ def _number_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ids, rows[first]
 
 
-def _enumerate_side(ranges: Sequence[tuple[int, int]]) -> _Side:
-    """Sums and kernel classes of every tuple in the product of ranges.
+def _enumerate_side(ranges: Sequence[tuple[int, int]], forms: Sequence[Sequence[KernelForm]],
+                    kernels: np.ndarray) -> _Side:
+    """Sums and kernel classes of every tuple in the product of ranges, given
+    the kernel form of each value of each range and the sorted kernels that
+    the slots rank over.
 
     A class is one row of slots (kernel, coefficient), kernels ascending and
     padded to one slot per range so far.  Appending a value v = a**2 * h to a
@@ -191,8 +187,6 @@ def _enumerate_side(ranges: Sequence[tuple[int, int]]) -> _Side:
     numbered by _number_rows, which gives the table (old class, value) ->
     new class.
     """
-    forms = [[kernel_decompose(v) for v in range(lo, hi + 1)] for lo, hi in ranges]
-    kernels = _distinct(np.array([kf.h for f in forms for kf in f], dtype=np.int64))
     sums = np.zeros(1, dtype=np.float64)
     classes = np.zeros(1, dtype=np.int64)
     rows = np.zeros((1, 0), dtype=np.int64)
@@ -210,33 +204,15 @@ def _enumerate_side(ranges: Sequence[tuple[int, int]]) -> _Side:
         pairs.sort(axis=2)
         table, rows = _number_rows(pairs.reshape(-1, width + 1))
         classes = table.reshape(n, len(f))[classes].ravel()
-    return _Side(tuple(ranges), sums, classes, rows, kernels)
-
-
-def _partners(plus: _Side, minus: _Side) -> np.ndarray:
-    """The plus class with the same kernel coefficients as each minus class
-    (-1 for none): both sides' rows, re-ranked over the kernels of both and
-    padded to a common width, numbered together in one sorted join."""
-    kernels = _distinct(np.concatenate([plus.kernels, minus.kernels]))
-    width = max(plus.rows.shape[1], minus.rows.shape[1])
-    both = np.full((len(plus.rows) + len(minus.rows), width), _PAD, dtype=np.int64)
-    for side, block in ((plus, both[: len(plus.rows)]), (minus, both[len(plus.rows) :])):
-        slots = side.rows
-        used = slots != _PAD
-        rank = np.searchsorted(kernels, side.kernels)[slots[used] >> _SHIFT]
-        block[:, : slots.shape[1]][used] = rank << _SHIFT | slots[used] & _COEFFICIENT
-    ids, distinct = _number_rows(both)
-    plus_class = np.full(len(distinct), -1, dtype=np.int64)
-    plus_class[ids[: len(plus.rows)]] = np.arange(len(plus.rows))
-    return plus_class[ids[len(plus.rows) :]]
+    return _Side(tuple(ranges), sums, classes, rows)
 
 
 class _Box:
     """Both sides of a query box, each enumerated once.
 
-    A plus and a minus tuple form an exact zero exactly when their kernel
-    rows agree, so every minus tuple gets the plus class of its zero
-    partners (-1 for none) and zeros are found by comparing class ids.
+    Every slot ranks its kernel among the kernels of the whole box, so the
+    rows of both sides are numbered together by one _number_rows pass, and a
+    plus and a minus tuple form an exact zero exactly when their ids agree.
     """
 
     def __init__(self, query: RelationQuery):
@@ -249,15 +225,27 @@ class _Box:
                     f"side of {size} tuples exceeds budget {DEFAULT_SIDE_BUDGET}; "
                     f"split the meet-in-the-middle ranges"
                 )
-        self.plus, self.minus = (_enumerate_side(ranges) for ranges in sides)
-        self.partner = _partners(self.plus, self.minus)[self.minus.classes]
+        forms = [[kernel_decompose(v) for v in range(lo, hi + 1)] for lo, hi in query.ranges]
+        # sorted, not made distinct: a kernel's first position ranks it as
+        # well, and np.unique would import numpy.ma into every process
+        kernels = np.sort(np.array([kf.h for f in forms for kf in f], dtype=np.int64))
+        self.plus = _enumerate_side(sides[0], forms[:p], kernels)
+        self.minus = _enumerate_side(sides[1], forms[p:], kernels)
+        # one numbering of both sides' rows, padded to a common width
+        n = len(self.plus.rows)
+        width = max(self.plus.rows.shape[1], self.minus.rows.shape[1])
+        rows = np.full((n + len(self.minus.rows), width), _PAD, dtype=np.int64)
+        rows[:n, : self.plus.rows.shape[1]] = self.plus.rows
+        rows[n:, : self.minus.rows.shape[1]] = self.minus.rows
+        ids = _number_rows(rows)[0]
+        self.minus_ids = ids[n:][self.minus.classes]
         self.order = np.argsort(self.plus.sums)
         self.sorted_sums = self.plus.sums[self.order]
-        self.sorted_classes = self.plus.classes[self.order]
-        # the first and the last sorted position of the run of equal classes
+        self.sorted_ids = ids[:n][self.plus.classes[self.order]]
+        # the first and the last sorted position of the run of equal ids
         # through each sorted position
-        starts = np.flatnonzero(np.diff(self.sorted_classes, prepend=-1))
-        lengths = np.diff(starts, append=self.sorted_classes.size)
+        starts = np.flatnonzero(np.diff(self.sorted_ids, prepend=-1))
+        lengths = np.diff(starts, append=self.sorted_ids.size)
         self.run_first = np.repeat(starts, lengths)
         self.run_last = np.repeat(starts + lengths - 1, lengths)
 
@@ -271,26 +259,25 @@ class _Box:
         else:
             lo = np.searchsorted(self.sorted_sums, m - delta, side="right")
             hi = np.searchsorted(self.sorted_sums, m + delta, side="left")
-        # zeros in a window: the partner class's tuples at sorted positions
-        # [lo, hi), found in the plus tuples ordered by (class, position)
-        keys = np.sort(self.sorted_classes * size + np.arange(size))
-        has = self.partner >= 0
-        base = self.partner[has] * size
-        zeros = np.searchsorted(keys, base + hi[has]) - np.searchsorted(keys, base + lo[has])
+        # zeros in a window: the plus tuples of the minus tuple's own id at
+        # sorted positions [lo, hi), found in the keys (id, position)
+        keys = np.sort(self.sorted_ids * size + np.arange(size))
+        base = self.minus_ids * size
+        zeros = np.searchsorted(keys, base + hi) - np.searchsorted(keys, base + lo)
         zeros = int(np.maximum(zeros, 0).sum())
         if delta == 0:
             return zeros
         return int(np.maximum(hi - lo, 0).sum()) - zeros
 
     def _walk(self, pos: np.ndarray, step: int) -> np.ndarray:
-        """Move each minus tuple's sorted position past its zero partners.
+        """Move each minus tuple's sorted position past its exact zeros.
 
-        The zero partners met from pos in the direction of step are the run
-        of equal classes through pos when that class is the minus tuple's
-        partner, so one lookup of the run's end moves past all of them.
+        The exact zeros met from pos in the direction of step are the run of
+        equal ids through pos when that id is the minus tuple's own, so one
+        lookup of the run's end moves past all of them.
         """
         at = np.clip(pos, 0, self.sorted_sums.size - 1)
-        zero = (pos == at) & (self.sorted_classes[at] == self.partner)
+        zero = (pos == at) & (self.sorted_ids[at] == self.minus_ids)
         end = self.run_last if step > 0 else self.run_first
         return np.where(zero, end[at] + step, pos)
 

@@ -1,6 +1,7 @@
 """Independent oracles shared by several test modules."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -77,6 +78,37 @@ def relation_product_fold(p: int, q: int, Y: int) -> np.ndarray:
                 add[i:, j:] += e * F[: p + 1 - i, : q + 1 - j]
         F += add
     return F
+
+
+def exact_zero_count_fold(p: int, q: int, Y: int) -> int:
+    """The number of exact solutions of sum_{i<=p} sqrt(a_i) = sum_{j<=q}
+    sqrt(b_j) over [1, Y]^(p+q): relation_product_fold with unit weights and
+    Fraction coefficients.  Per squarefree h, G_i[s] counts the i-tuples of
+    a with a^2 h <= Y and sum s; the count is p! q! [x^p y^q] F.  The
+    reference for the engine's exact zeros at sizes brute force cannot reach."""
+    kernels = factor_table(Y)[1]
+    F = [[Fraction(0)] * (q + 1) for _ in range(p + 1)]
+    F[0][0] = Fraction(1)
+    for h in range(1, Y + 1):
+        if kernels[h - 1] != h:  # h not squarefree
+            continue
+        w = np.ones(math.isqrt(Y // h) + 1, dtype=np.int64)
+        w[0] = 0
+        G = [np.array([1], dtype=np.int64)]
+        for _ in range(max(p, q)):
+            G.append(np.convolve(G[-1], w))
+        new = [row[:] for row in F]
+        for i in range(1, p + 1):
+            for j in range(1, q + 1):
+                n = min(len(G[i]), len(G[j]))
+                e = Fraction(int(np.dot(G[i][:n], G[j][:n])), math.factorial(i) * math.factorial(j))
+                for a in range(p + 1 - i):
+                    for b in range(q + 1 - j):
+                        new[a + i][b + j] += e * F[a][b]
+        F = new
+    count = F[p][q] * math.factorial(p) * math.factorial(q)
+    assert count.denominator == 1
+    return int(count)
 
 
 def relation_product_mpmath(p: int, q: int, Y: int, dps: int = 30) -> list[list]:

@@ -45,7 +45,7 @@ def test_delta_subcommand(tmp_path, capsys):
     assert set(env) == {"python", "numpy", "mpmath", "cpu_count", "thread_env", "heap_env"}
     assert env["numpy"] == np.__version__ and env["mpmath"] == mpmath.__version__
     assert env["cpu_count"] == os.cpu_count()
-    assert set(env["thread_env"]) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "DIVISORLAB_THREADS"}
+    assert set(env["thread_env"]) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"}
     assert set(env["heap_env"]) == {"MALLOC_ARENA_MAX", "MALLOC_MMAP_THRESHOLD_",
                                     "MALLOC_TRIM_THRESHOLD_"}
 
@@ -207,8 +207,7 @@ def test_explicit_flag_equal_to_its_default_beats_config(tmp_path):
     assert row.split(",")[1] == "1000"
 
 
-def test_explicit_threads_beat_config(tmp_path, monkeypatch):
-    monkeypatch.delenv("DIVISORLAB_THREADS", raising=False)
+def test_explicit_threads_beat_config(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("threads = 2\n")
     rc = main(["moment", "--k", "2", "--X", "3000", "--threads", "1", "--config", str(cfg),
@@ -271,20 +270,20 @@ def test_config_key_must_be_a_flag_of_the_command(tmp_path, capsys, key):
 @pytest.mark.parametrize("command", [["moment", "--k", "2", "--X", "3000"],
                                      ["window", "--k", "2", "--X", "3000", "--H", "1000"],
                                      ["verify", "--quick"]])
-@pytest.mark.parametrize("env, flag", [("abc", []), ("0", []), ("1", ["--threads", "0"]),
-                                       ("1", ["--threads", "-4"]), ("1", ["--threads", "2.5"])])
-def test_bad_thread_count_exit_code(tmp_path, capsys, monkeypatch, command, env, flag):
-    monkeypatch.setenv("DIVISORLAB_THREADS", env)
+@pytest.mark.parametrize("config, flag", [("abc", []), ("0", []), ("1", ["--threads", "0"]),
+                                          ("1", ["--threads", "-4"]), ("1", ["--threads", "2.5"]),
+                                          ("1", ["--threads", "abc"])])
+def test_bad_thread_count_exit_code(tmp_path, capsys, command, config, flag):
+    # a bad count exits 2 from either source of --threads: the config file, or
+    # the flag, which wins over a good config value
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"threads = {config}\n")
+    out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        main([*command, *flag, "--out", str(tmp_path)])
+        main([*command, *flag, "--config", str(cfg), "--out", str(out)])
     assert exc.value.code == 2
     assert "argument --threads" in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
-
-
-def test_commands_without_threads_ignore_the_thread_variable(tmp_path, monkeypatch):
-    monkeypatch.setenv("DIVISORLAB_THREADS", "abc")
-    assert main(["delta", "--x", "5", "--out", str(tmp_path)]) == 0
+    assert not out.exists()
 
 
 def _check_manifest(out, command):

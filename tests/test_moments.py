@@ -22,7 +22,6 @@ from divisorlab.moments import (
     GL8_WEIGHTS,
     WindowSpec,
     _int_powers,
-    abs_moment,
     moment,
     moment_main_term,
     moment_profile,
@@ -413,14 +412,9 @@ def test_moment_validation():
         moment(9, 100.0)
     with pytest.raises(ValueError):
         moment(2, 1.0)
-    for A in (-1.0, 0.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="A must be finite and > 0"):
-            abs_moment(A, 100.0)
     for X in (2.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="X must be finite and >= 3"):
             moment(2, X)
-        with pytest.raises(ValueError, match="X must be finite and >= 3"):
-            abs_moment(1.5, X)
 
 
 @pytest.mark.parametrize("Y", [10 ** 9, 0, 1e3, True])
@@ -435,20 +429,14 @@ def test_bad_constants_Y_refused_before_the_integral(monkeypatch, Y):
         window_moment(WindowSpec(X=10 ** 6, H=10 ** 4), 4, constants_Y=Y)
 
 
-def test_abs_moment_even_integer_matches_power_moment():
-    assert abs_moment(2.0, 3000.0).integral == moment(2, 3000.0).integral
-
-
-def test_abs_moment_even_integer_beyond_moment_range():
-    got = abs_moment(10.0, 3000.0).integral
-    assert got == moment_profile([10], [], [3000])[3000][("pow", 10)]
+def test_profile_abs_power_of_even_integer_matches_power():
+    got = moment_profile([10], [], [3000])[3000][("pow", 10)]
     assert got == pytest.approx(moment_profile([], [10.0], [3000])[3000][("abs", 10.0)],
                                 rel=1e-12)
 
 
 def test_fractional_X_integrates_and_reports_at_its_integer_part():
     assert moment(2, 20000.9) == moment(2, 20000)
-    assert abs_moment(1.5, 20000.9) == abs_moment(1.5, 20000)
 
 
 def test_integer_X_keeps_its_exact_main_term():

@@ -7,7 +7,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from oracles import enumerate_side_dict
+from oracles import enumerate_side_dict, exact_zero_count_fold
 
 from divisorlab import arith, relations
 from divisorlab.relations import (
@@ -378,26 +378,40 @@ def _class_boxes(draw):
 @example((RelationSignature(2, 2), ((2 ** 40 - 2, 2 ** 40 + 2), (1, 4),
                                     (1, 4), (2 ** 40 - 1, 2 ** 40 + 1))))
 def test_class_rows_match_dict_oracle(sig_box):
-    # the array engine groups tuples into the oracle's classes, each class row
-    # holds the oracle's kernel vector, and minus classes get the same partners
+    # each side groups tuples into the oracle's classes, each class row holds
+    # the oracle's kernel vector under the box's kernels, and a plus and a
+    # minus tuple share an id exactly when their oracle vectors are equal
     sig, box = sig_box
     engine = relations._Box(RelationQuery(sig, box, 0.0))
-    sides = (engine.plus, engine.minus)
     oracle = [enumerate_side_dict(box[: sig.plus]), enumerate_side_dict(box[sig.plus:])]
-    maps = []
-    for side, (sums, classes, vectors) in zip(sides, oracle):
+    box_kernels = np.sort([kernel_decompose(v).h for lo, hi in box for v in range(lo, hi + 1)])
+    for side, (sums, classes, vectors) in zip((engine.plus, engine.minus), oracle):
         assert np.array_equal(side.sums, sums)
         label = _label_map(side.classes, classes)
         assert len(side.rows) == len(vectors)
         for c, row in enumerate(side.rows):
             slots = row[row != relations._PAD]
-            kernels = side.kernels[slots >> relations._SHIFT]
-            assert list(zip(kernels.tolist(), (slots & relations._COEFFICIENT).tolist())) \
-                == list(vectors[label[c]])
-        maps.append(label)
-    index = {vector: c for c, vector in enumerate(oracle[0][2])}
-    want = [index.get(oracle[1][2][c], -1) for c in oracle[1][1]]
-    assert [maps[0][c] if c >= 0 else -1 for c in engine.partner.tolist()] == want
+            kernels = box_kernels[slots >> relations._SHIFT]
+            coefficients = slots & ((1 << relations._SHIFT) - 1)
+            assert list(zip(kernels.tolist(), coefficients.tolist())) == list(vectors[label[c]])
+    plus_ids = np.empty_like(engine.sorted_ids)
+    plus_ids[engine.order] = engine.sorted_ids
+    index: dict[tuple, int] = {}
+    want = [index.setdefault(vectors[c], len(index))
+            for _, classes, vectors in oracle for c in classes.tolist()]
+    _label_map(np.concatenate([plus_ids, engine.minus_ids]), np.array(want))
+
+
+@pytest.mark.parametrize("p, q, Y, zeros", [
+    (2, 2, 32, 2076), (3, 3, 20, 48434), (5, 3, 8, 1216), (4, 4, 16, 1576048),
+    (4, 4, 24, 8013020),
+])
+def test_exact_zero_count_matches_kernel_fold(p, q, Y, zeros):
+    # the exact solutions over [1, Y]^(p+q), far past brute force, against the
+    # unit-weight kernel fold in exact integers
+    assert exact_zero_count_fold(p, q, Y) == zeros
+    box = tuple((1, Y) for _ in range(p + q))
+    assert near_solution_count(RelationQuery(RelationSignature(p, q), box, 0.0)).count == zeros
 
 
 def test_benchmark_relation_results_are_pinned():
