@@ -162,6 +162,15 @@ def hyperbola_D_many(xs: np.ndarray) -> np.ndarray:
     elements, over the divisors up to its largest root and only for the
     x >= n*n.  The sum for one x is below x*(log(sqrt(x)) + 1) < 2**63 for
     every x <= MAX_SIEVE_ARGUMENT; larger x are refused.
+
+    floor(x/n) is the float64 quotient fl(x/n) truncated, which is exact
+    because x + n < 2**53 (x <= 2**52, n <= sqrt(x) <= 2**26).  x and n are
+    exact in float64.  Write x = q*n + r with 0 <= r < n.  Rounding is
+    monotone and q is a float64, so fl(x/n) >= q.  For fl(x/n) to reach
+    q + 1, x/n would have to lie within half a spacing of it, at most
+    (q + 1) * 2**-53; but q + 1 - x/n = (n - r)/n >= 1/n, and 1/n >
+    (q + 1) * 2**-53 since n*(q + 1) <= x + n < 2**53.  So q <= fl(x/n) <
+    q + 1.
     """
     xs = np.asarray(xs, dtype=np.int64)
     if xs.size and xs.min() < 1:
@@ -176,13 +185,13 @@ def hyperbola_D_many(xs: np.ndarray) -> np.ndarray:
     roots = np.where(roots * roots > xs, roots - 1, roots)
     sums = np.zeros(len(xs), dtype=np.int64)
     for i in range(0, len(xs), _MANY_ROWS):
-        x, r = xs[i : i + _MANY_ROWS, None], roots[i : i + _MANY_ROWS, None]
+        x, r = xs[i : i + _MANY_ROWS, None].astype(np.float64), roots[i : i + _MANY_ROWS, None]
         top = int(r[-1, 0])
         width = _SCATTER_CHUNK // len(x)
         for a in range(1, top + 1, width):
             j = int(np.searchsorted(r[:, 0], a))  # the x >= a*a
             n = np.arange(a, min(a + width, top + 1), dtype=np.int64)
-            q = x[j:] // n
+            q = np.divide(x[j:], n.astype(np.float64)).astype(np.int64)
             if n[-1] > r[j, 0]:
                 q[n > r[j:]] = 0
             sums[i + j : i + len(x)] += q.sum(axis=1)

@@ -8,28 +8,35 @@ kernel by kernel.  That makes exact-zero testing decidable without any floating
 comparison.
 
 Counts and gaps over a box come from one engine of array operations.  Each
-side of the form is enumerated once over the product of its ranges, giving
-every tuple the float64 sum P (plus side) or M (minus side) of its square
-roots and the id of its kernel class.  A side's classes are the rows of one
-int64 array, a row holding the class's (kernel, coefficient) slots in kernel
-order; each range extends every (class, value) pair at once, and one lexsort
+side of the form is enumerated once over the multisets of its ranges: a range
+that repeats an earlier range of the same side takes only the values from the
+one at that earlier position up, so each tuple is the smallest ordering of its
+multiset and stands for its number of orderings, prod g!/prod m_v! over the
+groups of g equal ranges (m_v the multiplicity of value v).  Every tuple gets
+the float64 sum P (plus side) or M (minus side) of its square roots, added
+left to right, and the id of its kernel class.  A side's classes are the rows
+of one int64 array, a row holding the class's (kernel, coefficient) slots in
+kernel order; each range extends the row of every kept (tuple, value) pair at
+once, and one sort of the rows, packed several slots to an int64 word,
 numbers the distinct rows.  A slot ranks its kernel among the kernels of the
-whole box, so one more lexsort numbers both sides' rows together, and a plus
-and a minus tuple form an exact zero exactly when their ids agree.  A pair
-lies in the delta window when the float64 predicate
+whole box, so one more sort numbers both sides' rows together, and a plus and
+a minus tuple form an exact zero exactly when their ids agree.  A pair lies
+in the delta window when the float64 predicate
 
     fl(M - delta) < P < fl(M + delta)
 
-holds, and the near-solution count is the number of pairs in the window minus
-the exact zeros in that same window, so it is never negative.  Minimal gaps
-are found in floats: each minus sum steps past the runs of its exact zeros
-among the sorted plus sums by one run-length lookup, and candidates below
-NEAR_ZERO_RECHECK are re-verified in 50-digit arithmetic.
+holds, and the near-solution count is the number of ordered pairs in the
+window minus the exact zeros in that same window, each pair of tuples
+weighted by the product of their orderings, so it is never negative.  Minimal
+gaps are found in floats: each minus sum steps past the runs of its exact
+zeros among the sorted plus sums by one run-length lookup, and candidates
+below NEAR_ZERO_RECHECK are re-verified in 50-digit arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,7 +46,7 @@ import numpy as np
 # the factoring lives in arith; its names stay importable from here
 from .arith import DEFAULT_SPF_BOUND, BudgetExceededError, KernelForm, kernel_decompose  # noqa: F401
 
-# Sides of the enumeration may not exceed this many tuples; larger requests
+# Sides of the enumeration may not exceed this many multisets; larger requests
 # must be split by the caller.
 DEFAULT_SIDE_BUDGET = 1 << 22
 
@@ -138,77 +145,124 @@ def form_value_hp(plus_values: Sequence[int], minus_values: Sequence[int]):
 
 # A class row has one int64 slot per kernel of the class: the kernel's rank,
 # its first position among the sorted kernels of the box's values, shifted
-# by _SHIFT, or-ed with its coefficient.  Values are at most 2^62, so a
-# coefficient (at most 8 parts a <= 2^31) is below 2^35, and a box within
-# budget has at most 8 * 2^22 values, so every slot is below 2^60.  Empty
-# slots hold _PAD, which sorts last.
-_SHIFT = 35
-_PAD = np.iinfo(np.int64).max
+# left by the box's coefficient width, or-ed with its coefficient.  Empty
+# slots hold the pad, all ones over the slot's bits, which sorts last; no
+# kernel has the all-ones rank.  A box within budget has at most 8 ranges of
+# at most 2^22 values, so a rank takes at most 26 bits, and a coefficient (at
+# most 8 parts a <= 2^31) at most 35: a slot fits in 61 bits.
 
 
 @dataclass(frozen=True)
 class _Side:
-    """One side of a form over the product of its ranges, in ravel order."""
+    """One side of a form, one tuple per multiset, in ascending order of sum.
+
+    Each tuple is the smallest ordering of its multiset: within every group
+    of equal ranges its values ascend.  Its weight is the number of orderings
+    it stands for, prod g!/prod m_v! over the groups (g the group's size, m_v
+    the multiplicity of value v in it)."""
 
     ranges: tuple[tuple[int, int], ...]
-    sums: np.ndarray  # float64 sum of the square roots of each tuple
+    sums: np.ndarray  # float64 sum of the square roots, added left to right
     classes: np.ndarray  # kernel-class id of each tuple
-    rows: np.ndarray  # the slots of each class id, ascending, _PAD-padded
+    rows: np.ndarray  # the slots of each class id, ascending, padded
+    flat: np.ndarray  # flat index of each tuple in the product of the ranges
+    weights: np.ndarray  # int64 number of orderings of each tuple
 
     def tuple_at(self, flat: int) -> tuple[int, ...]:
         dims = tuple(hi - lo + 1 for lo, hi in self.ranges)
         return tuple(lo + int(i) for (lo, _), i in zip(self.ranges, np.unravel_index(flat, dims)))
 
 
-def _number_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The id of each row of a 2-d array, ids numbering the distinct rows in
-    lexicographic order, and the distinct rows: one lexsort and a row
-    difference."""
-    order = np.lexsort(rows.T)
-    rows = rows[order]
+def _number_rows(rows: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The id of each row of a 2-d array of slots below 2^bits, ids
+    numbering the distinct rows, and the distinct rows.  63 // bits slots
+    pack into one int64 word, so one sort of the words (a lexsort when a
+    row takes more than one word) brings equal rows together."""
+    per = 63 // bits
+    words = np.zeros((-(-rows.shape[1] // per), len(rows)), dtype=np.int64)
+    for j in range(rows.shape[1]):
+        words[j // per] |= rows[:, j] << (bits * (j % per))
+    order = np.argsort(words[0]) if len(words) == 1 else np.lexsort(words)
+    words = words[:, order]
     first = np.ones(len(rows), dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    first[1:] = (words[:, 1:] != words[:, :-1]).any(axis=0)
     ids = np.empty(len(rows), dtype=np.int64)
     ids[order] = np.cumsum(first) - 1
-    return ids, rows[first]
+    return ids, rows[order[first]]
 
 
-def _enumerate_side(ranges: Sequence[tuple[int, int]], forms: Sequence[Sequence[KernelForm]],
-                    kernels: np.ndarray) -> _Side:
-    """Sums and kernel classes of every tuple in the product of ranges, given
-    the kernel form of each value of each range and the sorted kernels that
-    the slots rank over.
+def _enumerate_side(ranges: Sequence[tuple[int, int]],
+                    values: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]],
+                    shift: int, bits: int) -> _Side:
+    """Sums and kernel classes of the smallest ordering of every multiset of
+    the product of ranges, given for each value v = a**2 * h of each distinct
+    range the rank of its kernel h, a and sqrt(v), and the slots' coefficient
+    width and total width.
+
+    The ranges are walked in order, every kept (tuple, value) pair extending
+    a tuple.  A range met before on this side keeps only the values from the
+    one at its latest position up, so the values ascend within every group
+    of equal ranges; a range met first keeps every value, as in the product
+    of the ranges.  Each tuple's sum is the left-to-right sum of that
+    ordering.
 
     A class is one row of slots (kernel, coefficient), kernels ascending and
     padded to one slot per range so far.  Appending a value v = a**2 * h to a
     tuple adds a to the coefficient of kernel h in its row, or inserts the
-    slot (h, a), so the new class depends only on the old class and v.  Per
-    range, the rows of every (old class, value) pair are formed at once and
-    numbered by _number_rows, which gives the table (old class, value) ->
-    new class.
+    slot (h, a).  Per range, the rows of every kept pair are formed at once
+    and numbered by _number_rows, which gives each new tuple its class.
     """
     sums = np.zeros(1, dtype=np.float64)
     classes = np.zeros(1, dtype=np.int64)
+    flat = np.zeros(1, dtype=np.int64)
     rows = np.zeros((1, 0), dtype=np.int64)
-    for (lo, hi), f in zip(ranges, forms):
-        roots = np.sqrt(np.arange(lo, hi + 1, dtype=np.float64))
-        sums = (sums[:, None] + roots[None, :]).ravel()
-        rank = np.searchsorted(kernels, np.array([kf.h for kf in f], dtype=np.int64))
-        a = np.array([kf.a for kf in f], dtype=np.int64)
-        n, width = rows.shape
-        pairs = np.empty((n, len(f), width + 1), dtype=np.int64)
-        pairs[:, :, :width] = rows[:, None]
-        same = (pairs[:, :, :width] >> _SHIFT) == rank[:, None]  # at most one slot
-        pairs[:, :, :width] += same * a[:, None]
-        pairs[:, :, width] = np.where(same.any(axis=2), _PAD, rank << _SHIFT | a)
-        pairs.sort(axis=2)
-        table, rows = _number_rows(pairs.reshape(-1, width + 1))
-        classes = table.reshape(n, len(f))[classes].ravel()
-    return _Side(tuple(ranges), sums, classes, rows)
+    # per range that recurs: each tuple's value offset at the range's latest
+    # position so far
+    last: dict[tuple[int, int], np.ndarray] = {}
+    for i, r in enumerate(ranges):
+        rank, a, roots = values[r]
+        floor = last.pop(r) if r in last else np.zeros(sums.size, dtype=np.int64)
+        counts = len(a) - floor
+        parent = np.repeat(np.arange(sums.size), counts)
+        k = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts - floor, counts)
+        rank, a = rank[k], a[k]
+        old = rows[classes[parent]]
+        same = (old >> shift) == rank[:, None]  # at most one slot
+        pairs = np.empty((parent.size, old.shape[1] + 1), dtype=np.int64)
+        pairs[:, :-1] = old + same * a[:, None]
+        pairs[:, -1] = np.where(same.any(axis=1), (1 << bits) - 1, rank << shift | a)
+        pairs.sort(axis=1)
+        classes, rows = _number_rows(pairs, bits)
+        sums = sums[parent] + roots[k]
+        flat = flat[parent] * len(roots) + k
+        last = {g: x[parent] for g, x in last.items()}
+        if r in ranges[i + 1:]:
+            last[r] = k
+    order = np.argsort(sums)
+    flat = flat[order]
+    return _Side(tuple(ranges), sums[order], classes[order], rows, flat, _weights(ranges, flat))
+
+
+def _weights(ranges: Sequence[tuple[int, int]], flat: np.ndarray) -> np.ndarray:
+    """The number of orderings of the tuple at each flat index, one whose
+    values ascend within every group of g equal ranges: prod g!/prod m_v!.
+    A value equal to the one before it in its group extends a run, and the
+    run lengths at a group's positions multiply to prod m_v!."""
+    weights = np.ones(flat.size, dtype=np.int64)
+    groups = {r: g for r, g in Counter(ranges).items() if g > 1}
+    offsets = np.unravel_index(flat, [hi - lo + 1 for lo, hi in ranges]) if groups else ()
+    for r, g in groups.items():
+        group = [v for v, s in zip(offsets, ranges) if s == r]
+        run = runs = np.ones(flat.size, dtype=np.int64)
+        for before, v in zip(group, group[1:]):
+            run = np.where(v == before, run + 1, 1)
+            runs = runs * run
+        weights *= math.factorial(g) // runs
+    return weights
 
 
 class _Box:
-    """Both sides of a query box, each enumerated once.
+    """Both sides of a query box, each enumerated once over its multisets.
 
     Every slot ranks its kernel among the kernels of the whole box, so the
     rows of both sides are numbered together by one _number_rows pass, and a
@@ -219,65 +273,86 @@ class _Box:
         p = query.signature.plus
         sides = (query.ranges[:p], query.ranges[p:])
         for ranges in sides:
-            size = math.prod(hi - lo + 1 for lo, hi in ranges)
+            # C(n + g - 1, g) multisets per group of g equal ranges of n values
+            size = math.prod(math.comb(hi - lo + g, g) for (lo, hi), g in Counter(ranges).items())
             if size > DEFAULT_SIDE_BUDGET:
                 raise BudgetExceededError(
-                    f"side of {size} tuples exceeds budget {DEFAULT_SIDE_BUDGET}; "
+                    f"side of {size} multisets exceeds budget {DEFAULT_SIDE_BUDGET}; "
                     f"split the meet-in-the-middle ranges"
                 )
-        forms = [[kernel_decompose(v) for v in range(lo, hi + 1)] for lo, hi in query.ranges]
+        # each distinct range factored once: the kernel form of every value
+        forms = {r: [kernel_decompose(v) for v in range(r[0], r[1] + 1)]
+                 for r in dict.fromkeys(query.ranges)}
         # sorted, not made distinct: a kernel's first position ranks it as
         # well, and np.unique would import numpy.ma into every process
-        kernels = np.sort(np.array([kf.h for f in forms for kf in f], dtype=np.int64))
-        self.plus = _enumerate_side(sides[0], forms[:p], kernels)
-        self.minus = _enumerate_side(sides[1], forms[p:], kernels)
+        kernels = np.sort(np.array([kf.h for f in forms.values() for kf in f], dtype=np.int64))
+        values = {r: (np.searchsorted(kernels, np.array([kf.h for kf in f], dtype=np.int64)),
+                      np.array([kf.a for kf in f], dtype=np.int64),
+                      np.sqrt(np.arange(r[0], r[1] + 1, dtype=np.float64)))
+                  for r, f in forms.items()}
+        # a class's coefficient is at most the sum of the largest a of each
+        # range, and the ranks stay below the all-ones rank of the pad
+        self.shift = int(sum(values[r][1].max() for r in query.ranges)).bit_length()
+        self.bits = self.shift + len(kernels).bit_length()
+        self.plus = _enumerate_side(sides[0], values, self.shift, self.bits)
+        self.minus = _enumerate_side(sides[1], values, self.shift, self.bits)
         # one numbering of both sides' rows, padded to a common width
         n = len(self.plus.rows)
         width = max(self.plus.rows.shape[1], self.minus.rows.shape[1])
-        rows = np.full((n + len(self.minus.rows), width), _PAD, dtype=np.int64)
+        rows = np.full((n + len(self.minus.rows), width), (1 << self.bits) - 1, dtype=np.int64)
         rows[:n, : self.plus.rows.shape[1]] = self.plus.rows
         rows[n:, : self.minus.rows.shape[1]] = self.minus.rows
-        ids = _number_rows(rows)[0]
+        ids = _number_rows(rows, self.bits)[0]
+        self.plus_ids = ids[:n][self.plus.classes]
         self.minus_ids = ids[n:][self.minus.classes]
-        self.order = np.argsort(self.plus.sums)
-        self.sorted_sums = self.plus.sums[self.order]
-        self.sorted_ids = ids[:n][self.plus.classes[self.order]]
-        # the first and the last sorted position of the run of equal ids
-        # through each sorted position
-        starts = np.flatnonzero(np.diff(self.sorted_ids, prepend=-1))
-        lengths = np.diff(starts, append=self.sorted_ids.size)
+        # the first and the last position of the run of equal ids through
+        # each plus position
+        starts = np.flatnonzero(np.diff(self.plus_ids, prepend=-1))
+        lengths = np.diff(starts, append=self.plus_ids.size)
         self.run_first = np.repeat(starts, lengths)
         self.run_last = np.repeat(starts + lengths - 1, lengths)
 
     def count(self, delta: float) -> int:
-        """Pairs in the window fl(M - delta) < P < fl(M + delta) that are not
-        exact zeros; at delta == 0, the exact zeros."""
-        size = self.sorted_sums.size
+        """Ordered pairs in the window fl(M - delta) < P < fl(M + delta) that
+        are not exact zeros; at delta == 0, the exact zeros.
+
+        A pair of multisets stands for w_plus * w_minus ordered pairs, so the
+        plus weights are summed over each window, in sum order and in key
+        order, by prefix sums.  No sum overflows int64: a side of at most
+        2^22 multisets holds at most 2^22 * p! orderings, and p + q <= 8
+        bounds every total by 2^44 * 8! < 2^60.
+        """
+        size = self.plus.sums.size
         m = self.minus.sums
         if delta == 0:
             lo, hi = np.zeros(m.size, dtype=np.int64), np.full(m.size, size)
-        else:
-            lo = np.searchsorted(self.sorted_sums, m - delta, side="right")
-            hi = np.searchsorted(self.sorted_sums, m + delta, side="left")
+        else:  # m ascends, so the binary searches stay local
+            lo = np.searchsorted(self.plus.sums, m - delta, side="right")
+            hi = np.searchsorted(self.plus.sums, m + delta, side="left")
         # zeros in a window: the plus tuples of the minus tuple's own id at
-        # sorted positions [lo, hi), found in the keys (id, position)
-        keys = np.sort(self.sorted_ids * size + np.arange(size))
+        # positions [lo, hi), found in the keys (id, position)
+        keys = self.plus_ids * size + np.arange(size)
+        by_key = np.argsort(keys)
+        keys = keys[by_key]
+        cum = np.zeros(size + 1, dtype=np.int64)
+        np.cumsum(self.plus.weights[by_key], out=cum[1:])
         base = self.minus_ids * size
-        zeros = np.searchsorted(keys, base + hi) - np.searchsorted(keys, base + lo)
-        zeros = int(np.maximum(zeros, 0).sum())
-        if delta == 0:
-            return zeros
-        return int(np.maximum(hi - lo, 0).sum()) - zeros
+        zeros = cum[np.searchsorted(keys, base + hi)] - cum[np.searchsorted(keys, base + lo)]
+        found = np.maximum(zeros, 0)
+        if delta != 0:
+            np.cumsum(self.plus.weights, out=cum[1:])
+            found = np.maximum(cum[hi] - cum[lo], 0) - found
+        return int(found @ self.minus.weights)
 
     def _walk(self, pos: np.ndarray, step: int) -> np.ndarray:
-        """Move each minus tuple's sorted position past its exact zeros.
+        """Move each minus tuple's plus position past its exact zeros.
 
         The exact zeros met from pos in the direction of step are the run of
         equal ids through pos when that id is the minus tuple's own, so one
         lookup of the run's end moves past all of them.
         """
-        at = np.clip(pos, 0, self.sorted_sums.size - 1)
-        zero = (pos == at) & (self.sorted_ids[at] == self.minus_ids)
+        at = np.clip(pos, 0, self.plus.sums.size - 1)
+        zero = (pos == at) & (self.plus_ids[at] == self.minus_ids)
         end = self.run_last if step > 0 else self.run_first
         return np.where(zero, end[at] + step, pos)
 
@@ -291,17 +366,17 @@ class _Box:
         50 digits before they are trusted.
         """
         m = self.minus.sums
-        i0 = np.searchsorted(self.sorted_sums, m)
+        i0 = np.searchsorted(self.plus.sums, m)
         pos = np.concatenate([self._walk(i0 - 1, -1), self._walk(i0, 1)])
         mi = np.tile(np.arange(m.size), 2)
-        inside = (pos >= 0) & (pos < self.sorted_sums.size)
+        inside = (pos >= 0) & (pos < self.plus.sums.size)
         pos, mi = pos[inside], mi[inside]
-        gaps = np.abs(self.sorted_sums[pos] - m[mi])
+        gaps = np.abs(self.plus.sums[pos] - m[mi])
         # the loop below stops at the latest at the smallest gap that needs
         # no recheck, so only the candidates up to it are sorted
         cut = np.min(gaps, where=gaps >= NEAR_ZERO_RECHECK, initial=math.inf)
         keep = np.flatnonzero(gaps <= cut)
-        gaps, pi, mi = gaps[keep], self.order[pos[keep]], mi[keep]
+        gaps, pi, mi = gaps[keep], self.plus.flat[pos[keep]], self.minus.flat[mi[keep]]
 
         best = math.inf
         witness = None

@@ -1,6 +1,8 @@
 """Independent oracles shared by several test modules."""
 
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -15,6 +17,7 @@ from divisorlab.moments import (
     _int_powers,
     _newton_roots,
 )
+from divisorlab.relations import NEAR_ZERO_RECHECK, form_value_hp
 
 
 def d_trial_division(n: int) -> int:
@@ -28,28 +31,106 @@ def d_trial_division(n: int) -> int:
     return count
 
 
-def enumerate_side_dict(ranges) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
-    """relations._enumerate_side with one Python dict per (class, value) pair:
-    the float64 sums, the class id of each tuple (numbered in order of first
-    appearance) and the canonical ((kernel, coefficient), ...) vector of each
-    class id.  The reference for the engine's class rows."""
-    sums = np.zeros(1, dtype=np.float64)
-    classes = np.zeros(1, dtype=np.int64)
-    vectors: list[tuple] = [()]
-    for lo, hi in ranges:
-        roots = np.sqrt(np.arange(lo, hi + 1, dtype=np.float64))
-        sums = (sums[:, None] + roots[None, :]).ravel()
-        forms = [kernel_decompose(v) for v in range(lo, hi + 1)]
+def _side_tuples(ranges) -> list[tuple[tuple[int, ...], float, tuple]]:
+    """Every tuple of the product of ranges in ravel order, with the float64
+    sum of its square roots added left to right and its canonical
+    ((kernel, coefficient), ...) vector, built one Python dict per tuple."""
+    forms = {v: kernel_decompose(v) for lo, hi in set(ranges) for v in range(lo, hi + 1)}
+    out = []
+    for t in itertools.product(*(range(lo, hi + 1) for lo, hi in ranges)):
+        total, acc = 0.0, {}
+        for v in t:
+            total += math.sqrt(v)
+            acc[forms[v].h] = acc.get(forms[v].h, 0) + forms[v].a
+        out.append((t, total, tuple(sorted(acc.items()))))
+    return out
+
+
+def enumerate_multisets_dict(ranges) -> list[tuple[tuple[int, ...], float, int, int, tuple]]:
+    """relations._enumerate_side by brute force over the product of ranges:
+    the tuples whose values ascend within every group of equal ranges, in
+    ravel order, each with its float64 sum, its flat index in the product,
+    its number of orderings g!/prod m_v! per group and its kernel vector.
+    The reference for the engine's multisets and class rows."""
+    groups = [[i for i, s in enumerate(ranges) if s == r] for r in dict.fromkeys(ranges)]
+    out = []
+    for flat, (t, total, vector) in enumerate(_side_tuples(ranges)):
+        parts = [[t[i] for i in g] for g in groups]
+        if all(part == sorted(part) for part in parts):
+            weight = math.prod(math.factorial(len(part))
+                               // math.prod(map(math.factorial, Counter(part).values()))
+                               for part in parts)
+            out.append((t, total, flat, weight, vector))
+    return out
+
+
+class OrderedBox:
+    """The relation engine over ordered tuples: every tuple of the product of
+    each side's ranges, classed by its _side_tuples kernel vector, with the
+    float64 window counts and the min-gap walk of relations._Box.  The
+    reference that the multiset engine's counts and gaps are checked against.
+    """
+
+    def __init__(self, query):
+        p = query.signature.plus
+        plus, minus = _side_tuples(query.ranges[:p]), _side_tuples(query.ranges[p:])
         index: dict[tuple, int] = {}
-        table = np.empty((len(vectors), len(forms)), dtype=np.int64)
-        for c, vector in enumerate(vectors):
-            for k, kf in enumerate(forms):
-                acc = dict(vector)
-                acc[kf.h] = acc.get(kf.h, 0) + kf.a
-                table[c, k] = index.setdefault(tuple(sorted(acc.items())), len(index))
-        classes = table[classes].ravel()
-        vectors = list(index)
-    return sums, classes, vectors
+        plus_ids = np.array([index.setdefault(v, len(index)) for _, _, v in plus], dtype=np.int64)
+        self.minus_ids = np.array([index.setdefault(v, len(index)) for _, _, v in minus], dtype=np.int64)
+        self.plus_tuples = [t for t, _, _ in plus]
+        self.minus_tuples = [t for t, _, _ in minus]
+        self.minus_sums = np.array([s for _, s, _ in minus])
+        sums = np.array([s for _, s, _ in plus])
+        self.order = np.argsort(sums)
+        self.sorted_sums = sums[self.order]
+        self.sorted_ids = plus_ids[self.order]
+        starts = np.flatnonzero(np.diff(self.sorted_ids, prepend=-1))
+        lengths = np.diff(starts, append=self.sorted_ids.size)
+        self.run_first = np.repeat(starts, lengths)
+        self.run_last = np.repeat(starts + lengths - 1, lengths)
+
+    def count(self, delta: float) -> int:
+        size = self.sorted_sums.size
+        m = self.minus_sums
+        if delta == 0:
+            lo, hi = np.zeros(m.size, dtype=np.int64), np.full(m.size, size)
+        else:
+            lo = np.searchsorted(self.sorted_sums, m - delta, side="right")
+            hi = np.searchsorted(self.sorted_sums, m + delta, side="left")
+        keys = np.sort(self.sorted_ids * size + np.arange(size))
+        base = self.minus_ids * size
+        zeros = np.searchsorted(keys, base + hi) - np.searchsorted(keys, base + lo)
+        zeros = int(np.maximum(zeros, 0).sum())
+        if delta == 0:
+            return zeros
+        return int(np.maximum(hi - lo, 0).sum()) - zeros
+
+    def _walk(self, pos, step):
+        at = np.clip(pos, 0, self.sorted_sums.size - 1)
+        zero = (pos == at) & (self.sorted_ids[at] == self.minus_ids)
+        end = self.run_last if step > 0 else self.run_first
+        return np.where(zero, end[at] + step, pos)
+
+    def min_gap(self):
+        m = self.minus_sums
+        i0 = np.searchsorted(self.sorted_sums, m)
+        pos = np.concatenate([self._walk(i0 - 1, -1), self._walk(i0, 1)])
+        mi = np.tile(np.arange(m.size), 2)
+        inside = (pos >= 0) & (pos < self.sorted_sums.size)
+        pos, mi = pos[inside], mi[inside]
+        gaps = np.abs(self.sorted_sums[pos] - m[mi])
+        pi = self.order[pos]
+        best, witness = math.inf, None
+        for k in np.lexsort((mi, pi, gaps)):
+            gap = float(gaps[k])
+            if gap >= best:
+                break
+            pair = (self.plus_tuples[pi[k]], self.minus_tuples[mi[k]])
+            if gap < NEAR_ZERO_RECHECK:
+                gap = float(abs(form_value_hp(*pair)))
+            if 0 < gap < best:
+                best, witness = gap, pair
+        return best, witness
 
 
 def relation_product_fold(p: int, q: int, Y: int) -> np.ndarray:

@@ -297,6 +297,24 @@ def test_hyperbola_matches_oracle_at_max_argument():
     assert hyperbola_D(MAX_SIEVE_ARGUMENT) == hyperbola_oracle(MAX_SIEVE_ARGUMENT)
 
 
+def test_hyperbola_quotients_exact_up_to_max_argument():
+    # hyperbola_D_many truncates the float64 quotients fl(x/n), exact while
+    # x + n < 2**53.  At 10**12 = (10**6)**2 and its neighbours the sums are
+    # checked against the pure-Python one; a quotient rounded to nearest
+    # would be off for about half the n.  At the limit, D(2**52) is checked
+    # against the pure-Python sum above, D(2**52 - 1) = D(2**52) - d(2**52),
+    # and (2**26 - 1)**2 against numpy's exact int64 floor division in
+    # chunks, which shares nothing with the float quotients.
+    xs = [10 ** 12 - 1, 10 ** 12, 10 ** 12 + 1, (1 << 52) - 1, 1 << 52, ((1 << 26) - 1) ** 2]
+    got = hyperbola_D_many(np.array(xs, dtype=np.int64)).tolist()
+    assert got[:3] == [hyperbola_oracle(x) for x in xs[:3]]
+    assert got[4] - got[3] == 53  # 2**52 has 53 divisors
+    root = (1 << 26) - 1
+    quotients = sum(int((xs[5] // np.arange(a, min(a + (1 << 20), root + 1), dtype=np.int64)).sum())
+                    for a in range(1, root + 1, 1 << 20))
+    assert got[5] == 2 * quotients - root * root
+
+
 def test_hyperbola_rejects_beyond_max_argument():
     with pytest.raises(RangeOverflowError):
         hyperbola_D(MAX_SIEVE_ARGUMENT + 1)

@@ -7,7 +7,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from oracles import enumerate_side_dict, exact_zero_count_fold
+from oracles import OrderedBox, enumerate_multisets_dict, exact_zero_count_fold
 
 from divisorlab import arith, relations
 from divisorlab.relations import (
@@ -201,6 +201,14 @@ def test_exact_solutions_budget():
         min_gap(sig, 10 ** 9)
 
 
+def test_side_budget_counts_multisets(monkeypatch):
+    # [1,12]^4 has 20,736 tuples and C(15, 4) = 1365 multisets
+    monkeypatch.setattr(relations, "DEFAULT_SIDE_BUDGET", math.comb(15, 4))
+    assert min_gap(RelationSignature(4, 4), 12)[0] == 4.822873254539672e-06
+    with pytest.raises(BudgetExceededError):
+        min_gap(RelationSignature(4, 4), 13)
+
+
 @pytest.mark.parametrize("delta", [0.005, 0.05, 0.5])
 def test_near_solution_count_matches_brute_force(delta):
     sig = RelationSignature(2, 2)
@@ -258,11 +266,13 @@ def test_min_gap_matches_exhaustive():
 
 
 def test_min_gap_witness_ties_take_smallest_plus_index():
-    # ((13,30),(9,37)) and ((37,9),(13,30)) have the same float gap; candidates
-    # are ordered by (gap, plus flat index, minus flat index), 629 < 1808
+    # ((13,30),(9,37)) and its mirror ((9,37),(13,30)) have the same float gap;
+    # candidates are ordered by (gap, plus flat index, minus flat index), and
+    # the flat index of (9,37) in [1,50]^2 is 436 < 629
     gap, witness, _ = min_gap(RelationSignature(2, 2), 50)
-    assert witness == ((13, 30), (9, 37))
+    assert witness == ((9, 37), (13, 30))
     assert gap == abs((math.sqrt(13) + math.sqrt(30)) - (math.sqrt(9) + math.sqrt(37)))
+    assert gap == abs((math.sqrt(9) + math.sqrt(37)) - (math.sqrt(13) + math.sqrt(30)))
 
 
 def test_min_gap_below_recheck_threshold_is_50_digit():
@@ -362,12 +372,16 @@ def _label_map(ids, oracle_ids):
 
 @st.composite
 def _class_boxes(draw):
+    # about half the ranges repeat an earlier one, on either side
     sig = RelationSignature(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
     width = 5 if sig.arity <= 4 else 2
     box = []
     for _ in range(sig.arity):
-        lo = draw(st.integers(1, 16))
-        box.append((lo, lo + draw(st.integers(0, width))))
+        if box and draw(st.booleans()):
+            box.append(draw(st.sampled_from(box)))
+        else:
+            lo = draw(st.integers(1, 16))
+            box.append((lo, lo + draw(st.integers(0, width))))
     return sig, tuple(box)
 
 
@@ -377,34 +391,88 @@ def _class_boxes(draw):
                                     (1, 4), (DEFAULT_SPF_BOUND - 1, DEFAULT_SPF_BOUND + 2))))
 @example((RelationSignature(2, 2), ((2 ** 40 - 2, 2 ** 40 + 2), (1, 4),
                                     (1, 4), (2 ** 40 - 1, 2 ** 40 + 1))))
+@example((RelationSignature(4, 4), ((1, 3), (2, 4), (1, 3), (1, 3), (2, 4), (1, 3), (1, 3), (1, 3))))
 def test_class_rows_match_dict_oracle(sig_box):
-    # each side groups tuples into the oracle's classes, each class row holds
-    # the oracle's kernel vector under the box's kernels, and a plus and a
-    # minus tuple share an id exactly when their oracle vectors are equal
+    # each side holds the oracle's multisets, by flat index, with their sums
+    # and weights, in ascending order of sum; it groups them into the oracle's
+    # classes; each class row holds the oracle's kernel vector under the
+    # box's kernels; and a plus and a minus tuple share an id exactly when
+    # their oracle vectors are equal
     sig, box = sig_box
     engine = relations._Box(RelationQuery(sig, box, 0.0))
-    oracle = [enumerate_side_dict(box[: sig.plus]), enumerate_side_dict(box[sig.plus:])]
-    box_kernels = np.sort([kernel_decompose(v).h for lo, hi in box for v in range(lo, hi + 1)])
-    for side, (sums, classes, vectors) in zip((engine.plus, engine.minus), oracle):
-        assert np.array_equal(side.sums, sums)
-        label = _label_map(side.classes, classes)
-        assert len(side.rows) == len(vectors)
-        for c, row in enumerate(side.rows):
-            slots = row[row != relations._PAD]
-            kernels = box_kernels[slots >> relations._SHIFT]
-            coefficients = slots & ((1 << relations._SHIFT) - 1)
-            assert list(zip(kernels.tolist(), coefficients.tolist())) == list(vectors[label[c]])
-    plus_ids = np.empty_like(engine.sorted_ids)
-    plus_ids[engine.order] = engine.sorted_ids
+    box_kernels = np.sort([kernel_decompose(v).h for lo, hi in set(box) for v in range(lo, hi + 1)])
     index: dict[tuple, int] = {}
-    want = [index.setdefault(vectors[c], len(index))
-            for _, classes, vectors in oracle for c in classes.tolist()]
-    _label_map(np.concatenate([plus_ids, engine.minus_ids]), np.array(want))
+    joint = []
+    for side, ranges in ((engine.plus, box[: sig.plus]), (engine.minus, box[sig.plus:])):
+        oracle = {flat: (total, weight, vector)
+                  for _, total, flat, weight, vector in enumerate_multisets_dict(ranges)}
+        assert sorted(side.flat.tolist()) == sorted(oracle)
+        want = [oracle[flat] for flat in side.flat.tolist()]
+        assert side.sums.tolist() == sorted(total for total, _, _ in want)
+        assert side.sums.tolist() == [total for total, _, _ in want]
+        assert side.weights.tolist() == [weight for _, weight, _ in want]
+        ids = np.array([index.setdefault(vector, len(index)) for _, _, vector in want])
+        label, vectors = _label_map(side.classes, ids), list(index)
+        assert len(side.rows) == len(set(ids.tolist()))
+        for c, row in enumerate(side.rows):
+            slots = row[row != (1 << engine.bits) - 1]
+            kernels = box_kernels[slots >> engine.shift]
+            coefficients = slots & ((1 << engine.shift) - 1)
+            assert list(zip(kernels.tolist(), coefficients.tolist())) == list(vectors[label[c]])
+        joint.append(ids)
+    _label_map(np.concatenate([engine.plus_ids, engine.minus_ids]), np.concatenate(joint))
+
+
+_GROUPED_SIGNATURES = _SIGNATURES + [RelationSignature(5, 3), RelationSignature(4, 4)]
+
+
+@st.composite
+def _grouped_boxes(draw):
+    """A box whose sides repeat ranges: each side is split into groups of 1
+    to 4 positions, each group takes one range of a small pool (so the two
+    sides share ranges, and two groups may merge), and the positions are
+    shuffled."""
+    sig = draw(st.sampled_from(_GROUPED_SIGNATURES))
+    width = {2: 8, 4: 5, 8: 2}.get(sig.arity, 3)
+    pool = [(lo, lo + draw(st.integers(0, width)))
+            for lo in draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))]
+    box: list[tuple[int, int]] = []
+    for arity in (sig.plus, sig.minus):
+        side: list[tuple[int, int]] = []
+        while len(side) < arity:
+            side += [draw(st.sampled_from(pool))] * draw(st.integers(1, min(4, arity - len(side))))
+        box += draw(st.permutations(side))
+    return sig, tuple(box)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_grouped_boxes())
+@example((RelationSignature(2, 2), ((1, 6), (2, 7), (3, 8), (4, 9))))
+@example((RelationSignature(3, 1), ((2, 7), (1, 6), (2, 7), (1, 9))))
+@example((RelationSignature(4, 4), ((1, 3),) * 8))
+def test_multiset_engine_matches_ordered_engine(sig_box):
+    # over the multisets of each side, weighted by their orderings, the count
+    # at every delta (delta 0: the exact zeros) equals the ordered engine's
+    # over every tuple, and so does the min gap; the witness is a nonzero
+    # form of the box at that gap
+    sig, box = sig_box
+    engine = relations._Box(RelationQuery(sig, box, 0.0))
+    ordered = OrderedBox(RelationQuery(sig, box, 0.0))
+    for delta in _DELTAS:
+        assert engine.count(delta) == ordered.count(delta), delta
+    gap, witness = engine.min_gap()
+    _assert_gap(gap, ordered.min_gap()[0], box)
+    assert (witness is None) == (gap == math.inf)
+    if witness is not None:
+        pt, mt = witness
+        assert all(lo <= v <= hi for v, (lo, hi) in zip(pt + mt, box))
+        assert not form_is_zero(pt, mt)
+        _assert_gap(float(abs(form_value_hp(pt, mt))), gap, box)
 
 
 @pytest.mark.parametrize("p, q, Y, zeros", [
     (2, 2, 32, 2076), (3, 3, 20, 48434), (5, 3, 8, 1216), (4, 4, 16, 1576048),
-    (4, 4, 24, 8013020),
+    (4, 4, 24, 8013020), (4, 4, 32, 28278812),
 ])
 def test_exact_zero_count_matches_kernel_fold(p, q, Y, zeros):
     # the exact solutions over [1, Y]^(p+q), far past brute force, against the
@@ -416,9 +484,11 @@ def test_exact_zero_count_matches_kernel_fold(p, q, Y, zeros):
 
 def test_benchmark_relation_results_are_pinned():
     # the benchmark's min-gap jobs and two of its count boxes, at the values
-    # of the dict-based engine that the row arrays replaced
+    # of the dict-based engine that the row arrays replaced; the (2,2)
+    # witness is the mirror of that engine's ((33,74),(28,82)), at the same
+    # float gap and with the smaller plus flat index, 2781 < 3273
     assert min_gap(RelationSignature(2, 2), 100) == (
-        1.5331405656127117e-07, ((33, 74), (28, 82)), 1.5331405656127117)
+        1.5331405656127117e-07, ((28, 82), (33, 74)), 1.5331405656127117)
     assert min_gap(RelationSignature(4, 4), 12) == (
         4.822873254539672e-06, ((2, 4, 12, 12), (5, 6, 8, 8)), 1.626728115341578e+63)
     box = tuple((5, 68) for _ in range(4))
