@@ -84,11 +84,15 @@ def code_version_hash() -> str:
 
 
 def _environment() -> dict:
-    """Interpreter, library versions, CPU count, thread and heap settings of
-    this process: what a manifest needs to explain a timing without a rerun.
-    The glibc heap settings decide how often the moment kernel's fresh chunk
-    arrays fault in new pages."""
+    """Interpreter, library versions, the BLAS build and the C library, CPU
+    count, thread and heap settings of this process: what a manifest needs to
+    explain a timing without a rerun.  The glibc heap settings decide how
+    often the moment kernel's fresh chunk arrays fault in new pages."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {
+        "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
+        "libc": (os.confstr("CS_GNU_LIBC_VERSION")
+                 if "CS_GNU_LIBC_VERSION" in getattr(os, "confstr_names", {}) else None),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "mpmath": mpmath.__version__,

@@ -158,10 +158,12 @@ def hyperbola_D_many(xs: np.ndarray) -> np.ndarray:
     """hyperbola_D at every x of an int64 array, exact.
 
     The arguments are sorted and taken in runs of _MANY_ROWS; a run adds
-    floor(x/n) in (run x divisor) int64 blocks of at most _SCATTER_CHUNK
-    elements, over the divisors up to its largest root and only for the
-    x >= n*n.  The sum for one x is below x*(log(sqrt(x)) + 1) < 2**63 for
-    every x <= MAX_SIEVE_ARGUMENT; larger x are refused.
+    floor(x/n) in (run x divisor) float64 blocks of at most _SCATTER_CHUNK
+    quotients, over the divisors up to its largest root and only for the
+    x >= n*n.  Each block's row sums are taken with dtype int64, which
+    truncates every quotient to int64 before it is added, so no fraction
+    reaches the sum.  The sum for one x is below x*(log(sqrt(x)) + 1) < 2**63
+    for every x <= MAX_SIEVE_ARGUMENT; larger x are refused.
 
     floor(x/n) is the float64 quotient fl(x/n) truncated, which is exact
     because x + n < 2**53 (x <= 2**52, n <= sqrt(x) <= 2**26).  x and n are
@@ -190,11 +192,11 @@ def hyperbola_D_many(xs: np.ndarray) -> np.ndarray:
         width = _SCATTER_CHUNK // len(x)
         for a in range(1, top + 1, width):
             j = int(np.searchsorted(r[:, 0], a))  # the x >= a*a
-            n = np.arange(a, min(a + width, top + 1), dtype=np.int64)
-            q = np.divide(x[j:], n.astype(np.float64)).astype(np.int64)
+            n = np.arange(a, min(a + width, top + 1), dtype=np.float64)
+            q = x[j:] / n
             if n[-1] > r[j, 0]:
                 q[n > r[j:]] = 0
-            sums[i + j : i + len(x)] += q.sum(axis=1)
+            sums[i + j : i + len(x)] += q.sum(axis=1, dtype=np.int64)
     out = np.empty_like(sums)
     out[order] = 2 * sums - roots * roots
     return out

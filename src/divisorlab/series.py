@@ -16,10 +16,13 @@ for every kernel h, so the weighted solution count factors over kernels into a
 product of one polynomial 1 + f_h(x, y) per kernel; direct 8-fold loops would
 be infeasible beyond cutoffs of about 30.  (For C1 the three variables share
 one kernel: n, m, k = alpha^2 h, beta^2 h, (alpha + beta)^2 h.)  Kernels with
-the same a-range are handled together: their side sums are (kernels x length)
-arrays, and their polynomials are multiplied as a pairwise tree, so no Python
-loop runs per kernel and the rounding of the product grows with log2 of the
-number of kernels, not with the number itself (see _relation_product).
+the same a-range are handled together as a batch: their side sums are
+(kernels x length) arrays.  Consecutive batches take their weights from one
+flat pass, and their polynomials are multiplied by one segmented pairwise
+tree, a tree per batch, all levels at once; the batch products by one more.
+So no Python loop runs per kernel, and the rounding of the product grows
+with log2 of the number of kernels, not with the number itself (see
+_relation_product).
 A partial sum and an estimate are one product over different a-ranges
 (estimate_constant).
 """
@@ -69,24 +72,23 @@ def _divisor_counts(bound: int) -> np.ndarray:
     return build_divisor_table(1, bound).astype(np.float64)
 
 
-def _weights(hs: np.ndarray, A: int, Y: int) -> np.ndarray:
-    """w[k, a] = d(a^2 h_k) (a^2 h_k)^(-3/4) for a = 1..A, w[k, 0] = 0, for
-    squarefree h_k <= Y and A <= Y, from tables up to Y only: with
-    c = gcd(a, h^inf) and b = a / c, b^2 and c^2 h are coprime and each
-    p | h has exponent 2 e_p(c) + 1 in c^2 h, so
+def _weights(h: np.ndarray, lengths: np.ndarray, Y: int) -> np.ndarray:
+    """d(a^2 h_k) (a^2 h_k)^(-3/4) for a = 1..lengths[k], kernel after kernel,
+    as one flat array, for squarefree h_k <= Y and lengths at most Y, from
+    tables up to Y only: with c = gcd(a, h^inf) and b = a / c, b^2 and c^2 h
+    are coprime and each p | h has exponent 2 e_p(c) + 1 in c^2 h, so
     d(a^2 h) = d(b^2) d(c^2 h) = d(b^2) d(c) d(h)."""
     d, d_sq = _divisor_counts(Y), factor_table(Y)[2]
-    a = np.arange(1, A + 1)
-    # gcd(a, c^2) doubles the exponents of c's primes up to a's, and no
-    # exponent in a reaches A.bit_length()
-    c = np.gcd(a, hs)
-    for _ in range(A.bit_length().bit_length()):
-        c = np.gcd(a, c * c)
+    hs = np.repeat(h, lengths)
+    a = np.arange(1, len(hs) + 1) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    # c = gcd(a, h^(2^k) mod a), as 2^k > A.bit_length() exceeds every
+    # exponent in a <= A; each squaring mod a stays below a^2 <= Y^2
+    c = hs % a
+    for _ in range(int(lengths.max()).bit_length().bit_length()):
+        c = c * c % a
+    c = np.gcd(a, c)
     counts = d_sq[a // c - 1] * d[c - 1] * d[hs - 1]
-    v = a ** 2 * hs
-    w = np.zeros((len(hs), A + 1))
-    w[:, 1:] = counts * v.astype(np.float64) ** -0.75
-    return w
+    return counts * (a ** 2 * hs).astype(np.float64) ** -0.75
 
 
 # rows of fewer entries are convolved directly in _side_sums, longer ones by
@@ -124,14 +126,19 @@ def _side_sums(w: np.ndarray, max_count: int) -> list[np.ndarray]:
 
 
 # most kernels, and most side-sum elements (kernels x max(p, q) x row
-# width), in one batch of _kernel_polynomials
+# width), in one batch of _kernel_polynomials; most weights and polynomial
+# coefficients together in one of its groups of batches, few enough that the
+# temporaries of a group's weights pass stay below a batch's side sums
 _KERNEL_BLOCK = 4096
 _BATCH_ELEMENTS = 1 << 18
+_GROUP_ELEMENTS = 1 << 14
 
 
-def _kernel_polynomials(p: int, q: int, Y: int, reach: int) -> Iterator[np.ndarray]:
-    """Batches P of 1 + f_h(x, y), P[k] the (p+1, q+1) coefficients of one
-    squarefree kernel h <= Y; every kernel lies in one batch.
+def _kernel_polynomials(p: int, q: int, Y: int, reach: int) -> Iterator[tuple[np.ndarray, list[int]]]:
+    """Groups (P, sizes) of consecutive batches: P[k] the (p+1, q+1)
+    coefficients of 1 + f_h(x, y) for one squarefree kernel h <= Y, sizes
+    the kernel counts of the group's batches in order; every kernel lies in
+    one batch.
 
     [x^i y^j] f_h = G_i . G_j / (i! j!) for i, j >= 1, where G_i[s] is the
     weighted count of ordered i-tuples (a_1..a_i), a <= A_h = isqrt(reach // h),
@@ -140,49 +147,76 @@ def _kernel_polynomials(p: int, q: int, Y: int, reach: int) -> Iterator[np.ndarr
     _DIRECT_WIDTH a run of equal A_h, among longer ones a run of equal FFT
     length, each row zero past its own A_h.  At reach = Y there are at most
     isqrt(Y) runs (34 at Y = 1e4).  A run of more than _KERNEL_BLOCK kernels,
-    or of more than _BATCH_ELEMENTS side-sum elements, is split.
+    or of more than _BATCH_ELEMENTS side-sum elements, is split.  A group
+    takes batches while its weights and coefficients number at most
+    _GROUP_ELEMENTS (a batch that holds more is a group alone), and its
+    batches fill their rows from one flat pass of _weights.
     """
     h = np.flatnonzero(factor_table(Y)[1] == np.arange(1, Y + 1)) + 1
     lengths = np.sqrt(reach // h).astype(np.int64)  # isqrt(reach // h): exact below 2^52
+    offsets = np.concatenate(([0], np.cumsum(lengths)))  # kernel -> its first weight
     count = max(p, q)
     inv_fact = [1.0 / math.factorial(i) for i in range(count + 1)]
     # h ascends, so the lengths, and with them the keys, descend
     fft_bits = np.frexp((count * lengths).astype(np.float64))[1]  # log2 of the FFT length
     keys = np.where(lengths + 1 < _DIRECT_WIDTH, lengths, _DIRECT_WIDTH + fft_bits)
     ends = [*(np.flatnonzero(np.diff(keys)) + 1).tolist(), len(h)]
+    groups, size = [[]], 0  # of batches (first kernel, end, A)
     for start, end in zip([0, *ends[:-1]], ends):
         A = int(lengths[start])
         block = min(_KERNEL_BLOCK, max(1, _BATCH_ELEMENTS // (count * (A + 1))))
         for lo in range(start, end, block):
             hi = min(end, lo + block)
-            w = _weights(h[lo:hi, None], A, Y)
-            w[np.arange(A + 1) > lengths[lo:hi, None]] = 0.0  # a padded row's own A_h
+            elements = offsets[hi] - offsets[lo] + (hi - lo) * (p + 1) * (q + 1)
+            if groups[-1] and size + elements > _GROUP_ELEMENTS:
+                groups.append([])
+                size = 0
+            groups[-1].append((lo, hi, A))
+            size += elements
+    for group in groups:
+        first, last = group[0][0], group[-1][1]
+        weights = _weights(h[first:last], lengths[first:last], Y)
+        P = np.zeros((last - first, p + 1, q + 1))
+        P[:, 0, 0] = 1.0
+        for lo, hi, A in group:
+            w = np.zeros((hi - lo, A + 1))
+            own = np.arange(1, A + 1) <= lengths[lo:hi, None]  # a row's own A_h
+            w[:, 1:][own] = weights[offsets[lo] - offsets[first] : offsets[hi] - offsets[first]]
             G = _side_sums(w, count)
-            P = np.zeros((hi - lo, p + 1, q + 1))
-            P[:, 0, 0] = 1.0
             for i in range(1, p + 1):
                 for j in range(1, q + 1):
                     n = min(i, j) * A + 1  # the shorter of G_i, G_j
                     e = np.einsum("ks,ks->k", G[i][:, :n], G[j][:, :n])
-                    P[:, i, j] = e * inv_fact[i] * inv_fact[j]
-            yield P
+                    P[lo - first : hi - first, i, j] = e * inv_fact[i] * inv_fact[j]
+            del G  # freed before the next batch builds its own
+        yield P, [hi - lo for lo, hi, _ in group]
 
 
-def _tree_product(F: np.ndarray) -> np.ndarray:
-    """The product of the polynomials F[k] = 1 + (terms in x^i y^j, i, j >= 1),
-    truncated to F's (p+1, q+1) shape, as a pairwise tree: each level
-    multiplies the first half of the remaining polynomials by the second
-    half, all at once, with one array operation per shift (i, j)."""
+def _tree_products(F: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """The products of the polynomials F[k] = 1 + (terms in x^i y^j, i, j >= 1)
+    over consecutive segments, the s-th of sizes[s] polynomials, truncated to
+    F's (p+1, q+1) shape: one pairwise tree for every segment at once.  Each
+    level multiplies, in every segment, the first half of its remaining
+    polynomials by the second half and carries an odd one last, with one
+    array operation per shift (i, j) over all segments."""
     p, q = F.shape[1] - 1, F.shape[2] - 1
-    while len(F) > 1:
-        half = len(F) // 2
-        left, right = F[:half], F[half : 2 * half]
+    sizes = np.asarray(sizes)
+    while sizes.max() > 1:
+        half = sizes // 2
+        before = np.cumsum(half) - half  # the pairs of the segments before
+        segment = np.repeat(np.arange(len(sizes)), half)
+        pair = np.arange(len(segment)) - np.repeat(before, half)
+        first = (np.cumsum(sizes) - sizes)[segment] + pair  # in the first half
+        left, right = F[first], F[first + half[segment]]
         prod = right.copy()  # the shift (0, 0): left's constant term is 1
         for i in range(1, p + 1):
             for j in range(1, q + 1):
                 prod[:, i:, j:] += left[:, i : i + 1, j : j + 1] * right[:, : p + 1 - i, : q + 1 - j]
-        F = np.concatenate([prod, F[2 * half :]])
-    return F[0]
+        # without its second half a segment holds its first half, then an odd one
+        F = np.delete(F, first + half[segment], axis=0)
+        F[first - before[segment]] = prod
+        sizes = sizes - half
+    return F
 
 
 def _relation_product(p: int, q: int, Y: int, reach: int | None = None) -> np.ndarray:
@@ -191,22 +225,24 @@ def _relation_product(p: int, q: int, Y: int, reach: int | None = None) -> np.nd
     weighted pairings with i >= 1 left and j >= 1 right slots, each variable
     a^2 h <= reach (None: Y, the partial sums' ranges).
 
-    Each batch of _kernel_polynomials is multiplied out by a pairwise tree
-    (_tree_product), and the batch products by one more.  Every coefficient
-    is a sum of positive terms, so each grows with Y and with reach, and its
-    relative error is at most that of its terms.  A term passes at most
-    L = ceil(log2 _KERNEL_BLOCK) + ceil(log2 batches) levels (18 at Y = 1e4,
-    with 35 batches), and each level rounds it at most 1 + p q times, so the
-    product adds at most (1 + p q) L units of 2^-53 to the error of the f_h
-    coefficients it multiplies; a sequential fold over the K kernels rounds
-    an early term up to K times (K = 6083 at Y = 1e4).  Against 30-digit
-    mpmath every entry was within 4e-16 relative at cutoffs 32 to 1e4.
+    Each batch of _kernel_polynomials is multiplied out by its own pairwise
+    tree (_tree_products, one segment per batch), and the batch products by
+    one more.  Every coefficient is a sum of positive terms, so each grows
+    with Y and with reach, and its relative error is at most that of its
+    terms.  A term passes at most L = ceil(log2 _KERNEL_BLOCK) +
+    ceil(log2 batches) levels (18 at Y = 1e4, with 35 batches), and each
+    level rounds it at most 1 + p q times, so the product adds at most
+    (1 + p q) L units of 2^-53 to the error of the f_h coefficients it
+    multiplies; a sequential fold over the K kernels rounds an early term up
+    to K times (K = 6083 at Y = 1e4).  Against 30-digit mpmath every entry
+    was within 4e-16 relative at cutoffs 32 to 1e4.
 
     F[1, 1] is the first cumulant sum_h [xy] f_h = sum d(n)^2 n^{-3/2} over
     n = a^2 h <= reach with h <= Y.
     """
-    polynomials = _kernel_polynomials(p, q, Y, Y if reach is None else reach)
-    return _tree_product(np.stack([_tree_product(P) for P in polynomials]))
+    groups = _kernel_polynomials(p, q, Y, Y if reach is None else reach)
+    products = np.concatenate([_tree_products(P, sizes) for P, sizes in groups])
+    return _tree_products(products, [len(products)])[0]
 
 
 def _cutoff(name: str, Y, completed: bool) -> int:

@@ -161,6 +161,24 @@ def relation_product_fold(p: int, q: int, Y: int) -> np.ndarray:
     return F
 
 
+def tree_product(F: np.ndarray) -> np.ndarray:
+    """The product of the polynomials F[k] = 1 + (terms in x^i y^j, i, j >= 1),
+    truncated to F's (p+1, q+1) shape, as a pairwise tree: each level
+    multiplies the first half of the remaining polynomials by the second
+    half, all at once, with one array operation per shift (i, j).  The
+    reference, one segment at a time, for series._tree_products."""
+    p, q = F.shape[1] - 1, F.shape[2] - 1
+    while len(F) > 1:
+        half = len(F) // 2
+        left, right = F[:half], F[half : 2 * half]
+        prod = right.copy()  # the shift (0, 0): left's constant term is 1
+        for i in range(1, p + 1):
+            for j in range(1, q + 1):
+                prod[:, i:, j:] += left[:, i : i + 1, j : j + 1] * right[:, : p + 1 - i, : q + 1 - j]
+        F = np.concatenate([prod, F[2 * half :]])
+    return F[0]
+
+
 def exact_zero_count_fold(p: int, q: int, Y: int) -> int:
     """The number of exact solutions of sum_{i<=p} sqrt(a_i) = sum_{j<=q}
     sqrt(b_j) over [1, Y]^(p+q): relation_product_fold with unit weights and

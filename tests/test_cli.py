@@ -42,8 +42,15 @@ def test_delta_subcommand(tmp_path, capsys):
     assert "delta.csv" in manifest["output_checksums"]
     assert manifest["config"]["x"] == 100.0
     env = manifest["env"]
-    assert set(env) == {"python", "numpy", "mpmath", "cpu_count", "thread_env", "heap_env"}
+    assert set(env) == {"python", "numpy", "mpmath", "blas", "libc", "cpu_count", "thread_env",
+                        "heap_env"}
     assert env["numpy"] == np.__version__ and env["mpmath"] == mpmath.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert env["blas"] == {key: blas.get(key) for key in ("name", "version", "openblas configuration")}
+    if "CS_GNU_LIBC_VERSION" in getattr(os, "confstr_names", {}):
+        assert env["libc"] == os.confstr("CS_GNU_LIBC_VERSION")
+    else:
+        assert env["libc"] is None
     assert env["cpu_count"] == os.cpu_count()
     assert set(env["thread_env"]) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"}
     assert set(env["heap_env"]) == {"MALLOC_ARENA_MAX", "MALLOC_MMAP_THRESHOLD_",

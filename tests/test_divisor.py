@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divisorlab.arith import factorize
 from divisorlab.divisor import (
+    _MANY_ROWS,
+    _SCATTER_CHUNK,
     ANCHOR_SPAN,
     MAX_SIEVE_ARGUMENT,
     RangeOverflowError,
@@ -297,22 +300,51 @@ def test_hyperbola_matches_oracle_at_max_argument():
     assert hyperbola_D(MAX_SIEVE_ARGUMENT) == hyperbola_oracle(MAX_SIEVE_ARGUMENT)
 
 
+def _floor_division_D(x: int) -> int:
+    """D(x) from numpy's exact int64 floor division in chunks, which shares
+    nothing with the float quotients; near 2**52 the pure-Python sum costs
+    about 8 s a point."""
+    root = math.isqrt(x)
+    quotients = sum(int((x // np.arange(a, min(a + (1 << 20), root + 1), dtype=np.int64)).sum())
+                    for a in range(1, root + 1, 1 << 20))
+    return 2 * quotients - root * root
+
+
+def _chunk_edge(width: int, below: int) -> int:
+    """The largest root r <= below at which a chunk of hyperbola_D_many's
+    divisor loop starts (r = 1 + k * width): rows of root r - 1 end one chunk
+    before rows of root r."""
+    return 1 + (below - 1) // width * width
+
+
 def test_hyperbola_quotients_exact_up_to_max_argument():
     # hyperbola_D_many truncates the float64 quotients fl(x/n), exact while
-    # x + n < 2**53.  At 10**12 = (10**6)**2 and its neighbours the sums are
+    # x + n < 2**53, and adds them as int64.  The arguments fill two sorted
+    # runs: the first of _MANY_ROWS rows, 506 near 1025**2 and 6 near r**2
+    # for an r near 10**6; the second the other 2 near r**2, 10**12 and its
+    # neighbours, s**2 - 1 and s**2 for an s near 2**26, and the three
+    # below.  Each r and s starts a chunk of its run's divisor loop, and
+    # each cluster has roots on both sides of it.  Below 2**40 every sum is
     # checked against the pure-Python one; a quotient rounded to nearest
-    # would be off for about half the n.  At the limit, D(2**52) is checked
-    # against the pure-Python sum above, D(2**52 - 1) = D(2**52) - d(2**52),
-    # and (2**26 - 1)**2 against numpy's exact int64 floor division in
-    # chunks, which shares nothing with the float quotients.
-    xs = [10 ** 12 - 1, 10 ** 12, 10 ** 12 + 1, (1 << 52) - 1, 1 << 52, ((1 << 26) - 1) ** 2]
+    # would be off for about half the n, and float quotients summed before
+    # the int64 cast are off by their fractions.  s**2 - 1 and (2**26 - 1)**2
+    # are checked by numpy's exact int64 floor division, D(s**2) - D(s**2 - 1)
+    # = d(s**2), D(2**52) against the pure-Python sum above, and
+    # D(2**52 - 1) = D(2**52) - d(2**52).
+    first = _SCATTER_CHUNK // _MANY_ROWS
+    small, r = _chunk_edge(first, 1025), _chunk_edge(first, 10 ** 6)
+    s = _chunk_edge(_SCATTER_CHUNK // 10, 1 << 26)
+    checked = ([small * small + k for k in range(-253, 253)] + [r * r + k for k in range(-3, 5)]
+               + [10 ** 12 - 1, 10 ** 12, 10 ** 12 + 1])
+    xs = checked + [s * s - 1, s * s, ((1 << 26) - 1) ** 2, (1 << 52) - 1, 1 << 52]
+    assert len(xs) == _MANY_ROWS + 10
+    assert [math.isqrt(x) for x in xs[_MANY_ROWS - 7 : _MANY_ROWS + 1]] == [small] + [r - 1] * 3 + [r] * 4
     got = hyperbola_D_many(np.array(xs, dtype=np.int64)).tolist()
-    assert got[:3] == [hyperbola_oracle(x) for x in xs[:3]]
-    assert got[4] - got[3] == 53  # 2**52 has 53 divisors
-    root = (1 << 26) - 1
-    quotients = sum(int((xs[5] // np.arange(a, min(a + (1 << 20), root + 1), dtype=np.int64)).sum())
-                    for a in range(1, root + 1, 1 << 20))
-    assert got[5] == 2 * quotients - root * root
+    assert got[: len(checked)] == [hyperbola_oracle(x) for x in checked]
+    at_s = got[len(checked) :]
+    assert [at_s[0], at_s[2]] == [_floor_division_D(x) for x in (s * s - 1, ((1 << 26) - 1) ** 2)]
+    assert at_s[1] - at_s[0] == math.prod(2 * e + 1 for _, e in factorize(s))  # d(s**2)
+    assert at_s[4] - at_s[3] == 53  # 2**52 has 53 divisors
 
 
 def test_hyperbola_rejects_beyond_max_argument():

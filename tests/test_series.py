@@ -25,7 +25,7 @@ from divisorlab.series import (
     partial_C4,
     partial_C7,
 )
-from oracles import relation_product_fold, relation_product_mpmath
+from oracles import relation_product_fold, relation_product_mpmath, tree_product
 
 
 def _q_weight(values):
@@ -148,6 +148,20 @@ def test_coefficient_identity_forms():
     assert lhs == pytest.approx(rhs, rel=1e-14)
 
 
+def test_default_constants_pinned_to_the_bit():
+    # the estimates behind the moment main terms, and some partial sums, as
+    # bits: a change of the kernel product that moves one unit of 2^-53 fails
+    estimates = {"C1": "0x1.878364ed55e31p+5", "C2": "0x1.9096f0673548dp+11",
+                 "C4": "0x1.e08e0ff6c274ap+21", "C7": "0x1.6a93a604c28c2p+26"}
+    assert {name: estimate_constant(name).estimate.hex() for name in estimates} == estimates
+    assert main_term_coefficient(8).hex() == "0x1.4b0929c1ee2abp+7"
+    partials = [(partial_C2, 4096, "0x1.f662d23032a76p+10", "0x1.c4f62181a9f90p+7"),
+                (partial_C4, 256, "0x1.49eb49182fecdp+17", "0x1.c81992925645ap+16"),
+                (partial_C7, 1000, "0x1.64e2fdef6c569p+24", "0x1.d35b385b305c4p+22")]
+    for partial, Y, value, tail in partials:
+        assert (partial(Y).partial_sum.hex(), partial(Y).tail_indicator.hex()) == (value, tail)
+
+
 def test_default_constants_positive():
     assert DEFAULT_CUTOFF == 1024
     for name in SIGNATURES:
@@ -179,6 +193,24 @@ def test_relation_product_matches_kernel_fold_any_cutoff(Y, pq):
                                rtol=1e-13, atol=0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 64), min_size=1, max_size=12),
+       st.sampled_from([(2, 1), (2, 2), (6, 4)]), st.integers(0, 2 ** 32 - 1))
+def test_segmented_tree_matches_per_batch_trees(sizes, pq, seed):
+    # the kernel product's rounding is that of one pairwise tree per batch,
+    # then one over the batch products: the same bits, to the last one
+    p, q = pq
+    rng = np.random.default_rng(seed)
+    F = np.zeros((sum(sizes), p + 1, q + 1))
+    F[:, 0, 0] = 1.0
+    F[:, 1:, 1:] = rng.lognormal(0.0, 4.0, (sum(sizes), p, q))
+    ends = np.cumsum(sizes)
+    batches = np.stack([tree_product(F[end - size : end]) for size, end in zip(sizes, ends)])
+    got = series._tree_products(F, sizes)
+    assert np.array_equal(got, batches)
+    assert np.array_equal(series._tree_products(got, [len(got)])[0], tree_product(batches))
+
+
 @pytest.mark.parametrize("p, q, Y", [(2, 2, 4096), (6, 2, 256), (4, 4, 256)])
 def test_relation_product_rounding_against_mpmath(p, q, Y):
     # the sequential fold is 2.1e-15 off at (2, 2, 4096)
@@ -191,7 +223,8 @@ def test_relation_product_rounding_against_mpmath(p, q, Y):
 def test_long_row_side_sums_match_convolve_and_mpmath(monkeypatch, p, q):
     monkeypatch.setattr(series, "_DIRECT_WIDTH", 2)  # every row onto the rfft path
     count = max(p, q)
-    w = series._weights(np.array([[1], [2], [6]]), 40, 64)
+    w = np.zeros((3, 41))
+    w[:, 1:] = series._weights(np.array([1, 2, 6]), np.array([40, 40, 40]), 64).reshape(3, 40)
     G = _side_sums(w, count)
     assert all(g.base is None for g in G[2:])  # no view pins a whole transform
     conv = [np.ones((3, 1)), w]
