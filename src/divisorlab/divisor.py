@@ -88,15 +88,10 @@ def build_divisor_table(lo: int, hi: int) -> np.ndarray:
     root = math.isqrt(hi)
     split = min(root, max(64, n // 128))
     for d in range(1, split + 1):
-        # first multiple of d in [max(lo, d*d), hi]
+        # first multiple of d at or past max(lo, d*d); past hi the slice is empty
         start = max(lo, d * d)
         first = ((start + d - 1) // d) * d
-        if first > hi:
-            continue
         values[first - lo :: d] += 2
-        sq = d * d
-        if lo <= sq <= hi:
-            values[sq - lo] -= 1
     a = split + 1
     while a <= root:
         # each d >= a has at most n // a + 1 multiples in the range
@@ -104,8 +99,8 @@ def build_divisor_table(lo: int, hi: int) -> np.ndarray:
         b = min(root + 1, a + min(_SCATTER_CHUNK, width))
         values += np.bincount(_pair_offsets(lo, n, a, b), minlength=n) * 2
         a = b
-    # squares d*d in [lo, hi] with d above the split were counted twice
-    squares = np.arange(max(split + 1, math.isqrt(lo - 1) + 1), root + 1, dtype=np.int64) ** 2
+    # every square d*d in [lo, hi] was counted twice
+    squares = np.arange(math.isqrt(lo - 1) + 1, root + 1, dtype=np.int64) ** 2
     values[squares - lo] -= 1
     return values
 
@@ -154,6 +149,19 @@ def hyperbola_D(x: int) -> int:
     return int(hyperbola_D_many(np.array([x], dtype=np.int64))[0])
 
 
+def isqrt_many(xs: np.ndarray) -> np.ndarray:
+    """math.isqrt at every 0 <= x <= 2**52 of an int64 array: the float64
+    square root, truncated.
+
+    Exact: x is exact in float64.  With k = isqrt(x), sqrt(k*k) = k exactly
+    and rounding is monotone, so fl(sqrt(x)) >= k.  Since x <= (k + 1)**2 - 1,
+    k + 1 - sqrt(x) > 1/(2(k + 1)) >= 2**-27 (k + 1 <= 2**26 for x < 2**52),
+    more than half the float64 spacing below k + 1, so fl(sqrt(x)) < k + 1.
+    x = 2**52 is the square of 2**26.
+    """
+    return np.sqrt(np.asarray(xs, dtype=np.float64)).astype(np.int64)
+
+
 def hyperbola_D_many(xs: np.ndarray) -> np.ndarray:
     """hyperbola_D at every x of an int64 array, exact.
 
@@ -181,10 +189,7 @@ def hyperbola_D_many(xs: np.ndarray) -> np.ndarray:
         raise RangeOverflowError(f"x={xs.max()} exceeds supported range {MAX_SIEVE_ARGUMENT}")
     order = np.argsort(xs, kind="stable")
     xs = xs[order]
-    roots = np.sqrt(xs.astype(np.float64)).astype(np.int64)
-    # guard against floating roundoff on the integer square root
-    roots = np.where((roots + 1) * (roots + 1) <= xs, roots + 1, roots)
-    roots = np.where(roots * roots > xs, roots - 1, roots)
+    roots = isqrt_many(xs)
     sums = np.zeros(len(xs), dtype=np.int64)
     for i in range(0, len(xs), _MANY_ROWS):
         x, r = xs[i : i + _MANY_ROWS, None].astype(np.float64), roots[i : i + _MANY_ROWS, None]

@@ -43,8 +43,9 @@ from typing import Sequence
 import mpmath
 import numpy as np
 
-# the factoring lives in arith; its names stay importable from here
-from .arith import DEFAULT_SPF_BOUND, BudgetExceededError, KernelForm, kernel_decompose  # noqa: F401
+# the factoring lives in arith; BudgetExceededError and kernel_decompose stay
+# importable from here
+from .arith import BudgetExceededError, kernel_decompose
 
 # Sides of the enumeration may not exceed this many multisets; larger requests
 # must be split by the caller.

@@ -39,7 +39,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .arith import BudgetExceededError, factor_table
-from .divisor import build_divisor_table
+from .divisor import build_divisor_table, isqrt_many
 
 MAX_CONSTANT_CUTOFF = 1 << 20
 # the most values a^2 h a completed product may hold (1.2e6 at cutoff 1e4)
@@ -153,7 +153,7 @@ def _kernel_polynomials(p: int, q: int, Y: int, reach: int) -> Iterator[tuple[np
     batches fill their rows from one flat pass of _weights.
     """
     h = np.flatnonzero(factor_table(Y)[1] == np.arange(1, Y + 1)) + 1
-    lengths = np.sqrt(reach // h).astype(np.int64)  # isqrt(reach // h): exact below 2^52
+    lengths = isqrt_many(reach // h)
     offsets = np.concatenate(([0], np.cumsum(lengths)))  # kernel -> its first weight
     count = max(p, q)
     inv_fact = [1.0 / math.factorial(i) for i in range(count + 1)]

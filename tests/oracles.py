@@ -31,6 +31,22 @@ def d_trial_division(n: int) -> int:
     return count
 
 
+def kernel_by_squares(n: int) -> tuple[int, int]:
+    """(a, h) with n = a**2 * h and h squarefree, without primes: a is the
+    largest d <= isqrt(n) with d**2 | n, and h = n // a**2."""
+    a = next(d for d in range(math.isqrt(n), 0, -1) if n % (d * d) == 0)
+    return a, n // (a * a)
+
+
+def d_of_square(n: int) -> int:
+    """d(n**2) without primes: the number of ordered pairs (u, v) of coprime
+    divisors of n.  For each exact prime power p**e of n such a pair takes
+    p**i into u or into v, never both, with 0 <= i <= e: 2e + 1 ways, the
+    exponents 0..2e of p in a divisor of n**2."""
+    divisors = {f for d in range(1, math.isqrt(n) + 1) if n % d == 0 for f in (d, n // d)}
+    return sum(math.gcd(u, v) == 1 for u in divisors for v in divisors)
+
+
 def _side_tuples(ranges) -> list[tuple[tuple[int, ...], float, tuple]]:
     """Every tuple of the product of ranges in ravel order, with the float64
     sum of its square roots added left to right and its canonical

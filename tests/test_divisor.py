@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divisorlab.arith import factorize
 from divisorlab.divisor import (
     _MANY_ROWS,
     _SCATTER_CHUNK,
@@ -20,10 +19,11 @@ from divisorlab.divisor import (
     delta_unit,
     hyperbola_D,
     hyperbola_D_many,
+    isqrt_many,
     prefix_block,
     unit_branch,
 )
-from oracles import d_trial_division, delta_mp
+from oracles import d_of_square, d_trial_division, delta_mp
 
 # d(1..12) by hand
 D_SMALL = [1, 2, 2, 3, 2, 4, 2, 4, 3, 4, 2, 6]
@@ -343,8 +343,16 @@ def test_hyperbola_quotients_exact_up_to_max_argument():
     assert got[: len(checked)] == [hyperbola_oracle(x) for x in checked]
     at_s = got[len(checked) :]
     assert [at_s[0], at_s[2]] == [_floor_division_D(x) for x in (s * s - 1, ((1 << 26) - 1) ** 2)]
-    assert at_s[1] - at_s[0] == math.prod(2 * e + 1 for _, e in factorize(s))  # d(s**2)
+    assert at_s[1] - at_s[0] == d_of_square(s)
     assert at_s[4] - at_s[3] == 53  # 2**52 has 53 divisors
+
+
+def test_isqrt_many_exact_up_to_max_argument():
+    # both sides of every square k*k, for small k and for the 10^4 k just
+    # below 2^26, where the float64 root is closest to the next integer
+    k = np.concatenate([np.arange(1, (1 << 16) + 1), np.arange((1 << 26) - 10 ** 4, 1 << 26)])
+    xs = np.concatenate([k * k - 1, k * k, k * k + 1, [1 << 52]])
+    assert isqrt_many(xs).tolist() == [math.isqrt(x) for x in xs.tolist()]
 
 
 def test_hyperbola_rejects_beyond_max_argument():

@@ -7,11 +7,10 @@ from functools import lru_cache
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from oracles import OrderedBox, enumerate_multisets_dict, exact_zero_count_fold
+from oracles import OrderedBox, enumerate_multisets_dict, exact_zero_count_fold, kernel_by_squares
 
-from divisorlab import arith, relations
+from divisorlab import relations
 from divisorlab.relations import (
-    DEFAULT_SPF_BOUND,
     NEAR_ZERO_RECHECK,
     BudgetExceededError,
     NoNonzeroFormError,
@@ -47,34 +46,24 @@ def test_kernel_decompose_rejects_huge():
         kernel_decompose((1 << 62) + 3)
 
 
-def _kernel_by_trial_division(n):
-    a, h, p = 1, 1, 2
-    while p * p <= n:
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        a *= p ** (e // 2)
-        h *= p ** (e % 2)
-        p += 1
-    return a, h * n
+@pytest.mark.parametrize("n", [0, -4])
+def test_kernel_decompose_rejects_below_one(n):
+    with pytest.raises(ValueError):
+        kernel_decompose(n)
 
 
-def test_kernel_decompose_across_table_sizes(monkeypatch):
-    # the table grows by powers of two from 2^10 up to DEFAULT_SPF_BOUND
-    monkeypatch.setattr(arith, "_spf", arith._spf[:0])
+def test_kernel_decompose_across_table_sizes():
+    # powers of two and their neighbours from 2^10 up past 2^20
     values = [1, 5, 1023, 1024, 1025]
     values += [(1 << e) + d for e in range(11, 21) for d in (-1, 0, 1)]
-    values += [DEFAULT_SPF_BOUND + 1, 2 ** 20 * 9 - 1, 3 ** 12 * 2]
-    values += [2, 4095, 4096 * 9]  # smaller values read the grown table
+    values += [(1 << 20) + 1, 2 ** 20 * 9 - 1, 3 ** 12 * 2]
+    values += [2, 4095, 4096 * 9]
     for n in values:
         kf = kernel_decompose(n)
-        assert (kf.a, kf.h) == _kernel_by_trial_division(n), n
-    assert len(arith._spf) == DEFAULT_SPF_BOUND + 1
+        assert (kf.a, kf.h) == kernel_by_squares(n), n
 
 
-def test_kernel_decompose_table_sized_to_value(monkeypatch):
-    monkeypatch.setattr(arith, "_spf", arith._spf[:0])
+def test_kernel_decompose_table_sized_to_value():
     tracemalloc.start()
     try:
         kernel_decompose(5)
@@ -82,7 +71,6 @@ def test_kernel_decompose_table_sized_to_value(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert len(arith._spf) == (1 << 10) + 1
 
 
 def test_form_is_zero_examples():
@@ -387,8 +375,8 @@ def _class_boxes(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_class_boxes())
-@example((RelationSignature(2, 2), ((DEFAULT_SPF_BOUND - 2, DEFAULT_SPF_BOUND + 2), (1, 4),
-                                    (1, 4), (DEFAULT_SPF_BOUND - 1, DEFAULT_SPF_BOUND + 2))))
+@example((RelationSignature(2, 2), (((1 << 20) - 2, (1 << 20) + 2), (1, 4),
+                                    (1, 4), ((1 << 20) - 1, (1 << 20) + 2))))
 @example((RelationSignature(2, 2), ((2 ** 40 - 2, 2 ** 40 + 2), (1, 4),
                                     (1, 4), (2 ** 40 - 1, 2 ** 40 + 1))))
 @example((RelationSignature(4, 4), ((1, 3), (2, 4), (1, 3), (1, 3), (2, 4), (1, 3), (1, 3), (1, 3))))
