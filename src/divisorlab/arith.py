@@ -28,15 +28,16 @@ class KernelForm:
 
 def kernel_decompose(n: int) -> KernelForm:
     """Factor out the largest square: n = a**2 * h with h squarefree, by
-    trial division by 2, then by odd p while p**2 <= what is left, which is
-    then 1 or a prime.  The cost grows as sqrt(n): a prime near 2**48 takes
-    about a second."""
+    trial division by 2, then by odd p while p**3 <= what is left.  What is
+    left then has no prime factor below p, so it is 1, a prime q, q1*q2 or
+    q**2, and only q**2 is a square.  The cost grows as the cube root of n:
+    a prime near 2**48 takes milliseconds."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > (1 << 62):
         raise BudgetExceededError(f"n={n} beyond 64-bit trial-division budget")
     a, h, m, p = 1, 1, n, 2
-    while p * p <= m:
+    while p * p * p <= m:
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -45,7 +46,8 @@ def kernel_decompose(n: int) -> KernelForm:
             a *= p ** (e // 2)
             h *= p ** (e % 2)
         p += 1 if p == 2 else 2
-    return KernelForm(n=n, a=a, h=h * m)
+    q = math.isqrt(m)
+    return KernelForm(n=n, a=a * q, h=h) if q * q == m else KernelForm(n=n, a=a, h=h * m)
 
 
 @lru_cache(maxsize=16)

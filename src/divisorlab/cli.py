@@ -35,7 +35,7 @@ from .relations import (
     near_solution_count,
 )
 from .series import DEFAULT_CUTOFF, SIGNATURES, estimate_constant
-from .voronoi import residual_at, truncated_sum
+from .voronoi import INV_PI_SQRT2, truncated_sum
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -240,10 +240,11 @@ def _delta(args):
 
 def _voronoi(args):
     ts = truncated_sum(args.x, args.Y)
-    res = residual_at(args.x, args.Y)
+    # the residual of voronoi.residual_at, from the one sum
+    res = delta_at(args.x).delta - INV_PI_SQRT2 * ts.value
     return ({"voronoi.csv": (["x", "Y", "truncated_sum", "residual"],
-                             [[args.x, args.Y, ts.value, res.value]])},
-            f"x={_fmt(args.x)} Y={args.Y} sum={_fmt(ts.value)} residual={_fmt(res.value)}",
+                             [[args.x, args.Y, ts.value, res]])},
+            f"x={_fmt(args.x)} Y={args.Y} sum={_fmt(ts.value)} residual={_fmt(res)}",
             EXIT_OK)
 
 

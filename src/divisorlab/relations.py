@@ -14,14 +14,14 @@ one at that earlier position up, so each tuple is the smallest ordering of its
 multiset and stands for its number of orderings, prod g!/prod m_v! over the
 groups of g equal ranges (m_v the multiplicity of value v).  Every tuple gets
 the float64 sum P (plus side) or M (minus side) of its square roots, added
-left to right, and the id of its kernel class.  A side's classes are the rows
-of one int64 array, a row holding the class's (kernel, coefficient) slots in
-kernel order; each range extends the row of every kept (tuple, value) pair at
-once, and one sort of the rows, packed several slots to an int64 word,
-numbers the distinct rows.  A slot ranks its kernel among the kernels of the
-whole box, so one more sort numbers both sides' rows together, and a plus and
-a minus tuple form an exact zero exactly when their ids agree.  A pair lies
-in the delta window when the float64 predicate
+left to right, and a row of one int64 array holding its (kernel, coefficient)
+slots in kernel order; each range extends the row of every kept (tuple,
+value) pair at once.  A slot ranks its kernel among the kernels of the whole
+box.  A box enumerates each distinct side once, so a box with equal sides
+enumerates one, and one sort of the rows of its distinct sides, packed
+several slots to an int64 word, numbers the kernel classes: a plus and a
+minus tuple form an exact zero exactly when their ids agree.  A pair lies in
+the delta window when the float64 predicate
 
     fl(M - delta) < P < fl(M + delta)
 
@@ -144,7 +144,7 @@ def form_value_hp(plus_values: Sequence[int], minus_values: Sequence[int]):
 # --------------------------------------------------------------------------
 
 
-# A class row has one int64 slot per kernel of the class: the kernel's rank,
+# A tuple's row has one int64 slot per kernel of its class: the kernel's rank,
 # its first position among the sorted kernels of the box's values, shifted
 # left by the box's coefficient width, or-ed with its coefficient.  Empty
 # slots hold the pad, all ones over the slot's bits, which sorts last; no
@@ -164,8 +164,7 @@ class _Side:
 
     ranges: tuple[tuple[int, int], ...]
     sums: np.ndarray  # float64 sum of the square roots, added left to right
-    classes: np.ndarray  # kernel-class id of each tuple
-    rows: np.ndarray  # the slots of each class id, ascending, padded
+    rows: np.ndarray  # the slots of each tuple's kernel class, ascending, padded
     flat: np.ndarray  # flat index of each tuple in the product of the ranges
     weights: np.ndarray  # int64 number of orderings of each tuple
 
@@ -174,11 +173,11 @@ class _Side:
         return tuple(lo + int(i) for (lo, _), i in zip(self.ranges, np.unravel_index(flat, dims)))
 
 
-def _number_rows(rows: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
+def _number_rows(rows: np.ndarray, bits: int) -> np.ndarray:
     """The id of each row of a 2-d array of slots below 2^bits, ids
-    numbering the distinct rows, and the distinct rows.  63 // bits slots
-    pack into one int64 word, so one sort of the words (a lexsort when a
-    row takes more than one word) brings equal rows together."""
+    numbering the distinct rows.  63 // bits slots pack into one int64 word,
+    so one sort of the words (a lexsort when a row takes more than one word)
+    brings equal rows together."""
     per = 63 // bits
     words = np.zeros((-(-rows.shape[1] // per), len(rows)), dtype=np.int64)
     for j in range(rows.shape[1]):
@@ -189,13 +188,13 @@ def _number_rows(rows: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
     first[1:] = (words[:, 1:] != words[:, :-1]).any(axis=0)
     ids = np.empty(len(rows), dtype=np.int64)
     ids[order] = np.cumsum(first) - 1
-    return ids, rows[order[first]]
+    return ids
 
 
 def _enumerate_side(ranges: Sequence[tuple[int, int]],
                     values: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]],
                     shift: int, bits: int) -> _Side:
-    """Sums and kernel classes of the smallest ordering of every multiset of
+    """Sums and kernel-class rows of the smallest ordering of every multiset of
     the product of ranges, given for each value v = a**2 * h of each distinct
     range the rank of its kernel h, a and sqrt(v), and the slots' coefficient
     width and total width.
@@ -207,14 +206,13 @@ def _enumerate_side(ranges: Sequence[tuple[int, int]],
     of the ranges.  Each tuple's sum is the left-to-right sum of that
     ordering.
 
-    A class is one row of slots (kernel, coefficient), kernels ascending and
-    padded to one slot per range so far.  Appending a value v = a**2 * h to a
-    tuple adds a to the coefficient of kernel h in its row, or inserts the
-    slot (h, a).  Per range, the rows of every kept pair are formed at once
-    and numbered by _number_rows, which gives each new tuple its class.
+    A tuple's class is its row of slots (kernel, coefficient), kernels
+    ascending and padded to one slot per range so far.  Appending a value
+    v = a**2 * h to a tuple adds a to the coefficient of kernel h in its row,
+    or inserts the slot (h, a).  Per range, the rows of every kept pair are
+    formed at once; the rows are numbered only by the box.
     """
     sums = np.zeros(1, dtype=np.float64)
-    classes = np.zeros(1, dtype=np.int64)
     flat = np.zeros(1, dtype=np.int64)
     rows = np.zeros((1, 0), dtype=np.int64)
     # per range that recurs: each tuple's value offset at the range's latest
@@ -227,13 +225,12 @@ def _enumerate_side(ranges: Sequence[tuple[int, int]],
         parent = np.repeat(np.arange(sums.size), counts)
         k = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts - floor, counts)
         rank, a = rank[k], a[k]
-        old = rows[classes[parent]]
+        old = rows[parent]
         same = (old >> shift) == rank[:, None]  # at most one slot
-        pairs = np.empty((parent.size, old.shape[1] + 1), dtype=np.int64)
-        pairs[:, :-1] = old + same * a[:, None]
-        pairs[:, -1] = np.where(same.any(axis=1), (1 << bits) - 1, rank << shift | a)
-        pairs.sort(axis=1)
-        classes, rows = _number_rows(pairs, bits)
+        rows = np.empty((parent.size, old.shape[1] + 1), dtype=np.int64)
+        rows[:, :-1] = old + same * a[:, None]
+        rows[:, -1] = np.where(same.any(axis=1), (1 << bits) - 1, rank << shift | a)
+        rows.sort(axis=1)
         sums = sums[parent] + roots[k]
         flat = flat[parent] * len(roots) + k
         last = {g: x[parent] for g, x in last.items()}
@@ -241,7 +238,7 @@ def _enumerate_side(ranges: Sequence[tuple[int, int]],
             last[r] = k
     order = np.argsort(sums)
     flat = flat[order]
-    return _Side(tuple(ranges), sums[order], classes[order], rows, flat, _weights(ranges, flat))
+    return _Side(tuple(ranges), sums[order], rows[order], flat, _weights(ranges, flat))
 
 
 def _weights(ranges: Sequence[tuple[int, int]], flat: np.ndarray) -> np.ndarray:
@@ -263,16 +260,17 @@ def _weights(ranges: Sequence[tuple[int, int]], flat: np.ndarray) -> np.ndarray:
 
 
 class _Box:
-    """Both sides of a query box, each enumerated once over its multisets.
-
-    Every slot ranks its kernel among the kernels of the whole box, so the
-    rows of both sides are numbered together by one _number_rows pass, and a
-    plus and a minus tuple form an exact zero exactly when their ids agree.
+    """The sides of a query box, each distinct side enumerated once over its
+    multisets, so a box with equal sides enumerates one.  Every slot ranks its
+    kernel among the kernels of the whole box, so one _number_rows pass over
+    the distinct sides' rows numbers the box's kernel classes, and a plus and
+    a minus tuple form an exact zero exactly when their ids agree.
     """
 
     def __init__(self, query: RelationQuery):
         p = query.signature.plus
-        sides = (query.ranges[:p], query.ranges[p:])
+        plus, minus = query.ranges[:p], query.ranges[p:]
+        sides = dict.fromkeys((plus, minus))
         for ranges in sides:
             # C(n + g - 1, g) multisets per group of g equal ranges of n values
             size = math.prod(math.comb(hi - lo + g, g) for (lo, hi), g in Counter(ranges).items())
@@ -295,17 +293,15 @@ class _Box:
         # range, and the ranks stay below the all-ones rank of the pad
         self.shift = int(sum(values[r][1].max() for r in query.ranges)).bit_length()
         self.bits = self.shift + len(kernels).bit_length()
-        self.plus = _enumerate_side(sides[0], values, self.shift, self.bits)
-        self.minus = _enumerate_side(sides[1], values, self.shift, self.bits)
-        # one numbering of both sides' rows, padded to a common width
-        n = len(self.plus.rows)
-        width = max(self.plus.rows.shape[1], self.minus.rows.shape[1])
-        rows = np.full((n + len(self.minus.rows), width), (1 << self.bits) - 1, dtype=np.int64)
-        rows[:n, : self.plus.rows.shape[1]] = self.plus.rows
-        rows[n:, : self.minus.rows.shape[1]] = self.minus.rows
-        ids = _number_rows(rows, self.bits)[0]
-        self.plus_ids = ids[:n][self.plus.classes]
-        self.minus_ids = ids[n:][self.minus.classes]
+        sides = {r: _enumerate_side(r, values, self.shift, self.bits) for r in sides}
+        self.plus, self.minus = sides[plus], sides[minus]
+        # one numbering of the distinct sides' rows, padded to a common width,
+        # the plus side's first and the minus side's last
+        width = max(side.rows.shape[1] for side in sides.values())
+        ids = _number_rows(np.concatenate([
+            np.pad(side.rows, ((0, 0), (0, width - side.rows.shape[1])),
+                   constant_values=(1 << self.bits) - 1) for side in sides.values()]), self.bits)
+        self.plus_ids, self.minus_ids = ids[: self.plus.sums.size], ids[-self.minus.sums.size :]
         # the first and the last position of the run of equal ids through
         # each plus position
         starts = np.flatnonzero(np.diff(self.plus_ids, prepend=-1))

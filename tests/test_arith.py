@@ -26,6 +26,22 @@ def test_factor_table_and_kernels_match_trial_division(n):
     assert (kf.a, kf.h) == expected
 
 
+Q31, Q31_BELOW = 2 ** 31 - 1, 2 ** 31 - 19  # the two largest primes below 2^31
+
+
+@pytest.mark.parametrize("n, want", [
+    (Q31 ** 2, kernel_by_squares(Q31 ** 2)),  # q**2
+    (Q31 * Q31_BELOW, (1, Q31 * Q31_BELOW)),  # q1*q2 near 2^62
+    (2 ** 48 + 21, (1, 2 ** 48 + 21)),  # the prime after 2^48
+])
+def test_kernel_decompose_large_cofactors(n, want):
+    # trial division stops at the cube root, and the cofactor left, 1, q,
+    # q1*q2 or q**2, is told apart by its integer square root
+    kf = kernel_decompose(n)
+    assert (kf.a, kf.h) == want
+    assert kf.a ** 2 * kf.h == n
+
+
 def test_factor_table_is_read_only():
     a, _, _ = factor_table(16)
     with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from divisorlab import moment, series
+from divisorlab import moment, series, voronoi
 from divisorlab.cli import _fmt, _read_config, build_parser, main
 from divisorlab.divisor import hyperbola_D
 from oracles import d_trial_division
@@ -203,6 +203,17 @@ def test_config_file_fills_defaults(tmp_path):
     assert rc == 0
     header, row = (tmp_path / "voronoi.csv").read_text().splitlines()
     assert row.split(",")[1] == "5"
+
+
+def test_voronoi_sums_sigma_once(tmp_path, monkeypatch):
+    # the residual is voronoi.residual_at's, taken from the command's one sum
+    calls = []
+    many = voronoi.truncated_sum_many
+    monkeypatch.setattr(voronoi, "truncated_sum_many", lambda xs, Y: calls.append(Y) or many(xs, Y))
+    assert main(["voronoi", "--x", "1000.5", "--Y", "50", "--out", str(tmp_path)]) == 0
+    assert calls == [50]
+    row = (tmp_path / "voronoi.csv").read_text().splitlines()[1].split(",")
+    assert float(row[3]) == voronoi.residual_at(1000.5, 50).value
 
 
 def test_explicit_flag_equal_to_its_default_beats_config(tmp_path):

@@ -382,10 +382,9 @@ def _class_boxes(draw):
 @example((RelationSignature(4, 4), ((1, 3), (2, 4), (1, 3), (1, 3), (2, 4), (1, 3), (1, 3), (1, 3))))
 def test_class_rows_match_dict_oracle(sig_box):
     # each side holds the oracle's multisets, by flat index, with their sums
-    # and weights, in ascending order of sum; it groups them into the oracle's
-    # classes; each class row holds the oracle's kernel vector under the
-    # box's kernels; and a plus and a minus tuple share an id exactly when
-    # their oracle vectors are equal
+    # and weights, in ascending order of sum; each tuple's row holds its
+    # oracle kernel vector under the box's kernels; and two tuples of the
+    # box share an id exactly when their oracle vectors are equal
     sig, box = sig_box
     engine = relations._Box(RelationQuery(sig, box, 0.0))
     box_kernels = np.sort([kernel_decompose(v).h for lo, hi in set(box) for v in range(lo, hi + 1)])
@@ -399,16 +398,31 @@ def test_class_rows_match_dict_oracle(sig_box):
         assert side.sums.tolist() == sorted(total for total, _, _ in want)
         assert side.sums.tolist() == [total for total, _, _ in want]
         assert side.weights.tolist() == [weight for _, weight, _ in want]
-        ids = np.array([index.setdefault(vector, len(index)) for _, _, vector in want])
-        label, vectors = _label_map(side.classes, ids), list(index)
-        assert len(side.rows) == len(set(ids.tolist()))
-        for c, row in enumerate(side.rows):
+        assert len(side.rows) == len(want)
+        for row, (_, _, vector) in zip(side.rows, want):
             slots = row[row != (1 << engine.bits) - 1]
             kernels = box_kernels[slots >> engine.shift]
             coefficients = slots & ((1 << engine.shift) - 1)
-            assert list(zip(kernels.tolist(), coefficients.tolist())) == list(vectors[label[c]])
-        joint.append(ids)
+            assert list(zip(kernels.tolist(), coefficients.tolist())) == list(vector)
+        joint.append(np.array([index.setdefault(vector, len(index)) for _, _, vector in want]))
     _label_map(np.concatenate([engine.plus_ids, engine.minus_ids]), np.concatenate(joint))
+
+
+@pytest.mark.parametrize("box, enumerated", [
+    (((1, 6), (2, 7), (1, 6), (2, 7)), 1),
+    (((1, 6), (2, 7), (2, 7), (1, 6)), 2),
+])
+def test_box_enumerates_each_distinct_side_once(monkeypatch, box, enumerated):
+    # a box whose sides have the same ranges enumerates one side and reads it
+    # as both; either way the rows of the box are numbered once
+    calls = {}
+    for name in ("_enumerate_side", "_number_rows"):
+        f = getattr(relations, name)
+        monkeypatch.setattr(relations, name,
+                            lambda *a, f=f, name=name: calls.update({name: calls.get(name, 0) + 1}) or f(*a))
+    engine = relations._Box(RelationQuery(RelationSignature(2, 2), box, 0.0))
+    assert calls == {"_enumerate_side": enumerated, "_number_rows": 1}
+    assert (engine.minus is engine.plus) == (enumerated == 1)
 
 
 _GROUPED_SIGNATURES = _SIGNATURES + [RelationSignature(5, 3), RelationSignature(4, 4)]
@@ -479,6 +493,8 @@ def test_benchmark_relation_results_are_pinned():
         1.5331405656127117e-07, ((28, 82), (33, 74)), 1.5331405656127117)
     assert min_gap(RelationSignature(4, 4), 12) == (
         4.822873254539672e-06, ((2, 4, 12, 12), (5, 6, 8, 8)), 1.626728115341578e+63)
+    assert min_gap(RelationSignature(4, 4), 32) == (
+        3.628518641107803e-08, ((3, 25, 32, 32), (14, 17, 23, 29)), 1.3701022573984677e+88)
     box = tuple((5, 68) for _ in range(4))
     assert near_solution_count(RelationQuery(RelationSignature(2, 2), box, 0.03)).count == 110780
     box = tuple((9, 16) for _ in range(8))
