@@ -288,17 +288,17 @@ def unit_branch(m0: int, j: np.ndarray, D: np.ndarray) -> np.ndarray:
     return coef
 
 
-def delta_unit(coef: np.ndarray, u) -> np.ndarray:
+def delta_unit(coef: np.ndarray, u, out: np.ndarray | None = None) -> np.ndarray:
     """Delta(m + u) on the smooth branch of each unit interval [m, m+1) of the
     coefficients coef of unit_branch (its last axis), for u in [0, 1] that
     broadcasts against that axis; u = 1 gives the left limit at m + 1.
 
-    Horner's rule in v = u - 1/2 allocates one array of the result's shape
-    and takes no log.  The rows of any polynomial in v may stand for coef:
-    for k * coef[k], k >= 1, it gives the slope.
+    Horner's rule in v = u - 1/2 takes no log and writes into out, or into
+    one new array of the result's shape.  The rows of any polynomial in v
+    may stand for coef: for k * coef[k], k >= 1, it gives the slope.
     """
     v = np.subtract(u, 0.5)
-    p = v * coef[-1]
+    p = np.multiply(v, coef[-1], out=out)
     for row in coef[-2:0:-1]:
         p += row
         p *= v

@@ -20,7 +20,6 @@ import functools
 import itertools
 import math
 import numbers
-import operator
 import warnings
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -44,11 +43,12 @@ WINDOW_EXPONENT_MARGIN = 0.01
 # Sieve block of the moment stream, in unit intervals.  Its int32 d(n) and
 # int64 D(m) arrays, 6 MiB per thread, set the stream's peak memory: on 2
 # threads the profile [1,2,3,4,8], [35/4, 267/27] to 4.02e6 peaked at 111 MB
-# RSS with 2**22, 57-59 MB with 2**19 and 52-53 MB with 2**18.  But 2**18
-# took 70k-143k minor page faults against 10k-14k with 2**19 (2 vCPUs): next
-# to the smaller block arrays, glibc's heap gives the moment kernel's fresh
-# 1 MiB chunk arrays new pages chunk after chunk.  Each block also runs an
-# O(sqrt(x)) Python loop in the sieve.
+# RSS with 2**22 and 58 MB with 2**19.  Each block's chunks write their node
+# arrays into one workspace of 1 MiB arrays, so that profile takes 6k-9k
+# minor page faults with 2**19 or 2**18 blocks (51 MB with 2**18); fresh
+# arrays per chunk took 227k-254k with 2**18, as next to the smaller block
+# arrays glibc's heap gave them new pages chunk after chunk (2 vCPUs).
+# Each block also runs an O(sqrt(x)) Python loop in the sieve.
 DEFAULT_BLOCK = 1 << 19
 
 # u at the two ends of every unit interval, for the sign-crossing test
@@ -103,37 +103,87 @@ def _newton_roots(coef: np.ndarray) -> np.ndarray:
     return u
 
 
-def _int_powers(d: np.ndarray, ks: Sequence[int]) -> Iterator[tuple[int, np.ndarray]]:
-    """(k, d**k) for each integer k >= 1 in ks, from one binary-powering
-    chain: the squares d, d**2, d**4, d**8, ... are formed once and each d**k
-    is the product of the squares of its binary digits, lowest first.  A
-    power is formed when it is asked for, so a caller that drops each one
-    holds the squares and a single product."""
-    squares = [d]
-    while 1 << len(squares) <= max(ks, default=1):
-        squares.append(squares[-1] * squares[-1])
-    for k in ks:
-        digits = [sq for j, sq in enumerate(squares) if k >> j & 1]
-        yield k, functools.reduce(operator.mul, digits)
+def _power_plan(ks: Sequence[int], keep: bool) -> list[tuple[int, int, int, int]]:
+    """Steps (k, i, j, slot), in ascending k, each forming d**k = d**i * d**j
+    for one power past d that the binary-powering chain of the k >= 1 in ks
+    reaches: i = j = k/2 for a power of two, else j is the top bit of k and
+    i = k - j, so each d**k is the product of the squares of its binary
+    digits, lowest first.  d is in slot 0; a step writes its power over an
+    operand read for the last time where there is one, else into a free
+    slot, or a new one.  keep never frees d's slot."""
+    operands, todo = {}, [int(k) for k in ks]
+    while todo:
+        k = todo.pop()
+        if k > 1 and k not in operands:
+            top = 1 << k.bit_length() - 1
+            operands[k] = (k // 2, k // 2) if k == top else (k - top, top)
+            todo += operands[k]
+    steps = sorted((k, i, j) for k, (i, j) in operands.items())
+    last = {o: n for n, (_, i, j) in enumerate(steps) for o in (i, j)}  # its last read
+    if keep:
+        last[1] = len(steps)
+    slot, free, plan = {1: 0}, [], []
+    for n, (k, i, j) in enumerate(steps):
+        free += [slot[o] for o in {i, j} if last[o] == n]
+        slot[k] = free.pop() if free else 1 + max(slot.values())
+        plan.append((k, i, j, slot[k]))
+        if k not in last:  # read by no later step: free once the caller has it
+            free.append(slot[k])
+    return plan
+
+
+def _int_powers(
+    d: np.ndarray,
+    ks: Sequence[int],
+    work: Sequence[np.ndarray] | None = None,
+    keep: bool = True,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(k, d**k) for each distinct integer k >= 1 in ks, ascending, by the
+    steps of _power_plan.  Without work every power is a new array.  With
+    work, the arrays of the plan's slots with d as work[0], each power is
+    written into its slot, so a later one may overwrite it, and d as well
+    unless keep."""
+    power = {1: d}
+    if 1 in ks:
+        yield 1, d
+    for k, i, j, s in _power_plan(ks, keep):
+        power[k] = np.multiply(power[i], power[j], out=None if work is None else work[s])
+        if k in ks:
+            yield k, power[k]
+
+
+def _workspace(intervals: int, powers: Sequence[int], abs_powers: Sequence[float]) -> list[np.ndarray]:
+    """The flat node arrays _chunk_integrals writes for chunks of up to
+    intervals unit intervals: Delta and the slots of its powers
+    (_power_plan), at least two with abs_powers, for |Delta| and |Delta|**A."""
+    slots = 1 + max((s for *_, s in _power_plan(powers, bool(abs_powers))), default=0)
+    if abs_powers:
+        slots = max(slots, 2)
+    return [np.empty(len(GL8_NODES) * intervals) for _ in range(slots)]
 
 
 def _chunk_integrals(
     coef: np.ndarray,
     powers: Sequence[int],
     abs_powers: Sequence[float],
+    work: Sequence[np.ndarray],
 ) -> dict:
     """Integrals of Delta**k and |Delta|**A over the unit intervals of the
-    unit_branch coefficients coef; its temporaries are freed when it returns.
+    unit_branch coefficients coef, with every node array written into the
+    arrays work of _workspace(coef.shape[1], powers, abs_powers) or longer.
 
     Node values are laid out (node, interval): each of the 8 nodes is one
     contiguous row of coef.shape[1] intervals, so every ufunc runs an inner
     loop that long, not 8 long as in an (interval, node) layout.
     """
-    delta = delta_unit(coef, GL8_NODES[:, None])
-    out = {("pow", k): _node_sum(pw) for k, pw in _int_powers(delta, powers)}
+    shape = (len(GL8_NODES), coef.shape[1])
+    work = [w[: shape[0] * shape[1]].reshape(shape) for w in work]
+    delta = delta_unit(coef, GL8_NODES[:, None], out=work[0])
+    out = {("pow", k): _node_sum(pw)
+           for k, pw in _int_powers(delta, powers, work, keep=bool(abs_powers))}
     if not abs_powers:
         return out
-    absd = np.abs(delta)
+    absd = np.abs(delta, out=delta)
     # intervals where the smooth branch crosses zero: endpoint signs differ
     ends = delta_unit(coef, _ENDS)
     idx = np.nonzero((ends[0] > 0.0) & (ends[1] < 0.0))[0]
@@ -143,7 +193,7 @@ def _chunk_integrals(
         d_l = np.abs(delta_unit(crossing, left_w * GL8_NODES[:, None]))
         d_r = np.abs(delta_unit(crossing, left_w + (1.0 - left_w) * GL8_NODES[:, None]))
     for a in abs_powers:
-        pw = np.power(absd, a)
+        pw = np.power(absd, a, out=work[1])
         total = _node_sum(pw)
         if idx.size:
             total += (_node_sum(left_w * d_l ** a) + _node_sum((1.0 - left_w) * d_r ** a)
@@ -165,8 +215,9 @@ def _block_integrals(
     abs_limit: int | None,
 ) -> list[dict]:
     """Integrals of Delta**k and |Delta|**A over each chunk [a, b) of a run
-    of adjacent chunks (a, b, anchor), from one sieve over the run; the
-    |Delta|**A ones only for the chunks below abs_limit (None: every chunk).
+    of adjacent chunks (a, b, anchor), from one sieve over the run and one
+    _workspace for the node arrays of all its chunks; the |Delta|**A ones
+    only for the chunks below abs_limit (None: every chunk).
     The anchor is the point of the anchor grid at or below a, so the node
     values do not depend on where blocks, checkpoints or abs_limit cut it.
 
@@ -183,11 +234,13 @@ def _block_integrals(
     """
     start, stop = chunks[0][0], chunks[-1][1]
     D = prefix_block(start, stop)
+    work = _workspace(max(b - a for a, b, _ in chunks), powers,
+                      abs_powers if abs_limit is None or start < abs_limit else ())
     out = []
     for a, b, m0 in chunks:
         coef = unit_branch(m0, np.arange(a - m0, b - m0), D[a - start : b - start])
         out.append(_chunk_integrals(coef, powers,
-                                    abs_powers if abs_limit is None or a < abs_limit else ()))
+                                    abs_powers if abs_limit is None or a < abs_limit else (), work))
     return out
 
 

@@ -132,6 +132,11 @@ def _chunk(start, n):
     return unit_branch(start, np.arange(n), prefix_block(start, start + n))
 
 
+def _work(n):
+    """A workspace of _chunk_integrals for n intervals of the layout tests."""
+    return moments._workspace(n, _LAYOUT_POWERS, _LAYOUT_ABS)
+
+
 def _abs_sums(coef, key):
     """GL8 sum of |Delta|**e over the chunk: the scale of the rounding errors
     of any order in which the integral of Delta**e or |Delta|**e is summed."""
@@ -149,12 +154,12 @@ def test_node_major_layout_has_the_interval_major_node_values(monkeypatch, start
     def recording(side):
         def call(*args, **kwargs):
             value = delta_unit(*args, **kwargs)
-            calls[side].append(value)
+            calls[side].append(value.copy())  # the kernel writes over its workspace
             return value
         return call
 
     monkeypatch.setattr(moments, "delta_unit", recording("new"))
-    moments._chunk_integrals(coef, _LAYOUT_POWERS, _LAYOUT_ABS)
+    moments._chunk_integrals(coef, _LAYOUT_POWERS, _LAYOUT_ABS, _work(n))
     monkeypatch.setattr(oracles, "delta_unit", recording("old"))
     monkeypatch.setattr(moments, "delta_unit", recording("old"))
     oracles.chunk_integrals_interval_major(coef, _LAYOUT_POWERS, _LAYOUT_ABS)
@@ -169,7 +174,7 @@ def test_node_major_integrals_within_few_ulp_of_interval_major(start, n):
     # same node values and power chain, so only the order of the node sums
     # differs; 1.6 u of the absolute sums was the worst seen
     coef = _chunk(start, n)
-    got = moments._chunk_integrals(coef, _LAYOUT_POWERS, _LAYOUT_ABS)
+    got = moments._chunk_integrals(coef, _LAYOUT_POWERS, _LAYOUT_ABS, _work(n))
     want = oracles.chunk_integrals_interval_major(coef, _LAYOUT_POWERS, _LAYOUT_ABS)
     assert got.keys() == want.keys()
     for key in got:
@@ -187,7 +192,8 @@ def test_node_major_block_within_few_ulp_of_interval_major(monkeypatch):
         return {key: math.fsum(part[key] for part in parts) for key in parts[0]}
 
     got = block(moments._chunk_integrals)
-    want = block(oracles.chunk_integrals_interval_major)
+    want = block(lambda coef, powers, abs_powers, work:
+                 oracles.chunk_integrals_interval_major(coef, powers, abs_powers))
     for key in got:
         scale = sum(_abs_sums(_chunk(a, ANCHOR_SPAN), key) for a, _, _ in chunks)
         assert abs(got[key] - want[key]) <= 8 * U * scale, key
@@ -216,10 +222,10 @@ def test_node_values_do_not_depend_on_where_a_chunk_is_split(monkeypatch):
     # a checkpoint or abs_limit inside a chunk leaves every node value as is
     nodes = []
 
-    def recording(coef, u):
-        value = delta_unit(coef, u)
+    def recording(coef, u, out=None):
+        value = delta_unit(coef, u, out=out)
         if np.shape(u) == (len(GL8_NODES), 1):  # the nodes of every interval
-            nodes.append(value)
+            nodes.append(value.copy())
         return value
 
     monkeypatch.setattr(moments, "delta_unit", recording)
@@ -293,12 +299,42 @@ def test_profile_threads_bit_identical_over_multichunk_blocks(monkeypatch):
     assert moment_profile(**kw, threads=1) == moment_profile(**kw, threads=2)
 
 
+def test_block_workspace_matches_new_arrays_per_chunk(monkeypatch):
+    # one workspace serves a block of chunks of several lengths, a short one
+    # after longer ones, and abs_limit stops the |Delta|**A integrals inside
+    # it, so later chunks write their powers over Delta; every chunk's
+    # integrals equal those of new arrays: a workspace of its own length,
+    # and for the integer powers a new array each from _int_powers
+    powers, abs_powers = [10, 3, 1, 7, 2, 9, 4], [1.5, 10.0]
+    lo, hi, abs_limit = 5, 5 + 2 * ANCHOR_SPAN + 3000, 5 + ANCHOR_SPAN + 100
+    grid = anchor_grid(lo, hi)
+    bounds = sorted({*grid, abs_limit, hi})
+    chunks = [(a, b, max(g for g in grid if g <= a)) for a, b in zip(bounds, bounds[1:])]
+    assert len({b - a for a, b, _ in chunks}) == len(chunks) > 10
+    chunk_integrals = moments._chunk_integrals
+
+    def new_arrays(coef, powers, abs_powers, work):
+        out = chunk_integrals(coef, powers, abs_powers,
+                              moments._workspace(coef.shape[1], powers, abs_powers))
+        delta = delta_unit(coef, GL8_NODES[:, None])
+        assert {("pow", k): moments._node_sum(pw) for k, pw in _int_powers(delta, powers)} == {
+            key: value for key, value in out.items() if key[0] == "pow"}
+        return out
+
+    got = moments._block_integrals(chunks, powers, abs_powers, abs_limit)
+    monkeypatch.setattr(moments, "_chunk_integrals", new_arrays)
+    assert got == moments._block_integrals(chunks, powers, abs_powers, abs_limit)
+    assert [len(part) for part in got] == [9 if a < abs_limit else 7 for a, _, _ in chunks]
+
+
 def test_block_integrals_working_set(monkeypatch):
     # one 2**20-interval block with the powers of the stream profile: beyond
     # the block's int64 D array (made before tracing starts) the chunk loop
-    # holds one chunk's node values, its squares up to Delta**8 and one
-    # product of them, 5.5 chunk arrays measured; they are freed before the
-    # next chunk, so the bound holds at any block length
+    # holds the block's workspace, three chunk arrays (Delta, its squares
+    # written in place, Delta**3), and on top of it one chunk's coefficients
+    # and sign-crossing splits; 5.8 chunk arrays measured, at the crossings
+    # of the chunks just past 2**14, and no chunk adds to the workspace, so
+    # the bound holds at any block length
     start, stop = 2, 2 + (1 << 20)
     grid = anchor_grid(start, stop)
     D = prefix_block(start, stop)
@@ -400,9 +436,12 @@ def test_main_term_asks_only_for_its_constants(monkeypatch, k, names):
         return sums(name, 16, 256)
 
     monkeypatch.setattr(series, "_sums", recording)
+    moment_main_term(k, 100.0, 512)
+    assert asked == [(name, 512, 512 * 512) for name in names]
+    # at the default cutoff the main terms read the pinned estimates
+    asked.clear()
     moment_main_term(k, 100.0)
-    Y = series.DEFAULT_CUTOFF
-    assert asked == [(name, Y, Y * Y) for name in names]
+    assert asked == []
 
 
 def test_moment_validation():

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from divisorlab import series, voronoi
 from divisorlab.acceptance import AcceptanceContext
 from divisorlab.divisor import build_divisor_table
+from divisorlab.moments import window_main_term
 from divisorlab.relations import BudgetExceededError, form_is_zero
 from divisorlab.series import (
     DEFAULT_CUTOFF,
@@ -154,12 +155,36 @@ def test_default_constants_pinned_to_the_bit():
     estimates = {"C1": "0x1.878364ed55e31p+5", "C2": "0x1.9096f0673548dp+11",
                  "C4": "0x1.e08e0ff6c274ap+21", "C7": "0x1.6a93a604c28c2p+26"}
     assert {name: estimate_constant(name).estimate.hex() for name in estimates} == estimates
+    # the table the main terms read at the default cutoff holds these bits
+    assert {key: value.hex() for key, value in series._PINNED_ESTIMATES.items()} == {
+        (name, DEFAULT_CUTOFF): value for name, value in estimates.items()}
     assert main_term_coefficient(8).hex() == "0x1.4b0929c1ee2abp+7"
     partials = [(partial_C2, 4096, "0x1.f662d23032a76p+10", "0x1.c4f62181a9f90p+7"),
                 (partial_C4, 256, "0x1.49eb49182fecdp+17", "0x1.c81992925645ap+16"),
                 (partial_C7, 1000, "0x1.64e2fdef6c569p+24", "0x1.d35b385b305c4p+22")]
     for partial, Y, value, tail in partials:
         assert (partial(Y).partial_sum.hex(), partial(Y).tail_indicator.hex()) == (value, tail)
+
+
+def test_default_main_terms_build_no_product(monkeypatch):
+    # the main terms at the default cutoff, from the live estimates, then
+    # again with every kernel product refused and the memo emptied
+    c = {name: estimate_constant(name).estimate for name in SIGNATURES}
+    want = {3: 3 * c["C1"] / (28 * math.pi ** 3), 4: 3 * c["C2"] / (64 * math.pi ** 4),
+            8: (35 * c["C7"] - 28 * c["C4"]) / (2048 * math.pi ** 8)}
+    lo, hi = 10 ** 11, 10 ** 11 + (1 << 16)
+    window = want[4] * lo ** 2 * math.expm1(2 * math.log1p((hi - lo) / lo))
+
+    def refused(*args):
+        raise AssertionError("a kernel product was built")
+
+    series._product.cache_clear()
+    monkeypatch.setattr(series, "_relation_product", refused)
+    assert {k: main_term_coefficient(k).hex() for k in want} == {
+        k: value.hex() for k, value in want.items()}
+    assert window_main_term(4, lo, hi).hex() == window.hex()
+    with pytest.raises(AssertionError, match="a kernel product was built"):
+        main_term_coefficient(4, 512)
 
 
 def test_default_constants_positive():
