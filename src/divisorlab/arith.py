@@ -7,6 +7,7 @@ constant sums.  No table is shared between calls.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -15,6 +16,15 @@ import numpy as np
 
 class BudgetExceededError(RuntimeError):
     """Enumeration would exceed the configured budget; names the limit hit."""
+
+
+def check_integer(name: str, *values) -> None:
+    """Refuse, by a ValueError naming them as name, values that are not each
+    an int or a numpy integer: a bool or a float never is one."""
+    for value in values:
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            noun = "an integer" if len(values) == 1 else "integers"
+            raise ValueError(f"{name} must be {noun}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import BudgetExceededError
+from .arith import BudgetExceededError, check_integer
 
 # sampling density: at least this many quadrature points per unit change of the
 # fastest phase x * (2N)**(1/k); |S|**8 oscillates on exactly that scale
@@ -53,10 +53,12 @@ class ExpSumSample:
     value: complex
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32, typed=True)  # typed: 64.0 and True miss the entries of 64 and 1
 def _roots(N: int, k: int) -> np.ndarray:
     """n**(1/k) for n in (N, 2N], refined by one Newton step from the float
     power so the fractional part fed to the phase is accurate to ~1 ulp."""
+    check_integer("N", N)
+    check_integer("k", k)
     if N < 2 or k < 2:
         raise ValueError("need N >= 2 and k >= 2")
     n = np.arange(N + 1, 2 * N + 1, dtype=np.float64)
@@ -102,12 +104,12 @@ def moment8_S(U: float, N: int, k: int, samples: int = 16) -> tuple[float, float
     points overall; |S| comes from abs_S_grid.  Returns (integral, ratio)
     where ratio = integral / (U * N**4 + N**(8 - 1/k)).
     """
+    check_integer("samples", samples)
     if samples < 16:
         raise ValueError("samples must be >= 16")
     if not (math.isfinite(U) and U > 0):
         raise ValueError(f"U must be finite and > 0, got {U}")
-    if N < 2 or k < 2:
-        raise ValueError(f"need N >= 2 and k >= 2, got N={N} k={k}")
+    _roots(N, k)  # refuses N and k before they size the grid
     points = max(int(samples), int(POINTS_PER_PHASE_UNIT * U * (2 * N) ** (1.0 / k)) + 1)
     if points > _MAX_QUAD_POINTS:
         raise BudgetExceededError(

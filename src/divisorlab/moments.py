@@ -19,20 +19,16 @@ import bisect
 import functools
 import itertools
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .divisor import (
-    anchor_grid,
-    delta_unit,
-    prefix_block,
-    unit_branch,
-)
+from .arith import check_integer
+from .divisor import anchor_grid, delta_unit, prefix_block, unit_branch
 from .parallel import ordered_map
+from .series import main_term_coefficient
 
 _nodes, _weights = np.polynomial.legendre.leggauss(8)
 GL8_NODES = 0.5 * (_nodes + 1.0)  # on [0, 1]
@@ -41,14 +37,9 @@ GL8_WEIGHTS = 0.5 * _weights
 WINDOW_EXPONENT_MARGIN = 0.01
 
 # Sieve block of the moment stream, in unit intervals.  Its int32 d(n) and
-# int64 D(m) arrays, 6 MiB per thread, set the stream's peak memory: on 2
-# threads the profile [1,2,3,4,8], [35/4, 267/27] to 4.02e6 peaked at 111 MB
-# RSS with 2**22 and 58 MB with 2**19.  Each block's chunks write their node
-# arrays into one workspace of 1 MiB arrays, so that profile takes 6k-9k
-# minor page faults with 2**19 or 2**18 blocks (51 MB with 2**18); fresh
-# arrays per chunk took 227k-254k with 2**18, as next to the smaller block
-# arrays glibc's heap gave them new pages chunk after chunk (2 vCPUs).
-# Each block also runs an O(sqrt(x)) Python loop in the sieve.
+# int64 D(m) arrays, 6 MiB per thread, set the stream's peak memory, and each
+# block runs an O(sqrt(x)) Python loop in the sieve; the measurements behind
+# 2**19 are in CHANGES.md.
 DEFAULT_BLOCK = 1 << 19
 
 # u at the two ends of every unit interval, for the sign-crossing test
@@ -265,16 +256,15 @@ def moment_profile(
     and abs_limit integers.
     """
     for k in powers:
-        if not isinstance(k, numbers.Integral) or k < 1:
-            raise ValueError(f"powers must be integers >= 1, got {k!r}")
+        check_integer("each power", k)
+        if k < 1:
+            raise ValueError(f"each power must be >= 1, got {k!r}")
     for a in abs_powers:
         if not (math.isfinite(a) and a > 0):
             raise ValueError(f"abs_powers must be finite and > 0, got {a!r}")
-    if abs_limit is not None and not isinstance(abs_limit, numbers.Integral):
-        raise ValueError(f"abs_limit must be an integer or None, got {abs_limit!r}")
-    if not all(isinstance(v, numbers.Integral) for v in [lo, *checkpoints]):
-        raise ValueError(f"lo and the checkpoints must be integers, got lo={lo!r}, "
-                         f"checkpoints={checkpoints!r}")
+    if abs_limit is not None:
+        check_integer("abs_limit", abs_limit)
+    check_integer("lo and the checkpoints", lo, *checkpoints)
     if lo < 1:
         raise ValueError(f"lo must be >= 1, got {lo!r}")
     checkpoints = sorted(set(int(c) for c in checkpoints))
@@ -312,8 +302,6 @@ def moment_main_term(k: int, X: float, constants_Y: int | None = None) -> float:
     """Main term of the k-th moment over [2, X]; 0 where the theory gives none.
     constants_Y is the cutoff of the constant estimates it uses (None:
     series.DEFAULT_CUTOFF)."""
-    from .series import main_term_coefficient
-
     if k in (5, 6, 7):
         return 0.0
     c = main_term_coefficient(k, constants_Y)
@@ -327,8 +315,6 @@ def window_main_term(k: int, lo: int, hi: int, constants_Y: int | None = None) -
     1 <= lo < hi, formed without that subtraction, which cancels all but a
     fraction (hi - lo)/lo of c * lo**a: c * lo**a * expm1(a * log1p(H/lo))
     for k <= 4, and c * H * (hi**2 + hi*lo + lo**2) / 3 for k = 8."""
-    from .series import main_term_coefficient
-
     if k in (5, 6, 7):
         return 0.0
     c = main_term_coefficient(k, constants_Y)
@@ -339,6 +325,19 @@ def window_main_term(k: int, lo: int, hi: int, constants_Y: int | None = None) -
     return c * lo ** a * math.expm1(a * math.log1p(H / lo))
 
 
+def _moment_result(k: int, lo: int, hi: int, main_term, threads: int) -> MomentResult:
+    """Integral of Delta**k over [lo, hi] against main_term(), formed once k is
+    checked, so a bad k or constants_Y is refused before the integral runs."""
+    check_integer("k", k)
+    if not 1 <= k <= 8:
+        raise ValueError("k must be in 1..8")
+    main = main_term()
+    integral = moment_profile([k], [], [hi], lo=lo, threads=threads)[hi][("pow", k)]
+    rel = (integral - main) / main if main != 0.0 else math.nan
+    return MomentResult(exponent=float(k), lo=float(lo), hi=float(hi), integral=integral,
+                        main_term=main, relative_deviation=rel)
+
+
 def moment(
     k: int,
     X: float,
@@ -346,18 +345,12 @@ def moment(
     threads: int = 1,
 ) -> MomentResult:
     """Integral of Delta**k over [2, int(X)] with its predicted main term there."""
-    if not 1 <= k <= 8:
-        raise ValueError("k must be in 1..8")
     if not (math.isfinite(X) and X >= 3):  # whole unit intervals from 2 to int(X)
         raise ValueError(f"X must be finite and >= 3, got {X}")
     # the main term at int(X), kept in X's type: an integer X keeps its exact
-    # powers (float(X)**3 and X**3 can round apart above 2**53); formed first,
-    # so a bad constants_Y is refused before the integral runs
-    main = moment_main_term(k, X - X % 1, constants_Y)
-    integral = moment_profile([k], [], [int(X)], threads=threads)[int(X)][("pow", k)]
-    rel = (integral - main) / main if main != 0.0 else math.nan
-    return MomentResult(exponent=float(k), lo=2.0, hi=float(int(X)), integral=integral,
-                        main_term=main, relative_deviation=rel)
+    # powers (float(X)**3 and X**3 can round apart above 2**53)
+    return _moment_result(k, 2, int(X), lambda: moment_main_term(k, X - X % 1, constants_Y),
+                          threads)
 
 
 def window_moment(
@@ -383,8 +376,4 @@ def window_moment(
             f"window H={spec.H} outside [X^(7/32+{WINDOW_EXPONENT_MARGIN}), X]; proceeding",
             stacklevel=2,
         )
-    main = window_main_term(k, lo, hi, constants_Y)  # refuses a bad constants_Y first
-    integral = moment_profile([k], [], [hi], lo=lo, threads=threads)[hi][("pow", k)]
-    rel = (integral - main) / main if main != 0.0 else math.nan
-    return MomentResult(exponent=float(k), lo=float(lo), hi=float(hi),
-                        integral=integral, main_term=main, relative_deviation=rel)
+    return _moment_result(k, lo, hi, lambda: window_main_term(k, lo, hi, constants_Y), threads)

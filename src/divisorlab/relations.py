@@ -45,7 +45,7 @@ import numpy as np
 
 # the factoring lives in arith; BudgetExceededError and kernel_decompose stay
 # importable from here
-from .arith import BudgetExceededError, kernel_decompose
+from .arith import BudgetExceededError, check_integer, kernel_decompose
 
 # Sides of the enumeration may not exceed this many multisets; larger requests
 # must be split by the caller.
@@ -70,6 +70,8 @@ class RelationSignature:
     minus: int
 
     def __post_init__(self):
+        check_integer("plus", self.plus)
+        check_integer("minus", self.minus)
         if self.plus < 1 or self.minus < 0:
             raise ValueError("need plus >= 1 and minus >= 0")
         if not 2 <= self.plus + self.minus <= 8:
@@ -95,6 +97,8 @@ class RelationQuery:
         if len(self.ranges) != self.signature.arity:
             raise ValueError("one range per variable required")
         for lo, hi in self.ranges:
+            check_integer("each range end", lo)
+            check_integer("each range end", hi)
             if not 1 <= lo <= hi:
                 raise ValueError(f"bad range ({lo}, {hi})")
         if not self.delta >= 0:
@@ -410,6 +414,7 @@ def min_gap(
     e is the signature's gap exponent (7/2 for (2,2)-type forms, 127/2 for the
     8-variable ones).  The empirical constant is reported, not asserted.
     """
+    check_integer("Y", Y)
     query = RelationQuery(
         signature=signature,
         ranges=tuple((1, Y) for _ in range(signature.arity)),

@@ -30,7 +30,6 @@ A partial sum and an estimate are one product over different a-ranges
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -38,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .arith import BudgetExceededError, factor_table
+from .arith import BudgetExceededError, check_integer, factor_table
 from .divisor import build_divisor_table, isqrt_many
 
 MAX_CONSTANT_CUTOFF = 1 << 20
@@ -253,8 +252,7 @@ def _cutoff(name: str, Y, completed: bool) -> int:
         raise ValueError(f"unknown constant {name!r}; choose from {', '.join(SIGNATURES)}")
     if Y is None:
         return DEFAULT_CUTOFF
-    if not isinstance(Y, numbers.Integral) or isinstance(Y, bool):
-        raise ValueError(f"cutoff must be an integer, got {Y!r}")
+    check_integer("cutoff", Y)
     if Y < 1:
         raise ValueError("cutoff must be >= 1")
     if Y > MAX_CONSTANT_CUTOFF:
@@ -342,9 +340,7 @@ def estimate_constant(name: str, Y: int | None = None) -> ConstantEstimate:
     multiplies the product by exp(delta x y), whose coefficients are
     non-negative, so the estimate is at least the raw longer product, itself
     at least partial_sum (for C1, signature (2, 1), it is the raw product).
-    Its error has no proven sign; estimate_tail shows it: at Y = 1e4 the
-    estimates are 49.3339, 3206.27, 4.0767e6 and 9.5679e7, with
-    estimate_tail 0.040, 0.10, 1.05e4 and 5.2e4.
+    Its error has no proven sign; estimate_tail shows it.
     """
     Y = _cutoff(name, Y, completed=True)
     part = _partial(name, Y)
@@ -375,8 +371,7 @@ def extrapolate_sqrt(points: list[tuple[int, float]]) -> float:
 
 # (constant, cutoff) -> estimate_constant(constant, cutoff).estimate, to the
 # bit, at DEFAULT_CUTOFF: the main terms read these instead of building the
-# completed product (13 ms for k = 3 or 4, 51 ms for k = 8); the tests check
-# them against the live estimates
+# completed product; the tests check them against the live estimates
 _PINNED_ESTIMATES = {
     ("C1", 1024): float.fromhex("0x1.878364ed55e31p+5"),
     ("C2", 1024): float.fromhex("0x1.9096f0673548dp+11"),
@@ -395,6 +390,7 @@ def main_term_coefficient(k: int, constants_Y: int | None = None) -> float:
     (None: DEFAULT_CUTOFF); see estimate_constant.  At DEFAULT_CUTOFF they
     are read from _PINNED_ESTIMATES.
     """
+    check_integer("k", k)
     if k not in (1, 2, 3, 4, 8):
         raise ValueError(f"no closed-form main term for k={k}")
     if k == 1:

@@ -28,13 +28,13 @@ c = 2**-25 * 2 sqrt(n x), so np.cos sees arguments within 2 pi (5/8 + c) of 0.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import bessel
+from .arith import check_integer
 from .divisor import build_divisor_table, delta_of, hyperbola_D, hyperbola_D_many
 
 INV_PI_SQRT2 = 1.0 / (math.pi * math.sqrt(2.0))
@@ -56,13 +56,6 @@ class ResidualSample:
     x: float
     Y: int
     value: float
-
-
-def _check_cutoff(Y) -> None:
-    """Refuse a cutoff Y that is not an integer (bool included), before it
-    reaches a sieve or an arange."""
-    if not isinstance(Y, numbers.Integral) or isinstance(Y, bool):
-        raise ValueError(f"Y must be an integer, got {Y!r}")
 
 
 def _split_sqrt(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -108,7 +101,7 @@ def truncated_sum_many(xs: np.ndarray, Y: int) -> np.ndarray:
     order that depends only on Y, not on the other points or the chunking.
     Every point must be finite and >= 1, and Y an integer >= 0.
     """
-    _check_cutoff(Y)
+    check_integer("Y", Y)
     xs = np.asarray(xs, dtype=np.float64)
     if not (np.isfinite(xs).all() and (xs >= 1).all()):
         raise ValueError("points must be finite and >= 1")
@@ -143,7 +136,8 @@ def bessel_tail_term(x: float, n: int) -> float:
         -(2 sqrt(x) / pi) * d(n) / sqrt(n) * (K1(z) + (pi/2) Y1(z)),
 
     z = 4 pi sqrt(n x).  Its large-z limit reproduces the cosine-form summand
-    divided by pi*sqrt(2).  x must be finite and >= 1, and n >= 1."""
+    divided by pi*sqrt(2).  x must be finite and >= 1, and n an integer >= 1."""
+    check_integer("n", n)
     if not (math.isfinite(x) and x >= 1 and n >= 1):
         raise ValueError(f"need finite x >= 1 and n >= 1; got x={x}, n={n}")
     return _bessel_term(x, n, int(build_divisor_table(n, n)[0]))
@@ -152,7 +146,7 @@ def bessel_tail_term(x: float, n: int) -> float:
 def bessel_partial_sum(x: float, Y: int) -> float:
     """Partial Bessel-form sum over n <= Y, the exactly rounded sum of the
     bessel_tail_term values; cross-check for the cosine form."""
-    _check_cutoff(Y)
+    check_integer("Y", Y)
     if not (math.isfinite(x) and x >= 1 and Y >= 0):
         raise ValueError(f"need finite x >= 1 and Y >= 0; got x={x}, Y={Y}")
     if Y == 0:
@@ -162,8 +156,9 @@ def bessel_partial_sum(x: float, Y: int) -> float:
 
 
 def residual_at(x: float, Y: int) -> ResidualSample:
-    """Delta(x) - (pi sqrt 2)**(-1) Sigma_Y(x) at one point."""
-    _check_cutoff(Y)
+    """Delta(x) - (pi sqrt 2)**(-1) Sigma_Y(x) at one finite point x >= 1."""
+    if not (math.isfinite(x) and x >= 1):
+        raise ValueError(f"x must be finite and >= 1, got {x}")
     D = hyperbola_D(math.floor(x))
     delta = delta_of(float(x), D)
     return ResidualSample(x=float(x), Y=Y,
@@ -173,6 +168,7 @@ def residual_at(x: float, Y: int) -> ResidualSample:
 def stratified_midpoints(X: float, H: float, count: int) -> np.ndarray:
     """count deterministic sample points in [X, X+H): one unit-interval
     midpoint per stratum.  Midpoints avoid the jumps of D at integers."""
+    check_integer("the sample count", count)
     if count < 1:
         raise ValueError("sample count must be >= 1")
     strata = X + (np.arange(count) + 0.5) * (H / count)
@@ -184,7 +180,7 @@ def residual_mean_square(X: float, H: float, Y: int, sample_count: int) -> float
 
     Sampling is stratified and deterministic, so repeated runs agree exactly.
     """
-    _check_cutoff(Y)
+    check_integer("Y", Y)
     if not (math.isfinite(X) and math.isfinite(H) and X >= 2 and H > 0 and Y >= 1):
         raise ValueError(f"need finite X >= 2 and H > 0, and Y >= 1; got X={X}, H={H}, Y={Y}")
     xs = stratified_midpoints(X, H, sample_count)

@@ -16,6 +16,7 @@ from divisorlab.divisor import (
     anchor_grid,
     build_divisor_table,
     delta_at,
+    delta_of,
     delta_unit,
     hyperbola_D,
     hyperbola_D_many,
@@ -185,11 +186,33 @@ def test_delta_at_matches_mpmath(x, bound):
 
 @pytest.mark.parametrize("x", [2.0 ** 40 + 12345.5, 2e12 + 0.3, 3e14 + 0.75])
 def test_delta_at_above_2_40_matches_mpmath(x):
-    # no precision switch at 2**40: within a few ulp of Delta here, where
-    # long double was held to 4 * 2**-64 * x log x (2.2e-3 at 3e14)
+    # no precision switch at 2**40: correctly rounded here, where long double
+    # was held to 4 * 2**-64 * x log x (2.2e-3 at 3e14)
     s = delta_at(x)
     exact = float(delta_mp(math.floor(x), s.D, x - math.floor(x)))
-    assert abs(s.delta - exact) <= 4 * np.spacing(abs(exact))
+    assert abs(s.delta - exact) <= 0.5 * np.spacing(abs(exact))
+
+
+def _ulps(got, x, D):
+    """|got - (D - f(x))| in units in the last place of D - f(x), against the
+    50-digit oracle: Delta(x) when D is D(floor(x))."""
+    exact = delta_mp(math.floor(x), D, x - math.floor(x))
+    return float(abs(mpmath.mpf(got) - exact)) / np.spacing(abs(float(exact)))
+
+
+def test_delta_correctly_rounded():
+    # delta_at at fixed points from 1.5 to 2**51, then delta_of at 200 uniform
+    # x in [1, 2**52), each with a D that puts Delta(x) within a few x**(1/4)
+    # of 0, its size in the moments, without an O(sqrt(x)) hyperbola sum
+    for x in (1.5, 4.0 - 1e-9, 100.0, 2.0 ** 40 + 12345.5, 1e12 + 0.25, 2e12 + 0.3,
+              3e14 + 0.75, 2.0 ** 51 + 0.5):
+        s = delta_at(x)
+        assert _ulps(s.delta, x, s.D) <= 0.5, x
+    rng = np.random.default_rng(28)
+    for x in rng.uniform(1.0, 2.0 ** 52, 200):
+        f = -delta_mp(math.floor(x), 0, x - math.floor(x))
+        D = int(mpmath.floor(f)) + int(rng.integers(-4, 5) * max(1.0, x ** 0.25))
+        assert _ulps(delta_of(x, D), x, D) <= 0.5, x
 
 
 def test_delta_at_100():

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from divisorlab import series, voronoi
+from divisorlab import expsum, moments, series, voronoi
 from divisorlab.acceptance import AcceptanceContext
-from divisorlab.divisor import build_divisor_table
-from divisorlab.moments import window_main_term
-from divisorlab.relations import BudgetExceededError, form_is_zero
+from divisorlab.divisor import build_divisor_table, hyperbola_D, prefix_block
+from divisorlab.moments import WindowSpec, window_main_term
+from divisorlab.relations import (BudgetExceededError, RelationQuery, RelationSignature,
+                                  form_is_zero, min_gap)
 from divisorlab.series import (
     DEFAULT_CUTOFF,
     SIGNATURES,
@@ -283,13 +284,17 @@ def test_partial_at_most_completed_product_at_most_estimate(Y, name):
 @pytest.mark.parametrize("Y, table", [
     (1024, {"C1": "48.939", "C2": "3204.72", "C4": "3.937e6", "C7": "9.505e7"}),
     (10_000, {"C1": "49.3339", "C2": "3206.27", "C4": "4.0767e6", "C7": "9.5679e7"}),
+    (256, {"C1": "47.446", "C2": "3196.31", "C4": "3.353e6", "C7": "9.231e7"}),
+    (4096, {"C1": "49.275", "C2": "3206.11", "C4": "4.061e6", "C7": "9.560e7"}),
 ])
 def test_estimates_at_1024_and_1e4(Y, table):
+    # the rows of README's constant table, each to its last shown digit
     for name, shown in table.items():
         half_unit = 0.5 * 10.0 ** Decimal(shown).as_tuple().exponent
         assert estimate_constant(name, Y).estimate == pytest.approx(float(shown), abs=half_unit)
-    # the raw product over h <= 16000, a <= 16384 / sqrt(h) is 3.934e6, a lower bound
-    assert estimate_constant("C4", Y).estimate >= 3.93e6
+    # the raw product over h <= 16000, a <= 16384 / sqrt(h) is 3.934e6, a lower
+    # bound of C4 that every estimate from the default cutoff up clears
+    assert Y < DEFAULT_CUTOFF or estimate_constant("C4", Y).estimate >= 3.93e6
 
 
 def test_estimate_budget_refused_before_any_product(monkeypatch):
@@ -363,6 +368,35 @@ _NON_INTEGER_CUTOFFS = {
 def test_non_integer_cutoff_refused(case):
     with pytest.raises(ValueError, match="must be an integer"):
         _NON_INTEGER_CUTOFFS[case]()
+
+
+# every other integer argument of every layer follows the same rule
+_NON_INTEGER_ARGUMENTS = {
+    "signature-plus": lambda: RelationSignature(2.5, 1),
+    "signature-minus-bool": lambda: RelationSignature(2, True),
+    "range-end": lambda: RelationQuery(RelationSignature(1, 1), ((1, 12), (1, 12.0)), 0.1),
+    "min-gap-Y": lambda: min_gap(RelationSignature(2, 2), 12.0),
+    "eval-S-N": lambda: expsum.eval_S(1.0, 32.5, 2),
+    "eval-S-k": lambda: expsum.eval_S(1.0, 32, 2.0),
+    "abs-S-grid-N": lambda: expsum.abs_S_grid(np.linspace(1.0, 2.0, 16), np.float64(32), 2),
+    "moment8-samples": lambda: expsum.moment8_S(64.0, 16, 2, samples=16.5),
+    "residual-mean-square-samples": lambda: voronoi.residual_mean_square(1e5, 1e3, 10, 2.5),
+    "bessel-tail-term-n": lambda: voronoi.bessel_tail_term(100.5, 2.5),
+    "window-moment-k-bool": lambda: moments.window_moment(WindowSpec(X=10 ** 6, H=10 ** 4), True),
+    "moment-k": lambda: moments.moment(2.0, 100.0),
+    "profile-bool-power": lambda: moments.moment_profile([True], [], [100]),
+    "main-term-k-bool": lambda: main_term_coefficient(True),
+    "sieve-lo": lambda: build_divisor_table(1.5, 10),
+    "sieve-hi": lambda: build_divisor_table(1, 10.0),
+    "prefix-block": lambda: prefix_block(2.5, 10),
+    "hyperbola": lambda: hyperbola_D(100.0),
+}
+
+
+@pytest.mark.parametrize("case", list(_NON_INTEGER_ARGUMENTS))
+def test_non_integer_argument_refused(case):
+    with pytest.raises(ValueError, match="must be an integer"):
+        _NON_INTEGER_ARGUMENTS[case]()
 
 
 def test_partial_sums_memoized_per_cutoff(monkeypatch):

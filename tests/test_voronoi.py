@@ -94,6 +94,10 @@ def test_truncated_sum_trivial_and_validation():
         truncated_sum(0.5, 10)
     with pytest.raises(ValueError):
         truncated_sum(10.0, -1)
+    # refused before any sum, as delta_at refuses the same points
+    for x in (math.nan, math.inf, 0.5):
+        with pytest.raises(ValueError, match="x must be finite and >= 1"):
+            residual_at(x, 10)
 
 
 @pytest.mark.parametrize("xs, Y", [

@@ -4,9 +4,9 @@
 
 Runs each command of COMMANDS once with OLD_SRC and once with NEW_SRC on
 PYTHONPATH, each into its own temporary directory, and compares every CSV and
-JSON output with the runtime_s column (or key) dropped.  Manifests are left
-out: they hold the code hash, the output path and times.  Exit status 0 when
-every output matches byte for byte, 1 otherwise.
+JSON output with its timings dropped: a column or key named in TIMINGS.
+Manifests are left out: they hold the code hash, the output path and times.
+Exit status 0 when every output matches byte for byte, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -21,6 +21,10 @@ import tempfile
 from pathlib import Path
 
 COMMANDS = [
+    "delta --x 1000000",
+    "delta --x 1000000000000.25",
+    "voronoi --x 12345.5 --Y 1000",
+    "voronoi --x 1000000000.5 --Y 2000",
     "window --k 2 --X 1e10 --H 65536",
     "window --k 4 --X 1e11 --H 65536",
     "window --k 4 --X 1e6 --H 5000 --constants-Y 512",
@@ -30,20 +34,28 @@ COMMANDS = [
     "moment --k 8 --X 1e5 --constants-Y 256 --threads 2",
     "sieve --lo 999990000 --hi 1000000000",
     "count --plus 2 --minus 2 --ranges 1:40,1:40,1:40,1:40 --delta 1e-6",
+    "mingap --plus 2 --minus 2 --Y 50",
+    "mingap --plus 4 --minus 4 --Y 12",
     "constants",
     "constants --Y 256",
+    "expsum --N 128 --U 16384",
+    "expsum --N 64 --rootk 3 --U 4096 --samples 256",
+    "verify --quick",
 ]
 
+# the columns or keys that hold wall seconds
+TIMINGS = {"runtime_s", "seconds"}
 
-def _without_runtime(path: Path) -> str:
+
+def _without_timings(path: Path) -> str:
     if path.suffix == ".csv":
         rows = list(csv.reader(io.StringIO(path.read_text())))
-        keep = [i for i, name in enumerate(rows[0]) if name != "runtime_s"]
+        keep = [i for i, name in enumerate(rows[0]) if name not in TIMINGS]
         return "\n".join(",".join(row[i] for i in keep) for row in rows)
 
     def drop(value):
         if isinstance(value, dict):
-            return {k: drop(v) for k, v in value.items() if k != "runtime_s"}
+            return {k: drop(v) for k, v in value.items() if k not in TIMINGS}
         if isinstance(value, list):
             return [drop(v) for v in value]
         return value
@@ -55,7 +67,9 @@ def _run(src: str, command: str, out: Path) -> None:
     env = dict(os.environ, PYTHONPATH=src)
     argv = [sys.executable, "-c", "import sys; from divisorlab.cli import main; sys.exit(main())",
             *command.split(), "--out", str(out)]
-    subprocess.run(argv, env=env, check=True, stdout=subprocess.DEVNULL)
+    # verify exits 1 while criteria fail; its acceptance.csv is still compared
+    subprocess.run(argv, env=env, check=command.split()[0] != "verify",
+                   stdout=subprocess.DEVNULL)
 
 
 def main(old_src: str, new_src: str) -> int:
@@ -67,7 +81,7 @@ def main(old_src: str, new_src: str) -> int:
                 _run(src, command, out)
             files = sorted(p.name for p in outs[0].iterdir()
                            if p.suffix in (".csv", ".json") and "manifest" not in p.name)
-            same = [_without_runtime(outs[0] / f) == _without_runtime(outs[1] / f) for f in files]
+            same = [_without_timings(outs[0] / f) == _without_timings(outs[1] / f) for f in files]
             status |= not all(same)
             print(f"{'same' if all(same) else 'DIFFERENT'}: {command} ({', '.join(files)})")
     return status
