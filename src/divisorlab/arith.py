@@ -42,6 +42,7 @@ def kernel_decompose(n: int) -> KernelForm:
     left then has no prime factor below p, so it is 1, a prime q, q1*q2 or
     q**2, and only q**2 is a square.  The cost grows as the cube root of n:
     a prime near 2**48 takes milliseconds."""
+    check_integer("n", n)
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > (1 << 62):
@@ -60,7 +61,8 @@ def kernel_decompose(n: int) -> KernelForm:
     return KernelForm(n=n, a=a * q, h=h) if q * q == m else KernelForm(n=n, a=a, h=h * m)
 
 
-@lru_cache(maxsize=16)
+# typed, so that 10.0 or True never reaches the entry of 10 past the check
+@lru_cache(maxsize=16, typed=True)
 def factor_table(bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(a, h, d2) for n = 1..bound (index n-1): n = a**2 * h with h squarefree,
     and d2 = d(n**2) = prod (2e + 1) over the prime powers p**e of n.
@@ -70,6 +72,7 @@ def factor_table(bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     passes number the most distinct primes of any n <= bound.  The arrays
     are shared between callers and read-only.
     """
+    check_integer("bound", bound)
     spf = np.arange(bound + 1, dtype=np.int32)
     for p in range(2, math.isqrt(bound) + 1):
         if spf[p] == p:

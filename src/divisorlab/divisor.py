@@ -69,7 +69,8 @@ def build_divisor_table(lo: int, hi: int) -> np.ndarray:
     +2 (the pair d, q) or +1 when q == d.  The divisors fall in three bands:
 
     - d up to max(64, (hi-lo+1)/128), whose multiples are dense in the range:
-      one strided slice each, one Python iteration each;
+      their first offsets from one int64 pass, then one strided np.add each,
+      one Python iteration each;
     - larger d in chunks (see _SCATTER_CHUNK) that start below the window
       length hi-lo+1: a multi-hit scatter, each divisor's run of multiples
       laid out by one cumulative sum and added by one numpy bincount;
@@ -90,11 +91,15 @@ def build_divisor_table(lo: int, hi: int) -> np.ndarray:
     values = np.zeros(n, dtype=np.int32)
     root = math.isqrt(hi)
     split = min(root, max(64, n // 128))
-    for d in range(1, split + 1):
-        # first multiple of d at or past max(lo, d*d); past hi the slice is empty
-        start = max(lo, d * d)
-        first = ((start + d - 1) // d) * d
-        values[first - lo :: d] += 2
+    # offset of the first multiple of each d at or past max(lo, d*d); past hi
+    # the slice is empty.  np.add into the strided view skips the copy back
+    # that `+=` on a slice makes.
+    ds = np.arange(1, split + 1, dtype=np.int64)
+    firsts = (np.maximum(-(-lo // ds) * ds, ds * ds) - lo).tolist()
+    two = np.int32(2)
+    for d, first in enumerate(firsts, 1):
+        band = values[first::d]
+        np.add(band, two, out=band)
     a = split + 1
     while a <= root:
         # each d >= a has at most n // a + 1 multiples in the range
@@ -165,7 +170,8 @@ def isqrt_many(xs: np.ndarray) -> np.ndarray:
 
 
 def hyperbola_D_many(xs: np.ndarray) -> np.ndarray:
-    """hyperbola_D at every x of an int64 array, exact.
+    """hyperbola_D at every x of an integer array, exact; an array of
+    another dtype is refused.
 
     The arguments are sorted and taken in runs of _MANY_ROWS; a run adds
     floor(x/n) in (run x divisor) float64 blocks of at most _SCATTER_CHUNK
@@ -184,7 +190,10 @@ def hyperbola_D_many(xs: np.ndarray) -> np.ndarray:
     (q + 1) * 2**-53 since n*(q + 1) <= x + n < 2**53.  So q <= fl(x/n) <
     q + 1.
     """
-    xs = np.asarray(xs, dtype=np.int64)
+    xs = np.asarray(xs)
+    if not np.issubdtype(xs.dtype, np.integer):
+        raise ValueError(f"xs must be an integer array, got dtype {xs.dtype}")
+    xs = xs.astype(np.int64, copy=False)
     if xs.size and xs.min() < 1:
         raise ValueError("all arguments must be >= 1")
     if xs.size and xs.max() > MAX_SIEVE_ARGUMENT:

@@ -37,10 +37,10 @@ GL8_WEIGHTS = 0.5 * _weights
 WINDOW_EXPONENT_MARGIN = 0.01
 
 # Sieve block of the moment stream, in unit intervals.  Its int32 d(n) and
-# int64 D(m) arrays, 6 MiB per thread, set the stream's peak memory, and each
-# block runs an O(sqrt(x)) Python loop in the sieve; the measurements behind
-# 2**19 are in CHANGES.md.
-DEFAULT_BLOCK = 1 << 19
+# int64 D(m) arrays, 3 MiB per thread, set the stream's peak memory, and each
+# block runs an O(sqrt(x)) Python loop in the sieve's dense band; the
+# measurements behind 2**18 are in CHANGES.md.
+DEFAULT_BLOCK = 1 << 18
 
 # u at the two ends of every unit interval, for the sign-crossing test
 _ENDS = np.array([[0.0], [1.0]])
@@ -252,9 +252,10 @@ def moment_profile(
     in whole chunks; neither that nor threads changes a value.
 
     Returns {checkpoint: {("pow", k) | ("abs", A): integral}}.  Each k must
-    be an integer >= 1, each A finite and > 0, and lo >= 1, the checkpoints
-    and abs_limit integers.
+    be an integer >= 1, each A finite and > 0, and lo >= 1, the checkpoints,
+    abs_limit and threads integers.
     """
+    check_integer("threads", threads)
     for k in powers:
         check_integer("each power", k)
         if k < 1:

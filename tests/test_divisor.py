@@ -256,6 +256,8 @@ def test_divisor_table_matches_slice_oracle(window):
     (10 ** 9 - 7, 1 << 16),  # split 512, scatter chunks with several hits per d
     (10 ** 10 + 12345, 1 << 14),  # chunks from several hits per d through one
                                   # straddling the window length to one hit at most
+    (2 ** 21 + 2, 1 << 18),  # a stream block: every divisor in the dense band
+    (2001 ** 2 - 1, 1 << 18),  # dense-band d past 2001 start at d*d, not past lo
 ])
 def test_divisor_table_matches_slice_oracle_wide(lo, width):
     assert np.array_equal(build_divisor_table(lo, lo + width),

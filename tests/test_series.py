@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from divisorlab import expsum, moments, series, voronoi
 from divisorlab.acceptance import AcceptanceContext
-from divisorlab.divisor import build_divisor_table, hyperbola_D, prefix_block
+from divisorlab.arith import factor_table, kernel_decompose
+from divisorlab.divisor import build_divisor_table, hyperbola_D, hyperbola_D_many, prefix_block
 from divisorlab.moments import WindowSpec, window_main_term
 from divisorlab.relations import (BudgetExceededError, RelationQuery, RelationSignature,
                                   form_is_zero, min_gap)
@@ -390,6 +391,15 @@ _NON_INTEGER_ARGUMENTS = {
     "sieve-hi": lambda: build_divisor_table(1, 10.0),
     "prefix-block": lambda: prefix_block(2.5, 10),
     "hyperbola": lambda: hyperbola_D(100.0),
+    "hyperbola-many-float-array": lambda: hyperbola_D_many(np.array([100.7])),
+    "kernel-decompose-bool": lambda: kernel_decompose(True),
+    "kernel-decompose-float": lambda: kernel_decompose(2.5),
+    "factor-table-bound": lambda: factor_table(10.0),
+    "profile-threads": lambda: moments.moment_profile([2], [], [100], threads=1.5),
+    "profile-threads-bool": lambda: moments.moment_profile([2], [], [100], threads=True),
+    "moment-threads": lambda: moments.moment(2, 100.0, threads=1.5),
+    "window-moment-threads-bool": lambda: moments.window_moment(WindowSpec(X=10 ** 6, H=10 ** 4), 2,
+                                                                threads=True),
 }
 
 

@@ -32,7 +32,9 @@ COMMANDS = [
     "moment --k 4 --X 1e5",
     "moment --k 8 --X 1e5",
     "moment --k 8 --X 1e5 --constants-Y 256 --threads 2",
+    "moment --k 8 --X 3e6 --threads 2",
     "sieve --lo 999990000 --hi 1000000000",
+    "sieve --lo 1 --hi 600000",
     "count --plus 2 --minus 2 --ranges 1:40,1:40,1:40,1:40 --delta 1e-6",
     "mingap --plus 2 --minus 2 --Y 50",
     "mingap --plus 4 --minus 4 --Y 12",
