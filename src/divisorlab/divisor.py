@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import libmp
 
-from .arith import check_integer
+from .arith import BudgetExceededError, check_integer
 
 # Euler-Mascheroni constant, 30 significant digits, rounded to double.
 EULER_GAMMA = 0.577215664901532860606512090082
@@ -36,12 +36,18 @@ ANCHOR_SPAN = 1 << 14
 # sieve could overflow and memory budgets are unrealistic anyway.
 MAX_SIEVE_ARGUMENT = 1 << 52
 
+# Longest window build_divisor_table accepts: 2**22 values, 16 MiB of int32
+# d(n), above every caller in the package (2**18-value moment blocks,
+# criterion 1's 1e6, constant tables up to 2**20).
+MAX_SIEVE_WINDOW = 1 << 22
+
 # Vectorized passes over the divisors take at most _SCATTER_CHUNK divisors
 # (or hyperbola terms) and about max(_SCATTER_CHUNK, block length) sieve hits
 # at once, so their temporaries stay a few MB for short windows at any x.
-# Chunks of 2**16 hits keep their temporaries on the heap from one chunk to
-# the next; with 2**18 the heap handed them back after each chunk, and
-# faulting them in again cost 20% of a 2**16 window at 1e10.
+# Against chunks of 2**14..2**18, 2**16 sieved 2**16 windows at 1e10 and
+# 1e12 and a 2**17 window at 1e11 within the machine's noise of the fastest
+# (4.8, 15.7 and 10.1 ms on 2 shared vCPUs); at 2**20 the 1e12 window's
+# temporaries peak at 15 MiB instead of 1.7.
 _SCATTER_CHUNK = 1 << 16
 
 # hyperbola_D_many takes its sorted arguments in runs of this many
@@ -66,20 +72,18 @@ def build_divisor_table(lo: int, hi: int) -> np.ndarray:
     int32 array indexed n - lo.
 
     For every divisor d <= sqrt(hi), each multiple n = d*q with q >= d gets
-    +2 (the pair d, q) or +1 when q == d.  The divisors fall in three bands:
+    +2 (the pair d, q) or +1 when q == d.  The divisors fall in two bands:
 
-    - d up to max(64, (hi-lo+1)/128), whose multiples are dense in the range:
-      their first offsets from one int64 pass, then one strided np.add each,
-      one Python iteration each;
-    - larger d in chunks (see _SCATTER_CHUNK) that start below the window
-      length hi-lo+1: a multi-hit scatter, each divisor's run of multiples
-      laid out by one cumulative sum and added by one numpy bincount;
-    - the chunks from the window length up to sqrt(hi), whose divisors have
-      at most one multiple in the range: one remainder each, the offsets
-      inside the window added by one bincount per chunk.
+    - d up to max(64, (hi-lo+1)/128), each with many multiples in the range:
+      a loop over the divisors, their first offsets from one int64 pass,
+      then one strided np.add each;
+    - the larger d, each with few multiples, in chunks (see _SCATTER_CHUNK):
+      a loop over the passes, each keeping the offsets inside the window and
+      then advancing every one by its d, and one numpy bincount per chunk.
 
     Cost is O((hi-lo) * log(sqrt(hi))) element operations plus O(sqrt(hi))
-    vectorized per-divisor steps.
+    vectorized per-divisor steps.  A window longer than MAX_SIEVE_WINDOW is
+    refused with BudgetExceededError before anything is allocated.
     """
     check_integer("lo", lo)
     check_integer("hi", hi)
@@ -88,6 +92,9 @@ def build_divisor_table(lo: int, hi: int) -> np.ndarray:
     if hi > MAX_SIEVE_ARGUMENT:
         raise RangeOverflowError(f"hi={hi} exceeds supported range {MAX_SIEVE_ARGUMENT}")
     n = hi - lo + 1
+    if n > MAX_SIEVE_WINDOW:
+        raise BudgetExceededError(f"window of {n} values exceeds the sieve budget "
+                                  f"of {MAX_SIEVE_WINDOW}")
     values = np.zeros(n, dtype=np.int32)
     root = math.isqrt(hi)
     split = min(root, max(64, n // 128))
@@ -103,43 +110,28 @@ def build_divisor_table(lo: int, hi: int) -> np.ndarray:
     a = split + 1
     while a <= root:
         # each d >= a has at most n // a + 1 multiples in the range
-        width = max(1, max(n, _SCATTER_CHUNK) // (n // a + 1))
+        passes = n // a + 1
+        width = max(1, max(n, _SCATTER_CHUNK) // passes)
         b = min(root + 1, a + min(_SCATTER_CHUNK, width))
-        values += np.bincount(_pair_offsets(lo, n, a, b), minlength=n) * 2
+        d = np.arange(a, b, dtype=np.int64)
+        # the first multiple at or past lo; only where d*d > lo (the divisors
+        # near sqrt(hi)) does q >= d move it up to d*d
+        at = np.remainder(-lo, d)
+        if (b - 1) ** 2 > lo:
+            np.maximum(at, d * d - lo, out=at)
+        kept = []
+        for _ in range(passes):
+            kept.append(at[at < n])
+            at += d
+        # freed before the bincount's two n-long temporaries, so that a chunk
+        # holds less of the heap at once and the heap keeps it for the next
+        del d, at
+        values += np.bincount(np.concatenate(kept), minlength=n) * 2
         a = b
     # every square d*d in [lo, hi] was counted twice
     squares = np.arange(math.isqrt(lo - 1) + 1, root + 1, dtype=np.int64) ** 2
     values[squares - lo] -= 1
     return values
-
-
-def _pair_offsets(lo: int, n: int, a: int, b: int) -> np.ndarray:
-    """The offsets from lo of the multiples m = d*q, q >= d, in
-    [lo, lo + n) of every divisor d in [a, b), as one int64 array.
-
-    The first multiple of d at or past lo sits at offset (-lo) % d; only
-    where d*d > lo (the divisors near sqrt(hi)) does q >= d move it up to
-    d*d.  When a >= n, each d has at most one multiple in the window, and
-    the offsets below n are the hits.  The temporaries are freed before the
-    caller's bincount allocates, so a chunk holds less of the heap at once
-    and the heap keeps it for the next chunk instead of returning it."""
-    d = np.arange(a, b, dtype=np.int64)
-    single = a >= n
-    # the single-hit band needs d no more, so its offsets overwrite it
-    first = np.remainder(-lo, d, out=d if single else None)
-    if (b - 1) ** 2 > lo:
-        np.maximum(first, np.arange(a, b, dtype=np.int64) ** 2 - lo, out=first)
-    if single:
-        return np.compress(first < n, first)
-    count = (n - 1 - first) // d + 1
-    hit = count > 0
-    d, first, count = d[hit], first[hit], count[hit]
-    # hit offsets as one cumulative sum: steps of d within each run, and a
-    # jump from the previous run's last offset to each run's first
-    step = np.repeat(d, count)
-    last = first + (count - 1) * d
-    step[np.cumsum(count) - count] = first - np.concatenate(([0], last[:-1]))
-    return np.cumsum(step, out=step)
 
 
 def hyperbola_D(x: int) -> int:

@@ -253,9 +253,11 @@ def moment_profile(
 
     Returns {checkpoint: {("pow", k) | ("abs", A): integral}}.  Each k must
     be an integer >= 1, each A finite and > 0, and lo >= 1, the checkpoints,
-    abs_limit and threads integers.
+    abs_limit and threads integers, threads >= 1.
     """
     check_integer("threads", threads)
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads!r}")
     for k in powers:
         check_integer("each power", k)
         if k < 1:

@@ -69,9 +69,10 @@ def _split_sqrt(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=8)
 def _weights(Y: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(_split_sqrt(n), d(n) * n**(-3/4)) for n = 1..Y, flattened."""
-    n = np.arange(1, Y + 1, dtype=np.float64)
+    """(_split_sqrt(n), d(n) * n**(-3/4)) for n = 1..Y, flattened.  The sieve
+    comes first, so a Y past its window budget is refused before n is built."""
     d = build_divisor_table(1, Y).astype(np.float64)
+    n = np.arange(1, Y + 1, dtype=np.float64)
     return (*_split_sqrt(n), d * n ** -0.75)
 
 

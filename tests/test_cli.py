@@ -184,6 +184,19 @@ def test_expsum_budget_exit_code(tmp_path, capsys):
     assert not (tmp_path / "expsum_moment.csv").exists()
 
 
+@pytest.mark.parametrize("argv, csv", [
+    (["sieve", "--lo", "1", "--hi", str(1 << 52)], "sieve.csv"),
+    (["voronoi", "--x", "1000.5", "--Y", str(1 << 40)], "voronoi.csv"),
+])
+def test_sieve_window_budget_exit_code(tmp_path, capsys, argv, csv):
+    # both ask the sieve for a window past MAX_SIEVE_WINDOW, and are refused
+    # before it, or the Voronoi weights, allocate anything
+    assert main([*argv, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "budget exceeded" in err and "sieve budget" in err and "Traceback" not in err
+    assert not (tmp_path / csv).exists()
+
+
 def test_config_file_overlay(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment\nx = 100\n")

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divisorlab.arith import BudgetExceededError
 from divisorlab.divisor import (
     _MANY_ROWS,
     _SCATTER_CHUNK,
     ANCHOR_SPAN,
     MAX_SIEVE_ARGUMENT,
+    MAX_SIEVE_WINDOW,
     RangeOverflowError,
     anchor_grid,
     build_divisor_table,
@@ -24,6 +26,8 @@ from divisorlab.divisor import (
     prefix_block,
     unit_branch,
 )
+from divisorlab.moments import DEFAULT_BLOCK
+from divisorlab.series import MAX_CONSTANT_CUTOFF
 from oracles import d_of_square, d_trial_division, delta_mp
 
 # d(1..12) by hand
@@ -258,10 +262,24 @@ def test_divisor_table_matches_slice_oracle(window):
                                   # straddling the window length to one hit at most
     (2 ** 21 + 2, 1 << 18),  # a stream block: every divisor in the dense band
     (2001 ** 2 - 1, 1 << 18),  # dense-band d past 2001 start at d*d, not past lo
+    (65 * 153846154, 3900),  # the first chunk's d = 65 divides lo and has
+                             # n // 65 + 1 = 61 multiples, one per pass
 ])
 def test_divisor_table_matches_slice_oracle_wide(lo, width):
     assert np.array_equal(build_divisor_table(lo, lo + width),
                           sieve_oracle(lo, lo + width))
+
+
+def test_divisor_table_window_budget():
+    # the longest window is accepted; one value more is refused before any
+    # allocation, where 2**52 values would have asked numpy for 16 PiB
+    assert MAX_SIEVE_WINDOW >= max(DEFAULT_BLOCK, 10 ** 6, MAX_CONSTANT_CUTOFF, 3 * 10 ** 6)
+    lo = 10 ** 9
+    table = build_divisor_table(lo, lo + MAX_SIEVE_WINDOW - 1)
+    assert int(table.sum()) == hyperbola_D(lo + MAX_SIEVE_WINDOW - 1) - hyperbola_D(lo - 1)
+    for hi in (lo + MAX_SIEVE_WINDOW, MAX_SIEVE_ARGUMENT):
+        with pytest.raises(BudgetExceededError, match="sieve budget"):
+            build_divisor_table(lo, hi)
 
 
 def test_divisor_table_sums_to_hyperbola_at_max_argument():
@@ -296,9 +314,9 @@ def test_divisor_table_trial_division_near_1e10():
 
 
 def test_divisor_table_memory_is_bounded():
-    # a 2**16 window at 1e12 scatters 1e6 divisors in chunks; the
-    # temporaries must not grow with sqrt(hi) (about 2.1 MB here, 7.8 MB with
-    # chunks of 2**20 divisors)
+    # a 2**16 window at 1e12 takes 1e6 divisors in chunks; the temporaries
+    # must not grow with sqrt(hi) (1.7 MiB here, 15 MiB with chunks of 2**20
+    # divisors)
     tracemalloc.start()
     try:
         build_divisor_table(10 ** 12, 10 ** 12 + 65535)

@@ -411,6 +411,13 @@ def test_profile_rejects_non_integer_abs_limit():
         moment_profile([], [1.5], [4000], abs_limit=1500.5)
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_profile_rejects_thread_count_below_one(threads):
+    # the CLI's --threads refuses the same counts
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        moment_profile([2], [], [100], threads=threads)
+
+
 def test_moment_first_close_to_quarter_x():
     r = moment(1, 10 ** 5)
     assert r.main_term == 2.5 * 10 ** 4

@@ -35,6 +35,8 @@ COMMANDS = [
     "moment --k 8 --X 3e6 --threads 2",
     "sieve --lo 999990000 --hi 1000000000",
     "sieve --lo 1 --hi 600000",
+    "sieve --lo 1000000000000 --hi 1000000065535",
+    "sieve --lo 20000000000 --hi 20000004095",
     "count --plus 2 --minus 2 --ranges 1:40,1:40,1:40,1:40 --delta 1e-6",
     "mingap --plus 2 --minus 2 --Y 50",
     "mingap --plus 4 --minus 4 --Y 12",
