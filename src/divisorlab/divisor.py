@@ -36,18 +36,19 @@ ANCHOR_SPAN = 1 << 14
 # sieve could overflow and memory budgets are unrealistic anyway.
 MAX_SIEVE_ARGUMENT = 1 << 52
 
-# Longest window build_divisor_table accepts: 2**22 values, 16 MiB of int32
+# Longest window build_divisor_table accepts: 2**24 values, 64 MiB of int32
 # d(n), above every caller in the package (2**18-value moment blocks,
-# criterion 1's 1e6, constant tables up to 2**20).
-MAX_SIEVE_WINDOW = 1 << 22
+# criterion 1's 1e6, constant tables up to 2**20) and the 1e7-value table
+# timed in bench/baseline.md.
+MAX_SIEVE_WINDOW = 1 << 24
 
 # Vectorized passes over the divisors take at most _SCATTER_CHUNK divisors
 # (or hyperbola terms) and about max(_SCATTER_CHUNK, block length) sieve hits
 # at once, so their temporaries stay a few MB for short windows at any x.
-# Against chunks of 2**14..2**18, 2**16 sieved 2**16 windows at 1e10 and
-# 1e12 and a 2**17 window at 1e11 within the machine's noise of the fastest
-# (4.8, 15.7 and 10.1 ms on 2 shared vCPUs); at 2**20 the 1e12 window's
-# temporaries peak at 15 MiB instead of 1.7.
+# Against chunks of 2**14..2**18, 2**16 sieved a 2**16 window at 1e10 and a
+# 2**17 window at 1e11 within 3% of the fastest (4.5 and 10.1 ms on 2 shared
+# vCPUs); 2**18 took a 2**16 window at 1e12 in 10.3 ms against 12.0, but its
+# temporaries peak at 3.7 MiB instead of 1.5 (10 MiB at 2**20).
 _SCATTER_CHUNK = 1 << 16
 
 # hyperbola_D_many takes its sorted arguments in runs of this many
@@ -115,14 +116,15 @@ def build_divisor_table(lo: int, hi: int) -> np.ndarray:
         b = min(root + 1, a + min(_SCATTER_CHUNK, width))
         d = np.arange(a, b, dtype=np.int64)
         # the first multiple at or past lo; only where d*d > lo (the divisors
-        # near sqrt(hi)) does q >= d move it up to d*d
-        at = np.remainder(-lo, d)
+        # near sqrt(hi)) does q >= d move it up to d*d.  A chunk of one pass
+        # needs d no more, so its offsets overwrite it.
+        at = np.remainder(-lo, d, out=d if passes == 1 else None)
         if (b - 1) ** 2 > lo:
-            np.maximum(at, d * d - lo, out=at)
-        kept = []
-        for _ in range(passes):
-            kept.append(at[at < n])
+            np.maximum(at, np.arange(a, b, dtype=np.int64) ** 2 - lo, out=at)
+        kept = [at[at < n]]
+        for _ in range(passes - 1):
             at += d
+            kept.append(at[at < n])
         # freed before the bincount's two n-long temporaries, so that a chunk
         # holds less of the heap at once and the heap keeps it for the next
         del d, at
