@@ -1,7 +1,8 @@
 """Integer factoring: one integer at a time by trial division
 (kernel_decompose: n = a**2 * h with h squarefree) for the relations, and a
 whole range at once from a smallest-prime-factor sieve (factor_table) for the
-constant sums.  No table is shared between calls.
+constant sums.  factor_table keeps the tables of its 16 latest bounds, whose
+arrays are shared between callers and read-only.
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ def factor_table(bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(a, h, d2) for n = 1..bound (index n-1): n = a**2 * h with h squarefree,
     and d2 = d(n**2) = prod (2e + 1) over the prime powers p**e of n.
 
-    A smallest-prime-factor sieve up to bound is built for the call.  Each
+    A smallest-prime-factor sieve up to bound is built on the first call
+    with that bound; the 16 latest bounds' tables are kept.  Each
     pass strips the smallest remaining prime of every unfinished n, so the
     passes number the most distinct primes of any n <= bound.  The arrays
     are shared between callers and read-only.

@@ -9,9 +9,9 @@ refusal (BudgetExceededError).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
-import io
 import json
 import os
 import platform
@@ -19,6 +19,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import mpmath
 import numpy as np
@@ -35,7 +36,7 @@ from .relations import (
     near_solution_count,
 )
 from .series import DEFAULT_CUTOFF, SIGNATURES, estimate_constant
-from .voronoi import INV_PI_SQRT2, truncated_sum
+from .voronoi import residual_at
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -50,22 +51,25 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def write_csv(path: Path, header: list[str], rows: Iterable[Sequence]) -> None:
     """Write a CSV with minimal quoting: a field is quoted only when it holds
-    a comma, a quote or a line break, so numeric files are plain."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([_fmt(v) for v in row] for row in rows)
-    _atomic_write(path, buf.getvalue())
+    a comma, a quote or a line break, so numeric files are plain.  Each row
+    is written as it comes, so rows may be an iterator that is never held."""
+    with _atomic_open(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
-def _atomic_write(path: Path, text: str) -> None:
+@contextlib.contextmanager
+def _atomic_open(path: Path) -> Iterator[TextIO]:
+    """A text file that replaces path once the block ends, or is removed if
+    the block raises: a temporary file beside path."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -104,9 +108,18 @@ def _environment() -> dict:
     }
 
 
+def _sha256(path: Path) -> str:
+    """The sha256 of a file, read a MiB at a time, so a long CSV is never held."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 def write_manifest(path: Path, config: dict, outputs: list[Path], elapsed: float) -> None:
     """Write a run manifest; each of the outputs must exist, to be checksummed."""
-    checksums = {out.name: hashlib.sha256(out.read_bytes()).hexdigest() for out in outputs}
+    checksums = {out.name: _sha256(out) for out in outputs}
     manifest = {
         "tool": "divisorlab",
         "version": __version__,
@@ -116,7 +129,8 @@ def write_manifest(path: Path, config: dict, outputs: list[Path], elapsed: float
         "wall_time_s": round(elapsed, 3),
         "output_checksums": checksums,
     }
-    _atomic_write(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    with _atomic_open(path) as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _parse_ranges(text: str) -> tuple[tuple[int, int], ...]:
@@ -227,9 +241,10 @@ def _sieve(args):
     # D from lo - 1 (D(0) = 0), so that one sieve gives both columns: d = diff(D)
     D = (prefix_block(args.lo - 1, args.hi + 1) if args.lo > 1
          else np.append(0, prefix_block(1, args.hi + 1)))
-    rows = list(zip(range(args.lo, args.hi + 1), np.diff(D).tolist(), D[1:].tolist()))
+    # an iterator over the arrays, so no row is held past its write
+    rows = zip(range(args.lo, args.hi + 1), np.diff(D), D[1:])
     return ({"sieve.csv": (["n", "d", "D"], rows)},
-            f"wrote {args.out / 'sieve.csv'} ({len(rows)} rows)", EXIT_OK)
+            f"wrote {args.out / 'sieve.csv'} ({args.hi - args.lo + 1} rows)", EXIT_OK)
 
 
 def _delta(args):
@@ -239,12 +254,10 @@ def _delta(args):
 
 
 def _voronoi(args):
-    ts = truncated_sum(args.x, args.Y)
-    # the residual of voronoi.residual_at, from the one sum
-    res = delta_at(args.x).delta - INV_PI_SQRT2 * ts.value
+    r = residual_at(args.x, args.Y)
     return ({"voronoi.csv": (["x", "Y", "truncated_sum", "residual"],
-                             [[args.x, args.Y, ts.value, res]])},
-            f"x={_fmt(args.x)} Y={args.Y} sum={_fmt(ts.value)} residual={_fmt(res)}",
+                             [[args.x, args.Y, r.truncated_sum, r.value]])},
+            f"x={_fmt(args.x)} Y={args.Y} sum={_fmt(r.truncated_sum)} residual={_fmt(r.value)}",
             EXIT_OK)
 
 
@@ -343,7 +356,8 @@ def _run(args) -> int:
     for name, content in outputs.items():
         path = args.out / name
         if isinstance(content, str):
-            _atomic_write(path, content)
+            with _atomic_open(path) as fh:
+                fh.write(content)
         else:
             write_csv(path, *content)
         paths.append(path)

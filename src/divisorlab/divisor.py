@@ -32,6 +32,11 @@ _TWO_GAMMA_MINUS_ONE = libmp.from_str("0.154431329803065721213024180164804862084
 # 2 vCPUs.
 ANCHOR_SPAN = 1 << 14
 
+# Most anchors every ANCHOR_SPAN that anchor_grid lays out.  Each starts a
+# chunk that moment_profile plans in about 130 bytes before any is
+# integrated; 2**20 is above the 6.1e5 chunks of a profile to 1e10.
+MAX_ANCHORS = 1 << 20
+
 # Largest argument accepted anywhere; beyond this int64 intermediates in the
 # sieve could overflow and memory budgets are unrealistic anyway.
 MAX_SIEVE_ARGUMENT = 1 << 52
@@ -240,7 +245,15 @@ def anchor_grid(lo: int, hi: int) -> list[int]:
     lo, 2*lo, 4*lo, ... below lo + ANCHOR_SPAN, then every ANCHOR_SPAN from
     lo.  Each anchor m0 serves the intervals up to the next one, at most
     min(m0, ANCHOR_SPAN) of them, as unit_branch asks.  The grid depends on
-    lo alone, so no value depends on where a caller cuts its range."""
+    lo alone, so no value depends on where a caller cuts its range.  Before
+    any anchor is laid out, hi above MAX_SIEVE_ARGUMENT raises
+    RangeOverflowError and hi - lo above MAX_ANCHORS * ANCHOR_SPAN
+    BudgetExceededError."""
+    if hi > MAX_SIEVE_ARGUMENT:
+        raise RangeOverflowError(f"hi={hi} exceeds supported range {MAX_SIEVE_ARGUMENT}")
+    if hi - lo > MAX_ANCHORS * ANCHOR_SPAN:
+        raise BudgetExceededError(f"{hi - lo} unit intervals exceed the plan budget of "
+                                  f"{MAX_ANCHORS} anchors every {ANCHOR_SPAN}")
     first = min(hi, lo + ANCHOR_SPAN)
     return [lo << k for k in range(((first - 1) // lo).bit_length())] + list(
         range(lo + ANCHOR_SPAN, hi, ANCHOR_SPAN))
@@ -311,17 +324,28 @@ def delta_unit(coef: np.ndarray, u, out: np.ndarray | None = None) -> np.ndarray
     return p
 
 
+def check_point(x: float) -> None:
+    """Refuse a point x at which Delta is not evaluated: by a ValueError when
+    x is not finite or below 1, by a RangeOverflowError above
+    MAX_SIEVE_ARGUMENT."""
+    if not (math.isfinite(x) and x >= 1):
+        raise ValueError(f"x must be finite and >= 1, got {x}")
+    if x > MAX_SIEVE_ARGUMENT:
+        raise RangeOverflowError(f"x={x} exceeds supported range {MAX_SIEVE_ARGUMENT}")
+
+
 def delta_of(x: float, D: int) -> float:
     """Delta(x) given the exact D(floor(x)), from f(x) to _PREC bits: the
-    float64 nearest Delta(x) up to the rounding of that f."""
+    float64 nearest Delta(x) up to the rounding of that f.  x is refused as
+    check_point refuses it."""
+    check_point(x)
     f = _log_term(libmp.from_float(float(x)))[1]
     return _to_float(libmp.mpf_sub(libmp.from_int(int(D)), f, _PREC))
 
 
 def delta_at(x: float) -> DeltaSample:
     """Delta(x) with exact D(floor(x)) computed by the hyperbola identity."""
-    if not (math.isfinite(x) and x >= 1):
-        raise ValueError(f"x must be finite and >= 1, got {x}")
+    check_point(x)
     D = hyperbola_D(math.floor(x))
     return DeltaSample(x=float(x), D=D, delta=delta_of(float(x), D))
 

@@ -253,7 +253,8 @@ def moment_profile(
 
     Returns {checkpoint: {("pow", k) | ("abs", A): integral}}.  Each k must
     be an integer >= 1, each A finite and > 0, and lo >= 1, the checkpoints,
-    abs_limit and threads integers, threads >= 1.
+    abs_limit and threads integers, threads >= 1.  A plan past the range or
+    the budget of divisor.anchor_grid is refused before it is laid out.
     """
     check_integer("threads", threads)
     if threads < 1:

@@ -197,11 +197,11 @@ def _number_rows(rows: np.ndarray, bits: int) -> np.ndarray:
 
 def _enumerate_side(ranges: Sequence[tuple[int, int]],
                     values: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]],
-                    shift: int, bits: int) -> _Side:
+                    shift: int, bits: int, width: int) -> _Side:
     """Sums and kernel-class rows of the smallest ordering of every multiset of
     the product of ranges, given for each value v = a**2 * h of each distinct
-    range the rank of its kernel h, a and sqrt(v), and the slots' coefficient
-    width and total width.
+    range the rank of its kernel h, a and sqrt(v), the slots' coefficient
+    width and total width, and the slots per row, at least one per range.
 
     The ranges are walked in order, every kept (tuple, value) pair extending
     a tuple.  A range met before on this side keeps only the values from the
@@ -211,56 +211,52 @@ def _enumerate_side(ranges: Sequence[tuple[int, int]],
     ordering.
 
     A tuple's class is its row of slots (kernel, coefficient), kernels
-    ascending and padded to one slot per range so far.  Appending a value
-    v = a**2 * h to a tuple adds a to the coefficient of kernel h in its row,
-    or inserts the slot (h, a).  Per range, the rows of every kept pair are
-    formed at once; the rows are numbered only by the box.
+    ascending and padded to width slots.  Appending a value v = a**2 * h to a
+    tuple adds a to the coefficient of kernel h in its row, or puts the slot
+    (h, a) in a pad.  Per range, the rows of every kept pair are formed at
+    once; the rows are numbered only by the box.
+
+    A tuple's weight, its number of orderings, is counted in the same walk:
+    beside the latest value offset of each recurring range, each tuple keeps
+    the length of the run of equal values that ends there.
     """
+    pad = (1 << bits) - 1
     sums = np.zeros(1, dtype=np.float64)
     flat = np.zeros(1, dtype=np.int64)
-    rows = np.zeros((1, 0), dtype=np.int64)
+    weights = np.ones(1, dtype=np.int64)
+    rows = np.full((1, width), pad, dtype=np.int64)
     # per range that recurs: each tuple's value offset at the range's latest
-    # position so far
-    last: dict[tuple[int, int], np.ndarray] = {}
+    # position so far, and the length of the run of equal values ending there
+    last: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
     for i, r in enumerate(ranges):
         rank, a, roots = values[r]
-        floor = last.pop(r) if r in last else np.zeros(sums.size, dtype=np.int64)
+        zero = np.zeros(sums.size, dtype=np.int64)
+        floor, run = last.pop(r, (zero, zero))
         counts = len(a) - floor
         parent = np.repeat(np.arange(sums.size), counts)
-        k = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts - floor, counts)
+        first = np.cumsum(counts) - counts  # each tuple's pair that takes the value at floor
+        k = np.arange(parent.size) - np.repeat(first - floor, counts)
         rank, a = rank[k], a[k]
-        old = rows[parent]
-        same = (old >> shift) == rank[:, None]  # at most one slot
-        rows = np.empty((parent.size, old.shape[1] + 1), dtype=np.int64)
-        rows[:, :-1] = old + same * a[:, None]
-        rows[:, -1] = np.where(same.any(axis=1), (1 << bits) - 1, rank << shift | a)
+        rows = rows[parent]
+        same = (rows >> shift) == rank[:, None]  # at most one slot
+        np.add(rows, a[:, None], out=rows, where=same)
+        # column i is a pad: at most i slots are filled, and they sort first
+        rows[:, i] = np.where(same.any(axis=1), pad, rank << shift | a)
         rows.sort(axis=1)
         sums = sums[parent] + roots[k]
         flat = flat[parent] * len(roots) + k
-        last = {g: x[parent] for g, x in last.items()}
+        # the t-th value of a group multiplies the orderings by t and divides
+        # them by the run it ends; each partial product is a multinomial
+        # coefficient, so the division is exact
+        weights = weights[parent] * ranges[: i + 1].count(r)
+        weights[first] //= run + 1
+        last = {g: (x[parent], n[parent]) for g, (x, n) in last.items()}
         if r in ranges[i + 1:]:
-            last[r] = k
+            ends = np.ones(parent.size, dtype=np.int64)
+            ends[first] = run + 1
+            last[r] = (k, ends)
     order = np.argsort(sums)
-    flat = flat[order]
-    return _Side(tuple(ranges), sums[order], rows[order], flat, _weights(ranges, flat))
-
-
-def _weights(ranges: Sequence[tuple[int, int]], flat: np.ndarray) -> np.ndarray:
-    """The number of orderings of the tuple at each flat index, one whose
-    values ascend within every group of g equal ranges: prod g!/prod m_v!.
-    A value equal to the one before it in its group extends a run, and the
-    run lengths at a group's positions multiply to prod m_v!."""
-    weights = np.ones(flat.size, dtype=np.int64)
-    groups = {r: g for r, g in Counter(ranges).items() if g > 1}
-    offsets = np.unravel_index(flat, [hi - lo + 1 for lo, hi in ranges]) if groups else ()
-    for r, g in groups.items():
-        group = [v for v, s in zip(offsets, ranges) if s == r]
-        run = runs = np.ones(flat.size, dtype=np.int64)
-        for before, v in zip(group, group[1:]):
-            run = np.where(v == before, run + 1, 1)
-            runs = runs * run
-        weights *= math.factorial(g) // runs
-    return weights
+    return _Side(tuple(ranges), sums[order], rows[order], flat[order], weights[order])
 
 
 class _Box:
@@ -297,14 +293,13 @@ class _Box:
         # range, and the ranks stay below the all-ones rank of the pad
         self.shift = int(sum(values[r][1].max() for r in query.ranges)).bit_length()
         self.bits = self.shift + len(kernels).bit_length()
-        sides = {r: _enumerate_side(r, values, self.shift, self.bits) for r in sides}
+        # the rows of both sides take the slots of the wider one
+        width = max(len(plus), len(minus))
+        sides = {r: _enumerate_side(r, values, self.shift, self.bits, width) for r in sides}
         self.plus, self.minus = sides[plus], sides[minus]
-        # one numbering of the distinct sides' rows, padded to a common width,
-        # the plus side's first and the minus side's last
-        width = max(side.rows.shape[1] for side in sides.values())
-        ids = _number_rows(np.concatenate([
-            np.pad(side.rows, ((0, 0), (0, width - side.rows.shape[1])),
-                   constant_values=(1 << self.bits) - 1) for side in sides.values()]), self.bits)
+        # one numbering of the distinct sides' rows, the plus side's first and
+        # the minus side's last
+        ids = _number_rows(np.concatenate([side.rows for side in sides.values()]), self.bits)
         self.plus_ids, self.minus_ids = ids[: self.plus.sums.size], ids[-self.minus.sums.size :]
         # the first and the last position of the run of equal ids through
         # each plus position

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import bessel
 from .arith import check_integer
-from .divisor import build_divisor_table, delta_of, hyperbola_D, hyperbola_D_many
+from .divisor import build_divisor_table, check_point, delta_of, hyperbola_D, hyperbola_D_many
 
 INV_PI_SQRT2 = 1.0 / (math.pi * math.sqrt(2.0))
 
@@ -56,6 +56,7 @@ class ResidualSample:
     x: float
     Y: int
     value: float
+    truncated_sum: float  # the Sigma_Y(x) that value subtracts
 
 
 def _split_sqrt(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -100,12 +101,14 @@ def truncated_sum_many(xs: np.ndarray, Y: int) -> np.ndarray:
 
     Each row of weighted cosines is reduced by numpy's pairwise sum, in an
     order that depends only on Y, not on the other points or the chunking.
-    Every point must be finite and >= 1, and Y an integer >= 0.
+    Every point is refused as divisor.check_point refuses it, and Y must be
+    an integer >= 0.
     """
     check_integer("Y", Y)
     xs = np.asarray(xs, dtype=np.float64)
-    if not (np.isfinite(xs).all() and (xs >= 1).all()):
-        raise ValueError("points must be finite and >= 1")
+    if xs.size:  # a nan propagates to both extremes
+        check_point(xs.min())
+        check_point(xs.max())
     if Y < 0:
         raise ValueError("Y must be >= 0")
     out = np.zeros(len(xs))
@@ -157,13 +160,13 @@ def bessel_partial_sum(x: float, Y: int) -> float:
 
 
 def residual_at(x: float, Y: int) -> ResidualSample:
-    """Delta(x) - (pi sqrt 2)**(-1) Sigma_Y(x) at one finite point x >= 1."""
-    if not (math.isfinite(x) and x >= 1):
-        raise ValueError(f"x must be finite and >= 1, got {x}")
-    D = hyperbola_D(math.floor(x))
-    delta = delta_of(float(x), D)
-    return ResidualSample(x=float(x), Y=Y,
-                          value=delta - INV_PI_SQRT2 * truncated_sum(x, Y).value)
+    """Delta(x) - (pi sqrt 2)**(-1) Sigma_Y(x) at one point x, with the
+    Sigma_Y(x) it subtracts; x is refused as divisor.check_point refuses it."""
+    check_point(x)
+    delta = delta_of(float(x), hyperbola_D(math.floor(x)))
+    sigma = truncated_sum(x, Y).value
+    return ResidualSample(x=float(x), Y=Y, value=delta - INV_PI_SQRT2 * sigma,
+                          truncated_sum=sigma)
 
 
 def stratified_midpoints(X: float, H: float, count: int) -> np.ndarray:

@@ -197,6 +197,41 @@ def test_sieve_window_budget_exit_code(tmp_path, capsys, argv, csv):
     assert not (tmp_path / csv).exists()
 
 
+@pytest.mark.parametrize("X, code, message", [
+    ("1e17", 2, "out of range"),  # a last checkpoint past MAX_SIEVE_ARGUMENT
+    ("2e10", 3, "plan budget"),  # 1.2e6 anchors, past divisor.MAX_ANCHORS
+])
+def test_moment_plan_refused_before_planning(tmp_path, capsys, X, code, message):
+    assert main(["moment", "--k", "2", "--X", X, "--out", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "moment.csv").exists()
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+def test_sieve_rows_streamed_peak_rss(tmp_path):
+    # 2**20 rows peaked at 220 MiB of RSS while held as Python rows and as
+    # one string; written as they are made and hashed a MiB at a time, 59 MiB.
+    # VmHWM is the child's own peak: ru_maxrss would keep the pytest
+    # process's RSS from before the exec
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+    program = ("import sys; from divisorlab.cli import main; code = main(sys.argv[1:]); "
+               "status = open('/proc/self/status').read(); "
+               "print(code, status.split('VmHWM:')[1].split()[0])")
+    done = subprocess.run([sys.executable, "-c", program, "sieve", "--lo", "1", "--hi",
+                           str(1 << 20), "--out", str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+                          timeout=120, check=True)
+    code, peak_kib = done.stdout.split()[-2:]
+    assert code == "0"
+    assert int(peak_kib) < 100 * 2 ** 10, peak_kib
+    with open(tmp_path / "sieve.csv") as fh:
+        lines = fh.readlines()
+    assert len(lines) == (1 << 20) + 1
+    assert lines[-1] == f"{1 << 20},{d_trial_division(1 << 20)},{hyperbola_D(1 << 20)}\n"
+
+
 def test_config_file_overlay(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment\nx = 100\n")
@@ -226,7 +261,8 @@ def test_voronoi_sums_sigma_once(tmp_path, monkeypatch):
     assert main(["voronoi", "--x", "1000.5", "--Y", "50", "--out", str(tmp_path)]) == 0
     assert calls == [50]
     row = (tmp_path / "voronoi.csv").read_text().splitlines()[1].split(",")
-    assert float(row[3]) == voronoi.residual_at(1000.5, 50).value
+    sample = voronoi.residual_at(1000.5, 50)
+    assert [float(row[2]), float(row[3])] == [sample.truncated_sum, sample.value]
 
 
 def test_explicit_flag_equal_to_its_default_beats_config(tmp_path):

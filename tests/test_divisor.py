@@ -225,10 +225,12 @@ def test_delta_at_100():
     assert s.delta == pytest.approx(6.0399, abs=1e-3)
 
 
-@pytest.mark.parametrize("x", [math.nan, math.inf, 0.5])
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 0.5])
 def test_delta_at_rejects_bad_x(x):
     with pytest.raises(ValueError, match="x must be finite and >= 1"):
         delta_at(x)
+    with pytest.raises(ValueError, match="x must be finite and >= 1"):
+        delta_of(x, 5)
 
 
 def test_delta_jump_at_integers():
@@ -405,7 +407,8 @@ def test_hyperbola_rejects_beyond_max_argument():
         hyperbola_D(MAX_SIEVE_ARGUMENT + 1)
 
 
-@pytest.mark.parametrize("call", [lambda: hyperbola_D(10 ** 30), lambda: delta_at(1e30)])
+@pytest.mark.parametrize("call", [lambda: hyperbola_D(10 ** 30), lambda: delta_at(1e30),
+                                  lambda: delta_of(1e30, 5), lambda: delta_of(2.0 ** 52 + 2, 5)])
 def test_beyond_int64_is_refused_before_conversion(call):
     # 10**30 has no int64 form: the range check must come first
     with pytest.raises(RangeOverflowError):

@@ -7,7 +7,13 @@ import pytest
 from scipy import special
 
 from divisorlab import bessel, voronoi
-from divisorlab.divisor import build_divisor_table, delta_at, delta_of, hyperbola_D
+from divisorlab.divisor import (
+    RangeOverflowError,
+    build_divisor_table,
+    delta_at,
+    delta_of,
+    hyperbola_D,
+)
 from divisorlab.voronoi import (
     INV_PI_SQRT2,
     bessel_partial_sum,
@@ -97,6 +103,12 @@ def test_truncated_sum_trivial_and_validation():
     # refused before any sum, as delta_at refuses the same points
     for x in (math.nan, math.inf, 0.5):
         with pytest.raises(ValueError, match="x must be finite and >= 1"):
+            residual_at(x, 10)
+    # past MAX_SIEVE_ARGUMENT, refused as delta_at and the sieve refuse them
+    for x in (2.0 ** 52 + 2, 1e300):
+        with pytest.raises(RangeOverflowError):
+            truncated_sum(x, 10)
+        with pytest.raises(RangeOverflowError):
             residual_at(x, 10)
 
 

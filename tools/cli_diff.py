@@ -38,8 +38,10 @@ COMMANDS = [
     "sieve --lo 1000000000000 --hi 1000000065535",
     "sieve --lo 20000000000 --hi 20000004095",
     "count --plus 2 --minus 2 --ranges 1:40,1:40,1:40,1:40 --delta 1e-6",
+    "count --plus 3 --minus 2 --ranges 1:9,2:11,1:9,3:12,3:12 --delta 0.05",
     "mingap --plus 2 --minus 2 --Y 50",
     "mingap --plus 4 --minus 4 --Y 12",
+    "mingap --plus 4 --minus 4 --Y 24",
     "constants",
     "constants --Y 256",
     "expsum --N 128 --U 16384",
