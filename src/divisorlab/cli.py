@@ -25,7 +25,7 @@ import mpmath
 import numpy as np
 
 from . import __version__
-from .divisor import RangeOverflowError, delta_at, prefix_block
+from .divisor import RangeOverflowError, build_divisor_table, delta_at, hyperbola_D
 from .expsum import abs_S_grid, moment8_S
 from .moments import WindowSpec, moment, window_moment
 from .relations import (
@@ -238,11 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _sieve(args):
     if not 1 <= args.lo <= args.hi:
         raise ValueError(f"need 1 <= lo <= hi, got lo={args.lo}, hi={args.hi}")
-    # D from lo - 1 (D(0) = 0), so that one sieve gives both columns: d = diff(D)
-    D = (prefix_block(args.lo - 1, args.hi + 1) if args.lo > 1
-         else np.append(0, prefix_block(1, args.hi + 1)))
+    # one sieve gives both columns: d, and D seeded with D(lo - 1) (D(0) = 0)
+    d = build_divisor_table(args.lo, args.hi)
+    D = np.cumsum(d, dtype=np.int64)
+    D += hyperbola_D(args.lo - 1) if args.lo > 1 else 0
     # an iterator over the arrays, so no row is held past its write
-    rows = zip(range(args.lo, args.hi + 1), np.diff(D), D[1:])
+    rows = zip(range(args.lo, args.hi + 1), d, D)
     return ({"sieve.csv": (["n", "d", "D"], rows)},
             f"wrote {args.out / 'sieve.csv'} ({args.hi - args.lo + 1} rows)", EXIT_OK)
 

@@ -37,8 +37,9 @@ ANCHOR_SPAN = 1 << 14
 # integrated; 2**20 is above the 6.1e5 chunks of a profile to 1e10.
 MAX_ANCHORS = 1 << 20
 
-# Largest argument accepted anywhere; beyond this int64 intermediates in the
-# sieve could overflow and memory budgets are unrealistic anyway.
+# Largest argument accepted anywhere.  The floor quotients of the sieve and
+# of hyperbola_D_many are truncated float64 quotients x/d, exact while
+# x + d < 2**53 (x = lo - 1 in the sieve; d <= 2**26 at this bound).
 MAX_SIEVE_ARGUMENT = 1 << 52
 
 # Longest window build_divisor_table accepts: 2**24 values, 64 MiB of int32
@@ -75,21 +76,34 @@ class DeltaSample:
 
 def build_divisor_table(lo: int, hi: int) -> np.ndarray:
     """Exact d(n) for all n in [lo, hi], both endpoints inclusive, as an
-    int32 array indexed n - lo.
-
-    For every divisor d <= sqrt(hi), each multiple n = d*q with q >= d gets
-    +2 (the pair d, q) or +1 when q == d.  The divisors fall in two bands:
-
-    - d up to max(64, (hi-lo+1)/128), each with many multiples in the range:
-      a loop over the divisors, their first offsets from one int64 pass,
-      then one strided np.add each;
-    - the larger d, each with few multiples, in chunks (see _SCATTER_CHUNK):
-      a loop over the passes, each keeping the offsets inside the window and
-      then advancing every one by its d, and one numpy bincount per chunk.
+    int32 array indexed n - lo, from _divisor_sieve.
 
     Cost is O((hi-lo) * log(sqrt(hi))) element operations plus O(sqrt(hi))
     vectorized per-divisor steps.  A window longer than MAX_SIEVE_WINDOW is
     refused with BudgetExceededError before anything is allocated.
+    """
+    return _divisor_sieve(lo, hi)[0]
+
+
+def _divisor_sieve(lo: int, hi: int) -> tuple[np.ndarray, int]:
+    """d(n) for n in [lo, hi] as an int32 array indexed n - lo, and the exact
+    D(lo - 1), from one quotient q = floor((lo - 1)/d) for every divisor
+    d <= isqrt(hi).
+
+    q is the float64 quotient truncated, exact because lo - 1 + d < 2**53
+    (the argument of hyperbola_D_many).  The first multiple of d at or past
+    lo is (q + 1)*d, and D(lo - 1) = 2 * (sum of q over d <= isqrt(lo - 1))
+    - isqrt(lo - 1)**2.  Each multiple n = d*m with m >= d gets +2 (the pair
+    d, m) or +1 when m == d.  The divisors fall in two bands:
+
+    - d up to max(64, (hi-lo+1)/128), each with many multiples in the range:
+      a loop over the divisors, their first offsets from one int64 pass,
+      then one strided np.add each;
+    - the larger d, each with few multiples, in chunks (see _SCATTER_CHUNK)
+      of int32 divisors: q truncated straight into an int64 array and turned
+      into the offsets there, then a loop over the passes, each keeping the
+      offsets inside the window and then advancing every one by its d, and
+      one numpy bincount per chunk.
     """
     check_integer("lo", lo)
     check_integer("hi", hi)
@@ -102,13 +116,16 @@ def build_divisor_table(lo: int, hi: int) -> np.ndarray:
         raise BudgetExceededError(f"window of {n} values exceeds the sieve budget "
                                   f"of {MAX_SIEVE_WINDOW}")
     values = np.zeros(n, dtype=np.int32)
-    root = math.isqrt(hi)
+    root, below = math.isqrt(hi), math.isqrt(lo - 1)
+    x = float(lo - 1)  # exact
     split = min(root, max(64, n // 128))
     # offset of the first multiple of each d at or past max(lo, d*d); past hi
     # the slice is empty.  np.add into the strided view skips the copy back
     # that `+=` on a slice makes.
     ds = np.arange(1, split + 1, dtype=np.int64)
-    firsts = (np.maximum(-(-lo // ds) * ds, ds * ds) - lo).tolist()
+    q = (x / ds).astype(np.int64)
+    quotient_sum = int(q[:below].sum())
+    firsts = (np.maximum((q + 1) * ds, ds * ds) - lo).tolist()
     two = np.int32(2)
     for d, first in enumerate(firsts, 1):
         band = values[first::d]
@@ -119,13 +136,17 @@ def build_divisor_table(lo: int, hi: int) -> np.ndarray:
         passes = n // a + 1
         width = max(1, max(n, _SCATTER_CHUNK) // passes)
         b = min(root + 1, a + min(_SCATTER_CHUNK, width))
-        d = np.arange(a, b, dtype=np.int64)
-        # the first multiple at or past lo; only where d*d > lo (the divisors
-        # near sqrt(hi)) does q >= d move it up to d*d.  A chunk of one pass
-        # needs d no more, so its offsets overwrite it.
-        at = np.remainder(-lo, d, out=d if passes == 1 else None)
+        d = np.arange(a, b, dtype=np.int32)
+        at = np.divide(x, d, out=np.empty(b - a, dtype=np.int64), casting="unsafe")
+        if a <= below:
+            quotient_sum += int(at[: below + 1 - a].sum())
+        at += 1
+        at *= d
+        at -= lo
+        # only where d*d > lo (the divisors near sqrt(hi)) does m >= d move
+        # the first multiple up to d*d
         if (b - 1) ** 2 > lo:
-            np.maximum(at, np.arange(a, b, dtype=np.int64) ** 2 - lo, out=at)
+            np.maximum(at, np.multiply(d, d, dtype=np.int64) - lo, out=at)
         kept = [at[at < n]]
         for _ in range(passes - 1):
             at += d
@@ -136,9 +157,9 @@ def build_divisor_table(lo: int, hi: int) -> np.ndarray:
         values += np.bincount(np.concatenate(kept), minlength=n) * 2
         a = b
     # every square d*d in [lo, hi] was counted twice
-    squares = np.arange(math.isqrt(lo - 1) + 1, root + 1, dtype=np.int64) ** 2
+    squares = np.arange(below + 1, root + 1, dtype=np.int64) ** 2
     values[squares - lo] -= 1
-    return values
+    return values, 2 * quotient_sum - below * below
 
 
 def hyperbola_D(x: int) -> int:
@@ -175,19 +196,21 @@ def hyperbola_D_many(xs: np.ndarray) -> np.ndarray:
     The arguments are sorted and taken in runs of _MANY_ROWS; a run adds
     floor(x/n) in (run x divisor) float64 blocks of at most _SCATTER_CHUNK
     quotients, over the divisors up to its largest root and only for the
-    x >= n*n.  Each block's row sums are taken with dtype int64, which
-    truncates every quotient to int64 before it is added, so no fraction
-    reaches the sum.  The sum for one x is below x*(log(sqrt(x)) + 1) < 2**63
-    for every x <= MAX_SIEVE_ARGUMENT; larger x are refused.
+    x >= n*n.  Every block is written into one divisor and one quotient
+    buffer made per call.  Each block's row sums are taken with dtype int64,
+    which truncates every quotient to int64 before it is added, so no
+    fraction reaches the sum.  The sum for one x is below
+    x*(log(sqrt(x)) + 1) < 2**63 for every x <= MAX_SIEVE_ARGUMENT; larger x
+    are refused.
 
-    floor(x/n) is the float64 quotient fl(x/n) truncated, which is exact
-    because x + n < 2**53 (x <= 2**52, n <= sqrt(x) <= 2**26).  x and n are
-    exact in float64.  Write x = q*n + r with 0 <= r < n.  Rounding is
-    monotone and q is a float64, so fl(x/n) >= q.  For fl(x/n) to reach
-    q + 1, x/n would have to lie within half a spacing of it, at most
-    (q + 1) * 2**-53; but q + 1 - x/n = (n - r)/n >= 1/n, and 1/n >
-    (q + 1) * 2**-53 since n*(q + 1) <= x + n < 2**53.  So q <= fl(x/n) <
-    q + 1.
+    floor(x/n) is the float64 quotient fl(x/n) truncated, which is exact for
+    integers x >= 0 and n >= 1 with x + n < 2**53: here x <= 2**52 and
+    n <= sqrt(x) <= 2**26.  x and n are exact in float64.  Write x = q*n + r
+    with 0 <= r < n.  Rounding is monotone and q is a float64, so
+    fl(x/n) >= q.  For fl(x/n) to reach q + 1, x/n would have to lie within
+    half a spacing of it, at most (q + 1) * 2**-53; but q + 1 - x/n =
+    (n - r)/n >= 1/n, and 1/n > (q + 1) * 2**-53 since
+    n*(q + 1) <= x + n < 2**53.  So q <= fl(x/n) < q + 1.
     """
     xs = np.asarray(xs)
     if not np.issubdtype(xs.dtype, np.integer):
@@ -201,14 +224,21 @@ def hyperbola_D_many(xs: np.ndarray) -> np.ndarray:
     xs = xs[order]
     roots = isqrt_many(xs)
     sums = np.zeros(len(xs), dtype=np.int64)
+    # a block of a run holds at most min(_SCATTER_CHUNK, rows * root) quotients
+    # of at most min(_SCATTER_CHUNK, root) divisors, for the largest root
+    most = int(roots[-1]) if len(xs) else 0
+    steps = np.arange(min(_SCATTER_CHUNK, most), dtype=np.float64)
+    divisors = np.empty_like(steps)
+    quotients = np.empty(min(_SCATTER_CHUNK, min(len(xs), _MANY_ROWS) * most))
     for i in range(0, len(xs), _MANY_ROWS):
         x, r = xs[i : i + _MANY_ROWS, None].astype(np.float64), roots[i : i + _MANY_ROWS, None]
         top = int(r[-1, 0])
         width = _SCATTER_CHUNK // len(x)
         for a in range(1, top + 1, width):
             j = int(np.searchsorted(r[:, 0], a))  # the x >= a*a
-            n = np.arange(a, min(a + width, top + 1), dtype=np.float64)
-            q = x[j:] / n
+            m = min(width, top + 1 - a)
+            n = np.add(steps[:m], a, out=divisors[:m])
+            q = np.divide(x[j:], n, out=quotients[: (len(x) - j) * m].reshape(-1, m))
             if n[-1] > r[j, 0]:
                 q[n > r[j:]] = 0
             sums[i + j : i + len(x)] += q.sum(axis=1, dtype=np.int64)
@@ -351,7 +381,10 @@ def delta_at(x: float) -> DeltaSample:
 
 
 def prefix_block(start: int, stop: int) -> np.ndarray:
-    """Exact D(m) for m in [start, stop) as an int64 array."""
-    out = np.cumsum(build_divisor_table(start, stop - 1), dtype=np.int64)
-    out += hyperbola_D(start - 1) if start > 1 else 0
-    return out
+    """Exact D(m) for m in [start, stop) as an int64 array: the sieve's d(n)
+    copied to int64 and summed in place from its own D(start - 1) (see
+    _divisor_sieve)."""
+    table, seed = _divisor_sieve(start, stop - 1)
+    out = table.astype(np.int64)
+    out[0] += seed
+    return np.cumsum(out, out=out)

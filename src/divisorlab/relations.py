@@ -255,6 +255,8 @@ def _enumerate_side(ranges: Sequence[tuple[int, int]],
             ends = np.ones(parent.size, dtype=np.int64)
             ends[first] = run + 1
             last[r] = (k, ends)
+    # the last step's temporaries go before the sort gathers four new arrays
+    parent = k = rank = a = same = first = counts = None
     order = np.argsort(sums)
     return _Side(tuple(ranges), sums[order], rows[order], flat[order], weights[order])
 

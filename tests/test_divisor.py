@@ -4,7 +4,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divisorlab.arith import BudgetExceededError
@@ -245,6 +245,52 @@ def test_prefix_block_seeding():
     direct = np.cumsum(build_divisor_table(1, 3000), dtype=np.int64)
     blk = prefix_block(1001, 3001)
     assert np.array_equal(blk, direct[1000:3000])
+
+
+# Below this hi, sieve_oracle's Python loop over the sqrt(hi) divisors stays
+# under about 0.1 s.
+ORACLE_HI = 1 << 32
+# With at most 64 values, every divisor past the dense band's 64 has one
+# multiple at most, so the sparse chunks start at 65 + k * _SCATTER_CHUNK.
+SPARSE_EDGE = 65 + _SCATTER_CHUNK
+
+
+@st.composite
+def prefix_windows(draw):
+    """(lo, w) with lo - 1 of 0 to 52 bits, w in 1..4096 and hi <= 2**52."""
+    w = draw(st.integers(1, 4096))
+    bits = draw(st.integers(0, 52))
+    lo = draw(st.integers(1, min(1 << bits, MAX_SIEVE_ARGUMENT - w + 1)))
+    return lo, w
+
+
+@settings(max_examples=40, deadline=None)
+@given(prefix_windows())
+@example((1, 4096))
+@example((2, 1))
+@example((64 ** 2 + 1, 64))  # isqrt(lo - 1) the dense band's last divisor
+@example((65 ** 2 + 1, 64))  # and the first sparse one
+@example(((SPARSE_EDGE - 1) ** 2 + 1, 64))  # the last divisor of a sparse chunk
+@example((SPARSE_EDGE ** 2 + 1, 64))  # the first of the next
+@example((10 ** 12 + 1, 4096))  # isqrt(lo - 1) = isqrt(hi)
+@example((((1 << 26) - 1) ** 2, 4096))  # lo - 1 = s**2 - 1, s**2, s**2 + 1
+@example((((1 << 26) - 1) ** 2 + 1, 2))
+@example((((1 << 26) - 1) ** 2 + 2, 1))
+@example((1 << 52, 1))  # lo - 1 = s**2 - 1 at s = 2**26, the largest argument
+def test_prefix_block_matches_hyperbola_and_oracle(window):
+    # prefix_block seeds its sums with the sieve's own quotients: D(lo - 1)
+    # from the quotients floor((lo - 1)/d), d <= isqrt(lo - 1).  Both ends are
+    # checked against hyperbola_D and the steps between against sieve_oracle
+    # where hi < ORACLE_HI; above it, against build_divisor_table, which
+    # test_divisor_table_matches_slice_oracle checks against that oracle.
+    lo, w = window
+    hi = lo + w - 1
+    blk = prefix_block(lo, hi + 1)
+    assert blk.dtype == np.int64 and len(blk) == w
+    assert [int(blk[0]), int(blk[-1])] == [hyperbola_D(lo), hyperbola_D(hi)]
+    if w > 1:
+        steps = sieve_oracle(lo + 1, hi) if hi < ORACLE_HI else build_divisor_table(lo + 1, hi)
+        assert np.array_equal(np.diff(blk), steps)
 
 
 @settings(max_examples=60, deadline=None)

@@ -515,11 +515,13 @@ def test_min_gap_memory_stays_near_side_size():
     assert peak < 32e6
 
 
-def test_min_gap_side_enumeration_traced_peak():
+def test_min_gap_side_enumeration_traced_peak(monkeypatch):
     # (4,4) over [1,48]^8: C(51, 4) = 249,900 multisets a side.  Counting the
     # orderings in the walk, with the parent rows gathered into the new ones,
-    # traces 37.9 MiB at the enumeration's peak; two walks, the second over
-    # every flat index, traced 54.7 MiB
+    # and freeing the last step's temporaries before the final sort, traces
+    # 29.1 MiB at the enumeration's peak (37.9 with them held; 54.7 with two
+    # walks, the second over every flat index), and min_gap 36.7 MiB at the
+    # gap search's.  Both bounds keep the margin ratio 46/37.9.
     min_gap(RelationSignature(4, 4), 4)
     tracemalloc.start()
     try:
@@ -528,4 +530,20 @@ def test_min_gap_side_enumeration_traced_peak():
     finally:
         tracemalloc.stop()
     assert gap == 1.8517962411886665e-10
-    assert peak < 46 * 2 ** 20, peak
+    assert peak < 44.5 * 2 ** 20, peak
+
+    enumerate_side, sides = relations._enumerate_side, []
+
+    def traced(*args):
+        tracemalloc.reset_peak()
+        side = enumerate_side(*args)
+        sides.append(tracemalloc.get_traced_memory()[1])
+        return side
+
+    monkeypatch.setattr(relations, "_enumerate_side", traced)
+    tracemalloc.start()
+    try:
+        min_gap(RelationSignature(4, 4), 48)
+    finally:
+        tracemalloc.stop()
+    assert len(sides) == 1 and sides[0] < 35.3 * 2 ** 20, sides

@@ -28,6 +28,7 @@ COMMANDS = [
     "window --k 2 --X 1e10 --H 65536",
     "window --k 4 --X 1e11 --H 65536",
     "window --k 4 --X 1e6 --H 5000 --constants-Y 512",
+    "window --k 2 --X 100000000000 --H 1",
     "moment --k 3 --X 1e5",
     "moment --k 4 --X 1e5",
     "moment --k 8 --X 1e5",
@@ -37,6 +38,7 @@ COMMANDS = [
     "sieve --lo 1 --hi 600000",
     "sieve --lo 1000000000000 --hi 1000000065535",
     "sieve --lo 20000000000 --hi 20000004095",
+    "sieve --lo 4503599627366401 --hi 4503599627370496",
     "count --plus 2 --minus 2 --ranges 1:40,1:40,1:40,1:40 --delta 1e-6",
     "count --plus 3 --minus 2 --ranges 1:9,2:11,1:9,3:12,3:12 --delta 0.05",
     "mingap --plus 2 --minus 2 --Y 50",
