@@ -43,6 +43,11 @@ POINTS_PER_PHASE_UNIT = 4
 _MAX_QUAD_POINTS = 1 << 24
 # complex values of one output block of the grid product; bounds the working set
 _BLOCK_ELEMENTS = 1 << 20
+# Most elements of one term array: the N roots, or the N x B steps of
+# abs_S_grid, 64 MiB as complex (a block of bases x N terms is never larger,
+# as there are at most B bases).  Criterion 11's largest, N = 256 at
+# U = N**2, holds 6.2e5.
+MAX_TERM_ELEMENTS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -53,14 +58,26 @@ class ExpSumSample:
     value: complex
 
 
-@lru_cache(maxsize=32, typed=True)  # typed: 64.0 and True miss the entries of 64 and 1
-def _roots(N: int, k: int) -> np.ndarray:
-    """n**(1/k) for n in (N, 2N], refined by one Newton step from the float
-    power so the fractional part fed to the phase is accurate to ~1 ulp."""
+def _check_terms(N: int, k: int, M: int = 1) -> None:
+    """Refuse N and k unless they are integers >= 2 (ValueError), and N
+    terms at M grid points (M = 1: one point) when the N x B steps of
+    abs_S_grid, or the N roots, would pass MAX_TERM_ELEMENTS
+    (BudgetExceededError), before any term array is allocated."""
     check_integer("N", N)
     check_integer("k", k)
     if N < 2 or k < 2:
         raise ValueError("need N >= 2 and k >= 2")
+    largest = N * (math.isqrt(M - 1) + 1)
+    if largest > MAX_TERM_ELEMENTS:
+        raise BudgetExceededError(f"term array of {largest} values for N={N} exceeds budget "
+                                  f"{MAX_TERM_ELEMENTS}")
+
+
+@lru_cache(maxsize=32, typed=True)  # typed: 64.0 and True miss the entries of 64 and 1
+def _roots(N: int, k: int) -> np.ndarray:
+    """n**(1/k) for n in (N, 2N], refined by one Newton step from the float
+    power so the fractional part fed to the phase is accurate to ~1 ulp."""
+    _check_terms(N, k)
     n = np.arange(N + 1, 2 * N + 1, dtype=np.float64)
     r = n ** (1.0 / k)
     # Newton step on r**k = n sharpens the last bits of the root
@@ -83,8 +100,9 @@ def eval_S(x: float, N: int, k: int) -> ExpSumSample:
 def abs_S_grid(xs: np.ndarray, N: int, k: int) -> np.ndarray:
     """|S(x, N, k)| at every point of a uniform grid xs (as np.linspace makes
     it), by the blocked product of the module docstring."""
-    r = _roots(N, k)
     M = len(xs)
+    _check_terms(N, k, M)
+    r = _roots(N, k)
     B = math.isqrt(M - 1) + 1
     h = (xs[-1] - xs[0]) / max(M - 1, 1)
     steps = _e(np.multiply.outer(r, np.arange(B) * h))
@@ -109,11 +127,12 @@ def moment8_S(U: float, N: int, k: int, samples: int = 16) -> tuple[float, float
         raise ValueError("samples must be >= 16")
     if not (math.isfinite(U) and U > 0):
         raise ValueError(f"U must be finite and > 0, got {U}")
-    _roots(N, k)  # refuses N and k before they size the grid
+    _check_terms(N, k)  # before N and k size the grid
     points = max(int(samples), int(POINTS_PER_PHASE_UNIT * U * (2 * N) ** (1.0 / k)) + 1)
     if points > _MAX_QUAD_POINTS:
         raise BudgetExceededError(
             f"quadrature grid of {points} points exceeds budget {_MAX_QUAD_POINTS}")
+    _check_terms(N, k, points)
     xs = np.linspace(U, 2 * U, points)
     vals = abs_S_grid(xs, N, k)
     vals **= 8

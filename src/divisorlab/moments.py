@@ -6,18 +6,15 @@ integers), so fixed-order Gauss-Legendre per interval is essentially exact.
 Integration runs on one grid of chunks, divisor.anchor_grid from lo (every
 ANCHOR_SPAN unit intervals, doubling below lo + ANCHOR_SPAN), split only at
 the checkpoints and abs_limit; each chunk evaluates Delta from the anchor at
-or below it.  Sieve blocks group adjacent
-chunks (each block seeds its divisor prefix from an O(sqrt x) hyperbola
-evaluation) and are the tasks run in parallel; each checkpoint's value is one
-math.fsum over all chunk partials before it.  So the values are bit-identical
-at every block size and thread count.
+or below it.  The plan is one int64 array, a row (start, stop, anchor) a
+chunk.  Sieve blocks of adjacent chunks, each with its own divisor sieve, are
+the tasks run in parallel, each returning one float64 row of partials a
+chunk; each checkpoint's value is one math.fsum over a column's rows before
+it.  So the values are bit-identical at every block size and thread count.
 """
 
 from __future__ import annotations
 
-import bisect
-import functools
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -181,14 +178,29 @@ def _chunk_integrals(
     if idx.size:
         crossing = coef[:, idx]
         left_w = _newton_roots(crossing)
-        d_l = np.abs(delta_unit(crossing, left_w * GL8_NODES[:, None]))
-        d_r = np.abs(delta_unit(crossing, left_w + (1.0 - left_w) * GL8_NODES[:, None]))
+        right_w = 1.0 - left_w
+        # |Delta| at the nodes of each split half, written over those nodes
+        d_l = np.multiply(left_w, GL8_NODES[:, None])
+        d_r = np.multiply(right_w, GL8_NODES[:, None])
+        d_r += left_w
+        for d in (d_l, d_r):
+            np.abs(delta_unit(crossing, d, out=d), out=d)
+        part = np.empty_like(d_l)  # each half's weighted powers, then the gather
+        # pw[:, idx] as numpy lays it out, crossing-major, so that its node
+        # sum takes the same BLAS path
+        gather = part.reshape(idx.size, -1).T
     for a in abs_powers:
         pw = np.power(absd, a, out=work[1])
         total = _node_sum(pw)
         if idx.size:
-            total += (_node_sum(left_w * d_l ** a) + _node_sum((1.0 - left_w) * d_r ** a)
-                      - _node_sum(pw[:, idx]))
+            halves = []
+            for d, w in ((d_l, left_w), (d_r, right_w)):
+                np.copyto(part, d)
+                part **= a  # as d ** a forms it: numpy takes sqrt or square for some a
+                halves.append(_node_sum(np.multiply(part, w, out=part)))
+            for node, row in zip(gather, pw):  # one node row at a time
+                node[:] = row[idx]
+            total += (halves[0] + halves[1]) - _node_sum(gather)
         out[("abs", a)] = total
     return out
 
@@ -200,17 +212,17 @@ def _node_sum(pw: np.ndarray) -> float:
 
 
 def _block_integrals(
-    chunks: Sequence[tuple[int, int, int]],
+    plan: np.ndarray,
     powers: Sequence[int],
     abs_powers: Sequence[float],
     abs_limit: int | None,
-) -> list[dict]:
+) -> np.ndarray:
     """Integrals of Delta**k and |Delta|**A over each chunk [a, b) of a run
-    of adjacent chunks (a, b, anchor), from one sieve over the run and one
-    _workspace for the node arrays of all its chunks; the |Delta|**A ones
-    only for the chunks below abs_limit (None: every chunk).
-    The anchor is the point of the anchor grid at or below a, so the node
-    values do not depend on where blocks, checkpoints or abs_limit cut it.
+    of adjacent chunks, the rows (a, b, anchor) of plan, from one sieve over
+    the run and one _workspace for the node arrays of all its chunks: a row a
+    chunk, a column a key of moment_profile, 0.0 for |Delta|**A from abs_limit
+    on.  The anchor is the grid's point at or below a, so no node value
+    depends on where blocks, checkpoints or abs_limit cut it.
 
     Integer powers come from _int_powers, so no libm pow sees the signed
     values of Delta (glibc pow is an order of magnitude slower on a negative
@@ -223,15 +235,17 @@ def _block_integrals(
     for the float64 value d of Delta there (d**1 is d itself).  The absolute
     powers keep pow on np.abs(Delta): pow on a non-negative base is fast.
     """
-    start, stop = chunks[0][0], chunks[-1][1]
+    start, stop = int(plan[0, 0]), int(plan[-1, 1])
     D = prefix_block(start, stop)
-    work = _workspace(max(b - a for a, b, _ in chunks), powers,
+    work = _workspace(int((plan[:, 1] - plan[:, 0]).max()), powers,
                       abs_powers if abs_limit is None or start < abs_limit else ())
-    out = []
-    for a, b, m0 in chunks:
+    keys = list(dict.fromkeys([("pow", k) for k in powers] + [("abs", a) for a in abs_powers]))
+    out = np.zeros((len(plan), len(keys)))
+    for row, (a, b, m0) in zip(out, plan.tolist()):
         coef = unit_branch(m0, np.arange(a - m0, b - m0), D[a - start : b - start])
-        out.append(_chunk_integrals(coef, powers,
-                                    abs_powers if abs_limit is None or a < abs_limit else (), work))
+        part = _chunk_integrals(coef, powers,
+                                abs_powers if abs_limit is None or a < abs_limit else (), work)
+        row[:] = [part.get(key, 0.0) for key in keys]
     return out
 
 
@@ -277,25 +291,27 @@ def moment_profile(
     hi = checkpoints[-1]
     cuts = [abs_limit] if abs_limit is not None and lo < abs_limit < hi else []
     grid = anchor_grid(lo, hi)
-    bounds = sorted(set(grid).union(checkpoints, cuts))
-    chunks = [(a, b, grid[bisect.bisect_right(grid, a) - 1]) for a, b in zip(bounds, bounds[1:])]
-    # a block groups the chunks that start in it, for one sieve
-    blocks = [list(run) for _, run in
-              itertools.groupby(chunks, lambda c: (c[0] - lo) // DEFAULT_BLOCK)]
-    task = functools.partial(_block_integrals, powers=powers, abs_powers=abs_powers,
-                             abs_limit=abs_limit)
-    partials = itertools.chain.from_iterable(ordered_map(task, blocks, threads=threads))
-
+    points = sorted(checkpoints + cuts)
+    bounds = np.insert(grid, np.searchsorted(grid, points), points)
+    bounds = bounds[np.diff(bounds, prepend=0) > 0]  # a point on the grid once
+    # a row (start, stop, anchor) a chunk, its anchor the grid's point at or below its start
+    plan = np.stack([bounds[:-1], bounds[1:],
+                     grid[np.searchsorted(grid, bounds[:-1], "right") - 1]], axis=1)
+    del grid, bounds  # only the plan is held while the blocks run
+    # block j, one sieve, runs over the chunks edges[j] to edges[j + 1] - 1: those starting in it
+    edges = np.append(np.flatnonzero(np.diff((plan[:, 0] - lo) // DEFAULT_BLOCK, prepend=-1)),
+                      len(plan))
     keys = list(dict.fromkeys([("pow", k) for k in powers] + [("abs", a) for a in abs_powers]))
-    terms: dict = {key: [] for key in keys}
-    cp, out = set(checkpoints), {}
-    # each checkpoint adds all chunk partials before it by one math.fsum
-    for (_, b, _), part in zip(chunks, partials):
-        for key, value in part.items():
-            terms[key].append(value)
-        if b in cp:
-            out[b] = {key: math.fsum(terms[key]) for key in keys}
-    return out
+    partials = np.empty((len(plan), len(keys)))
+
+    def block(j):
+        rows = slice(edges[j], edges[j + 1])
+        partials[rows] = _block_integrals(plan[rows], powers, abs_powers, abs_limit)
+
+    ordered_map(block, range(len(edges) - 1), threads=threads)
+    # each checkpoint adds each column's partials up to it by one math.fsum
+    return {c: {key: math.fsum(partials[:n, i]) for i, key in enumerate(keys)}
+            for c, n in zip(checkpoints, (np.searchsorted(plan[:, 1], checkpoints) + 1).tolist())}
 
 
 # k -> the exponent a of the k-th moment main term c * X**a, for k <= 4

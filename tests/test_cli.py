@@ -197,6 +197,14 @@ def test_sieve_window_budget_exit_code(tmp_path, capsys, argv, csv):
     assert not (tmp_path / csv).exists()
 
 
+def test_expsum_term_budget_exit_code(tmp_path, capsys):
+    # 1e10 roots, 80 GB, are refused before they are allocated
+    assert main(["expsum", "--N", "10000000000", "--U", "1", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "budget exceeded" in err and "term array" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("X, code, message", [
     ("1e17", 2, "out of range"),  # a last checkpoint past MAX_SIEVE_ARGUMENT
     ("2e10", 3, "plan budget"),  # 1.2e6 anchors, past divisor.MAX_ANCHORS

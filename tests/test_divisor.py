@@ -153,9 +153,9 @@ def test_delta_unit_broadcasts_and_left_limit():
 ])
 def test_anchor_grid(lo, hi, want):
     grid = anchor_grid(lo, hi)
-    assert grid == want
+    assert grid.dtype == np.int64 and grid.tolist() == want
     # each anchor serves at most min(m0, ANCHOR_SPAN) intervals
-    for m0, nxt in zip(grid, grid[1:] + [hi]):
+    for m0, nxt in zip(grid, [*grid[1:], hi]):
         assert nxt - m0 <= min(m0, ANCHOR_SPAN)
 
 
@@ -390,7 +390,7 @@ def test_hyperbola_matches_oracle_near_2_40(k):
 
 
 def test_hyperbola_matches_oracle_at_max_argument():
-    assert hyperbola_D(MAX_SIEVE_ARGUMENT) == hyperbola_oracle(MAX_SIEVE_ARGUMENT)
+    assert hyperbola_D(MAX_SIEVE_ARGUMENT) == _floor_division_D(MAX_SIEVE_ARGUMENT)
 
 
 def _floor_division_D(x: int) -> int:
@@ -422,7 +422,8 @@ def test_hyperbola_quotients_exact_up_to_max_argument():
     # would be off for about half the n, and float quotients summed before
     # the int64 cast are off by their fractions.  s**2 - 1 and (2**26 - 1)**2
     # are checked by numpy's exact int64 floor division, D(s**2) - D(s**2 - 1)
-    # = d(s**2), D(2**52) against the pure-Python sum above, and
+    # = d(s**2), D(2**52) by the same division in
+    # test_hyperbola_matches_oracle_at_max_argument, and
     # D(2**52 - 1) = D(2**52) - d(2**52).
     first = _SCATTER_CHUNK // _MANY_ROWS
     small, r = _chunk_edge(first, 1025), _chunk_edge(first, 10 ** 6)

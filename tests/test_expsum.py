@@ -91,6 +91,30 @@ def test_moment8_validation():
             abs_S_grid(np.linspace(10.0, 20.0, 16), N, k)
 
 
+def test_term_budget_refused_before_allocation():
+    # the largest term array at N terms and M points: the N roots, or the
+    # N x B steps (B = ceil(sqrt(M)) bases of B steps); each at its budget
+    # edge, then past it, where the call is refused before it traces more
+    # than a few kB
+    budget = expsum.MAX_TERM_ELEMENTS
+    expsum._check_terms(budget, 2)
+    expsum._check_terms(budget // 8, 2, 64)
+    expsum._check_terms(budget // 4, 2, 16)
+    calls = [lambda: eval_S(1.0, budget + 1, 2), lambda: eval_S(1.0, 10 ** 10, 2),
+             lambda: abs_S_grid(np.linspace(1.0, 2.0, 64), budget // 8 + 1, 2),
+             lambda: abs_S_grid(np.linspace(1.0, 2.0, 57), budget // 8 + 1, 2),
+             lambda: moment8_S(1e-3, budget // 4 + 1, 2)]  # 16 points
+    for call in calls:
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match="term array"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 14, peak
+
+
 def test_abs_S_grid_within_stated_bound():
     # the module docstring's absolute bound, at the 32 grid points of smallest
     # |S| (where the relative error is largest) and 32 spread over the grid

@@ -28,6 +28,7 @@ from divisorlab.moments import (
     window_main_term,
     window_moment,
 )
+from divisorlab.parallel import ordered_map
 from divisorlab.series import estimate_constant, main_term_coefficient
 
 import oracles
@@ -186,10 +187,12 @@ def test_node_major_block_within_few_ulp_of_interval_major(monkeypatch):
     start, stop = 100_000, 100_000 + 4 * ANCHOR_SPAN
     chunks = [(a, a + ANCHOR_SPAN, a) for a in range(start, stop, ANCHOR_SPAN)]
 
+    keys = [("pow", k) for k in _LAYOUT_POWERS] + [("abs", a) for a in _LAYOUT_ABS]
+
     def block(chunk_integrals):
         monkeypatch.setattr(moments, "_chunk_integrals", chunk_integrals)
-        parts = moments._block_integrals(chunks, _LAYOUT_POWERS, _LAYOUT_ABS, None)
-        return {key: math.fsum(part[key] for part in parts) for key in parts[0]}
+        parts = moments._block_integrals(np.array(chunks), _LAYOUT_POWERS, _LAYOUT_ABS, None)
+        return {key: math.fsum(parts[:, i]) for i, key in enumerate(keys)}
 
     got = block(moments._chunk_integrals)
     want = block(lambda coef, powers, abs_powers, work:
@@ -321,10 +324,13 @@ def test_block_workspace_matches_new_arrays_per_chunk(monkeypatch):
             key: value for key, value in out.items() if key[0] == "pow"}
         return out
 
-    got = moments._block_integrals(chunks, powers, abs_powers, abs_limit)
+    got = moments._block_integrals(np.array(chunks), powers, abs_powers, abs_limit)
     monkeypatch.setattr(moments, "_chunk_integrals", new_arrays)
-    assert got == moments._block_integrals(chunks, powers, abs_powers, abs_limit)
-    assert [len(part) for part in got] == [9 if a < abs_limit else 7 for a, _, _ in chunks]
+    assert np.array_equal(got, moments._block_integrals(np.array(chunks), powers, abs_powers,
+                                                        abs_limit))
+    # a row a chunk: the 7 integer powers, then the 2 absolute ones, 0.0 from abs_limit on
+    assert [np.count_nonzero(row) for row in got] == [9 if a < abs_limit else 7
+                                                      for a, _, _ in chunks]
 
 
 def test_block_integrals_working_set(monkeypatch):
@@ -332,14 +338,14 @@ def test_block_integrals_working_set(monkeypatch):
     # the block's int64 D array (made before tracing starts) the chunk loop
     # holds the block's workspace, three chunk arrays (Delta, its squares
     # written in place, Delta**3), and on top of it one chunk's coefficients
-    # and sign-crossing splits; 5.8 chunk arrays measured, at the crossings
+    # and sign-crossing splits; 5.5 chunk arrays measured, at the crossings
     # of the chunks just past 2**14, and no chunk adds to the workspace, so
     # the bound holds at any block length
     start, stop = 2, 2 + (1 << 20)
     grid = anchor_grid(start, stop)
     D = prefix_block(start, stop)
     monkeypatch.setattr(moments, "prefix_block", lambda a, b: D)
-    chunks = list(zip(grid, grid[1:] + [stop], grid))
+    chunks = np.stack([grid, np.append(grid[1:], stop), grid], axis=1)
     chunk_array = ANCHOR_SPAN * len(moments.GL8_NODES) * 8
     tracemalloc.start()
     try:
@@ -362,6 +368,42 @@ def test_stream_profile_traced_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 9 * 2 ** 20, peak
+
+
+def test_profile_bookkeeping_per_chunk(monkeypatch):
+    # the plan and the block results of a 1237-chunk profile, held when the
+    # last block returns, take at most 8 bytes a value and 48 a chunk (as
+    # tuples and dicts, 623 a chunk); the sieve, the branch and the
+    # quadrature are stubbed, as their values do not change what is held
+    powers, abs_powers = [1, 2, 3, 4, 8], [35.0 / 4.0, 267.0 / 27.0]
+    checkpoints = [10 ** 4, 10 ** 5, 10 ** 6, 2 * 10 ** 7]
+    chunks = len({*anchor_grid(2, checkpoints[-1]), *checkpoints}) - 1
+    assert chunks == 1237
+    held = []
+
+    def integrals(coef, powers, abs_powers, work):
+        keys = [("pow", k) for k in powers] + [("abs", a) for a in abs_powers]
+        return {key: float(coef.shape[1]) for key in keys}
+
+    def measured(fn, tasks, threads=1):
+        out = ordered_map(fn, tasks, threads=threads)
+        held.append(tracemalloc.get_traced_memory()[0])
+        return out
+
+    monkeypatch.setattr(moments, "prefix_block", lambda a, b: np.zeros(b - a, np.int64))
+    monkeypatch.setattr(moments, "unit_branch", lambda m0, j, D: np.zeros((1, len(j))))
+    monkeypatch.setattr(moments, "_chunk_integrals", integrals)
+    # a first run fills the caches of numpy's imports
+    moment_profile(powers, abs_powers, checkpoints, abs_limit=10 ** 6)
+    monkeypatch.setattr(moments, "ordered_map", measured)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        moment_profile(powers, abs_powers, checkpoints, abs_limit=10 ** 6)
+    finally:
+        tracemalloc.stop()
+    per_chunk = (held[0] - before) / chunks
+    assert per_chunk <= 8 * (len(powers) + len(abs_powers)) + 48, per_chunk
 
 
 @pytest.mark.parametrize("powers", [[0], [-2], [2.0], [1.5], [2, 0]])
@@ -392,11 +434,11 @@ def test_profile_abs_limit_freezes_abs_integrals(monkeypatch):
 @pytest.mark.parametrize("block", [256, 512, 1024])
 def test_profile_abs_limit_between_checkpoints(monkeypatch, block):
     # the |Delta|**A integral freezes at abs_limit itself, not at the block
-    # boundary after it
+    # boundary after it, nor at a checkpoint after it between the same anchors
     monkeypatch.setattr(moments, "DEFAULT_BLOCK", block)
-    prof = moment_profile([], [1.5], [4000], abs_limit=1500)
+    prof = moment_profile([], [1.5], [1600, 4000], abs_limit=1500)
     frozen = moment_profile([], [1.5], [1500])
-    assert prof[4000][("abs", 1.5)] == frozen[1500][("abs", 1.5)]
+    assert prof[1600][("abs", 1.5)] == prof[4000][("abs", 1.5)] == frozen[1500][("abs", 1.5)]
 
 
 @pytest.mark.parametrize("checkpoints, lo", [([100.7], 2), ([100, 200.5], 2), ([100], 1.5),
